@@ -9,8 +9,8 @@ with Monte Carlo lower (hitting-time) and upper (dual-martingale) bounds.
 __version__ = "0.1.0"
 
 from .density import ExpansionCoords, chart, log_density, log_integrands, pbbt
-from .hjb import ExerciseBoundary, Flavor, Grid, ValueGrid, delta, exercise_boundary, make_grid, solve, value_at
-from .mc import BoundTask, PathBatch, PriceBounds, bias_estimate, confidence_interval, discounted_payoff, simulate_bounds, step
+from .hjb import ExerciseBoundary, Flavor, Grid, ValueGrid, exercise_boundary, make_grid, solve, value_at
+from .mc import BoundTask, PriceBounds, bias_estimate, simulate_bounds, step
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, basket_value, correlation_to_sigma, diffusion, drift, payoff
 from .oracle import binned_conditional_vol, binomial_american_put_1d, quadrature_projected_vol
 from .projection import LaplacePoint, NewtonError, newton_maximize, projected_drift, projected_vol_sq
@@ -24,8 +24,7 @@ __all__ = [
     "LaplacePoint", "NewtonError", "newton_maximize", "projected_drift", "projected_vol_sq",
     "CoefficientSurface", "Envelope", "build_surface", "estimate_envelope", "fit_surface",
     "Grid", "ValueGrid", "Flavor", "ExerciseBoundary",
-    "make_grid", "solve", "exercise_boundary", "delta", "value_at",
-    "BoundTask", "PathBatch", "PriceBounds", "simulate_bounds", "step",
-    "discounted_payoff", "confidence_interval", "bias_estimate",
+    "make_grid", "solve", "exercise_boundary", "value_at",
+    "BoundTask", "PriceBounds", "simulate_bounds", "step", "bias_estimate",
     "quadrature_projected_vol", "binomial_american_put_1d", "binned_conditional_vol",
 ]

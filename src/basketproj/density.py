@@ -46,9 +46,6 @@ class HyperplaneChart:
         x[self.pivot] = (self.s - w[self.free] @ z) / w[self.pivot]
         return x
 
-    def z_of(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[self.free]
-
     @property
     def basis(self) -> np.ndarray:
         """d x (d-1) Jacobian dx/dz of the affine map."""
@@ -57,12 +54,6 @@ class HyperplaneChart:
         b[self.free, np.arange(self.free.size)] = 1.0
         b[self.pivot, :] = -w[self.free] / w[self.pivot]
         return b
-
-    @property
-    def jacobian_factor(self) -> float:
-        """Constant surface-measure factor of the chart (cancels in ratios)."""
-        w = self.portfolio.weights
-        return float(np.linalg.norm(w) / abs(w[self.pivot]))
 
 
 def chart(p: Portfolio, s: float) -> HyperplaneChart:
@@ -279,37 +270,3 @@ def log_integrands(model: ModelSpec, p: Portfolio, t: float, s: float,
                    coords: ExpansionCoords = ExpansionCoords.PRICE) -> LogIntegrands:
     return LogIntegrands(model, p, t, s, coords)
 
-
-def fd_gradient(fun, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Central finite-difference gradient, step 1e-5 * scale.
-
-    Fallback for model kinds without analytic derivatives; also the reference
-    the analytic derivatives are tested against.
-    """
-    z = np.asarray(z, dtype=float)
-    h = 1e-5 * scale
-    g = np.empty(z.size)
-    for i in range(z.size):
-        e = np.zeros(z.size)
-        e[i] = h
-        g[i] = (fun(z + e) - fun(z - e)) / (2 * h)
-    return g
-
-
-def fd_hessian(fun, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Central finite-difference Hessian, step 1e-5 * scale."""
-    z = np.asarray(z, dtype=float)
-    h = 1e-5 * scale
-    n = z.size
-    out = np.empty((n, n))
-    f0 = fun(z)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        out[i, i] = (fun(z + ei) - 2 * f0 + fun(z - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            mixed = (fun(z + ei + ej) - fun(z + ei - ej) - fun(z - ei + ej) + fun(z - ei - ej)) / (4 * h**2)
-            out[i, j] = out[j, i] = mixed
-    return out

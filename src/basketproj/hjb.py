@@ -161,13 +161,6 @@ def delta_array(vg: ValueGrid) -> np.ndarray:
     return np.gradient(vg.values, vg.grid.s_nodes, axis=1)
 
 
-def delta(vg: ValueGrid, t_n: float, s: float) -> float:
-    """Delta at grid time t_n, linearly interpolated between bracketing nodes."""
-    n = _time_index(vg.grid, t_n)
-    row = np.gradient(vg.values[n], vg.grid.s_nodes)
-    return float(np.interp(s, vg.grid.s_nodes, row))
-
-
 def value_at(vg: ValueGrid, t: float, s: float) -> float:
     """Value at (t, s); t must lie on the shared time grid, s interpolates linearly."""
     n = _time_index(vg.grid, t)

@@ -4,7 +4,9 @@ One path batch drives everything: the hitting-time lower bound implied by the
 projected exercise boundary, the dual-martingale upper bound built from the
 projected value function's delta, and the European put estimate.  Both bounds
 see the same Brownian increments.  Increments are keyed by (seed, step, path
-chunk), so results do not depend on scheduling or batch composition.
+chunk), so results do not depend on scheduling or batch composition.  One
+kernel serves single-tier and coupled multi-tier runs: a single tier is the
+coupled run with one tier.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from .rng import normal_matrix
@@ -34,19 +35,9 @@ class PriceBounds:
     bias_minus: float | None = None
     bias_plus: float | None = None
 
-    def interval(self) -> tuple[float, float]:
-        z = norm.ppf(0.5 + 0.5 * self.ci_level)
-        return self.a_minus - z * self.se_minus, self.a_plus + z * self.se_plus
-
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.a_minus + self.a_plus)
-
-    @property
-    def relative_gap(self) -> float:
-        if self.midpoint == 0.0:
-            return 0.0  # worthless option, both bounds exactly zero
-        return (self.a_plus - self.a_minus) / self.midpoint
 
 
 @dataclass(frozen=True)
@@ -77,70 +68,26 @@ class BoundTask:
     s_nodes: np.ndarray
 
 
-def wiener_increments(stream_seed: int, step: int, m: int, k: int, dt: float) -> np.ndarray:
-    """Brownian increments over one step: N(0, dt) per component."""
-    return normal_matrix(stream_seed, step, m, k) * np.sqrt(dt)
+@dataclass
+class TierTask:
+    """One refinement level of a coupled convergence run."""
+
+    n_t: int
+    tasks: list[BoundTask]
 
 
-@dataclass(frozen=True)
-class PathBatch:
-    """A batch of forward-Euler paths, materialized on demand.
+def step(model: ModelSpec, x: np.ndarray, dt: float, dws: np.ndarray) -> np.ndarray:
+    """One forward-Euler step x + r x dt + b(t, x) dW for an (m, d) batch.
 
-    Path i is a deterministic function of (seed, i): increments come from
-    counter-based streams keyed by (seed, step, path chunk), so neither the
-    batch size nor the evaluation order changes a path's draws.
-    """
-
-    seed: int
-    m: int
-    t_grid: np.ndarray
-
-    @property
-    def n_t(self) -> int:
-        return self.t_grid.size - 1
-
-    def increments(self, step: int, k: int) -> np.ndarray:
-        dt = self.t_grid[step + 1] - self.t_grid[step]
-        return wiener_increments(self.seed, step, self.m, k, dt)
-
-    def states(self, model: ModelSpec):
-        """Yield (step, x) sweeping the batch forward; x is the (m, d) state at t_grid[step]."""
-        x = np.tile(model.x0, (self.m, 1))
-        for n in range(self.n_t + 1):
-            yield n, x
-            if n < self.n_t:
-                x = step(model, x, self.t_grid[n + 1] - self.t_grid[n],
-                         self.increments(n, model.k))
-
-
-def step(model: ModelSpec, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-    """One forward-Euler step x + r x dt + b(t, x) dW, vectorized over paths.
-
+    dws is dW @ sigma^T, so the diffusion term is dws (Bachelier) or x * dws.
     Black-Scholes states are floored at zero; drift and diffusion vanish there,
     so the boundary is absorbing.
     """
-    x = np.asarray(x, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    dws = np.atleast_2d(dw) @ model.sigma.T
     if model.kind is ModelKind.BACHELIER:
-        out = x2 + model.r * x2 * dt + dws
-    else:
-        out = x2 + model.r * x2 * dt + x2 * dws
-        np.maximum(out, 0.0, out=out)
-    return out[0] if single else out
-
-
-def discounted_payoff(g: PutPayoff, r: float, t: float, s):
-    """e^{-r t} g(s)."""
-    return np.exp(-r * t) * g(s)
-
-
-def confidence_interval(mean: float, se: float, level: float = DEFAULT_CI_LEVEL) -> tuple[float, float]:
-    """Gaussian CLT interval at the given two-sided level."""
-    z = norm.ppf(0.5 + 0.5 * level)
-    return mean - z * se, mean + z * se
+        return x + model.r * x * dt + dws
+    out = x + model.r * x * dt + x * dws
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def bias_estimate(run_coarse: PriceBounds, run_fine: PriceBounds) -> tuple[float, float]:
@@ -207,63 +154,7 @@ def simulate_bounds(model: ModelSpec, p: Portfolio, tasks: list[BoundTask],
                     n_t: int, m: int, seed: int,
                     ci_level: float = DEFAULT_CI_LEVEL) -> list[BoundsResult]:
     """One forward-Euler batch evaluating all strikes' bounds on shared paths."""
-    dt = model.T / n_t
-    sqdt = np.sqrt(dt)
-    x = np.tile(model.x0, (m, 1))
-    states = [_TaskState(task, m) for task in tasks]
-    for n in range(n_t + 1):
-        t = n * dt
-        basket = x @ p.weights
-        for st in states:
-            st.evaluate(n, t, model.r, basket)
-        if n == n_t:
-            break
-        dws = normal_matrix(seed, n, m, model.k) * sqdt @ model.sigma.T
-        pb = _pbdw(model, p, x, dws)
-        for st in states:
-            st.accumulate_martingale(t, model.r, pb)
-        if model.kind is ModelKind.BACHELIER:
-            x = x + model.r * x * dt + dws
-        else:
-            x = x + model.r * x * dt + x * dws
-            np.maximum(x, 0.0, out=x)
-    return [st.finish(model.T, ci_level, n_t, m) for st in states]
-
-
-def lower_bound(model: ModelSpec, p: Portfolio, payoff: PutPayoff, boundary,
-                m: int, seed: int, delta_rows=None, s_nodes=None,
-                ci_level: float = DEFAULT_CI_LEVEL) -> BoundsResult:
-    """Hitting-time estimator alone; boundary is any object with .levels on the grid."""
-    levels = np.asarray(boundary.levels, dtype=float)
-    n_t = levels.size - 1
-    if s_nodes is None:
-        s_nodes = np.array([0.0, 1.0])
-        delta_rows = np.zeros((n_t + 1, 2))
-    task = BoundTask(payoff=payoff, boundary_levels=levels,
-                     delta_rows=np.asarray(delta_rows, dtype=float),
-                     s_nodes=np.asarray(s_nodes, dtype=float))
-    return simulate_bounds(model, p, [task], n_t, m, seed, ci_level)[0]
-
-
-def upper_bound(model: ModelSpec, p: Portfolio, payoff: PutPayoff, vg,
-                m: int, seed: int, ci_level: float = DEFAULT_CI_LEVEL) -> BoundsResult:
-    """Dual-martingale estimator alone; vg is a solved projected value grid."""
-    from .hjb import delta_array  # local import to keep the module graph acyclic
-
-    rows = delta_array(vg)
-    n_t = rows.shape[0] - 1
-    task = BoundTask(payoff=payoff,
-                     boundary_levels=np.full(n_t + 1, -np.inf),
-                     delta_rows=rows, s_nodes=vg.grid.s_nodes)
-    return simulate_bounds(model, p, [task], n_t, m, seed, ci_level)[0]
-
-
-@dataclass
-class TierTask:
-    """One refinement level of a coupled convergence run."""
-
-    n_t: int
-    tasks: list[BoundTask]
+    return _simulate(model, p, [TierTask(n_t=n_t, tasks=tasks)], m, seed, ci_level)[0]
 
 
 def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask],
@@ -275,54 +166,48 @@ def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask]
     estimate pure discretization bias with far lower variance than independent
     batches.  Tier step counts must divide the finest count.
     """
+    return _simulate(model, p, tiers, m, seed, ci_level)
+
+
+class _TierRun:
+    """One tier's paths and per-strike accumulators inside the shared fine loop."""
+
+    def __init__(self, model: ModelSpec, tier: TierTask, n_fine: int, m: int):
+        self.n_t = tier.n_t
+        self.stride = n_fine // tier.n_t
+        self.dt = model.T / tier.n_t
+        self.x = np.tile(model.x0, (m, 1))
+        self.dw = None  # Brownian increment summed over the current coarse step
+        self.states = [_TaskState(task, m) for task in tier.tasks]
+
+
+def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, seed: int,
+              ci_level: float) -> list[list[BoundsResult]]:
+    """The bound kernel: every tier steps on sums of one fine increment stream."""
     n_fine = max(t.n_t for t in tiers)
     for t in tiers:
         if n_fine % t.n_t != 0:
             raise ValueError(f"tier n_t={t.n_t} does not divide the finest tier {n_fine}")
-    dt_fine = model.T / n_fine
-    sq = np.sqrt(dt_fine)
+    sq = np.sqrt(model.T / n_fine)
     sig_t = model.sigma.T
-    runs = []
-    for tier in tiers:
-        runs.append({
-            "tier": tier,
-            "stride": n_fine // tier.n_t,
-            "dt": model.T / tier.n_t,
-            "x": np.tile(model.x0, (m, 1)),
-            "acc": np.zeros((m, model.k)),
-            "states": [_TaskState(task, m) for task in tier.tasks],
-        })
-    for nf in range(n_fine):
+    runs = [_TierRun(model, tier, n_fine, m) for tier in tiers]
+    for nf in range(n_fine + 1):
         for run in runs:
-            if nf % run["stride"] == 0:
-                n = nf // run["stride"]
-                t = n * run["dt"]
-                basket = run["x"] @ p.weights
-                for st in run["states"]:
-                    st.evaluate(n, t, model.r, basket)
+            if nf % run.stride == 0:
+                n = nf // run.stride
+                basket = run.x @ p.weights
+                for st in run.states:
+                    st.evaluate(n, n * run.dt, model.r, basket)
+        if nf == n_fine:
+            break
         dw = normal_matrix(seed, nf, m, model.k) * sq
         for run in runs:
-            run["acc"] += dw
-            if (nf + 1) % run["stride"] == 0:
-                n = nf // run["stride"]
-                t = n * run["dt"]
-                dws = run["acc"] @ sig_t
-                pb = _pbdw(model, p, run["x"], dws)
-                for st in run["states"]:
+            run.dw = dw if nf % run.stride == 0 else run.dw + dw
+            if (nf + 1) % run.stride == 0:
+                t = (nf // run.stride) * run.dt
+                dws = run.dw @ sig_t
+                pb = _pbdw(model, p, run.x, dws)
+                for st in run.states:
                     st.accumulate_martingale(t, model.r, pb)
-                x = run["x"]
-                if model.kind is ModelKind.BACHELIER:
-                    x = x + model.r * x * run["dt"] + dws
-                else:
-                    x = x + model.r * x * run["dt"] + x * dws
-                    np.maximum(x, 0.0, out=x)
-                run["x"] = x
-                run["acc"][:] = 0.0
-    out = []
-    for run in runs:
-        n = run["tier"].n_t
-        basket = run["x"] @ p.weights
-        for st in run["states"]:
-            st.evaluate(n, model.T, model.r, basket)
-        out.append([st.finish(model.T, ci_level, n, m) for st in run["states"]])
-    return out
+                run.x = step(model, run.x, run.dt, dws)
+    return [[st.finish(model.T, ci_level, run.n_t, m) for st in run.states] for run in runs]

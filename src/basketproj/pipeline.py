@@ -108,7 +108,15 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
         newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter)
 
 
-def _build_tier_tasks(surf, payoffs, grid):
+def _build_tier_tasks(surf, payoffs, grid, px0: float, export_dir: Path | None = None,
+                      export_values: bool = False):
+    """Solve each strike once per flavor on this tier's grid.
+
+    Returns the bound tasks and the American and European values at (0, px0).
+    Each value grid lives only while its strike is processed; when export_dir
+    is given, the American boundary (and, with export_values, the value grid)
+    is written from it there.
+    """
     tasks = []
     hjb_a = []
     hjb_e = []
@@ -116,26 +124,27 @@ def _build_tier_tasks(surf, payoffs, grid):
         vg_a = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
         vg_e = hjb.solve(surf, g, grid, hjb.Flavor.EUROPEAN)
         bnd = hjb.exercise_boundary(vg_a)
+        if export_dir is not None:
+            hjb.export_boundary(bnd, export_dir / f"boundary_K{g.strike:g}.txt")
+            if export_values:
+                hjb.export_values(vg_a, export_dir / f"values_K{g.strike:g}.txt")
         tasks.append(mc.BoundTask(payoff=g, boundary_levels=bnd.levels,
                                   delta_rows=hjb.delta_array(vg_a),
                                   s_nodes=grid.s_nodes))
-        hjb_a.append(vg_a)
-        hjb_e.append(vg_e)
+        hjb_a.append(hjb.value_at(vg_a, 0.0, px0))
+        hjb_e.append(hjb.value_at(vg_e, 0.0, px0))
     return tasks, hjb_a, hjb_e
 
 
-def _run_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig) -> _TierOutput:
+def _run_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig,
+              export_dir: Path | None) -> _TierOutput:
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-    tasks, vgs_a, vgs_e = _build_tier_tasks(surf, payoffs, grid)
+    px0 = float(p.weights @ model.x0)
+    tasks, hjb_a, hjb_e = _build_tier_tasks(surf, payoffs, grid, px0, export_dir,
+                                            cfg.export_value_grids)
     seed = derive_seed(cfg.seed, "bounds", n_t)
     results = mc.simulate_bounds(model, p, tasks, n_t, cfg.m_paths, seed, cfg.ci_level)
-    px0 = float(p.weights @ model.x0)
-    return _TierOutput(
-        n_t=n_t,
-        results=results,
-        hjb_american=[hjb.value_at(v, 0.0, px0) for v in vgs_a],
-        hjb_european=[hjb.value_at(v, 0.0, px0) for v in vgs_e],
-    )
+    return _TierOutput(n_t=n_t, results=results, hjb_american=hjb_a, hjb_european=hjb_e)
 
 
 def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
@@ -193,9 +202,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunRepor
         writer.writerow(RESULTS_COLUMNS)
         fh.flush()
 
+        top = max(cfg.nt_tiers)  # the top tier also writes the files for plotting
+
         def tier_job(n_t):
             try:
-                return _run_tier(model, p, surf, payoffs, n_t, cfg)
+                return _run_tier(model, p, surf, payoffs, n_t, cfg,
+                                 out if n_t == top else None)
             except Exception as exc:
                 raise StageError(f"tier-{n_t}", exc) from exc
 
@@ -224,15 +236,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunRepor
                 rows.append(row)
                 writer.writerow(row.as_list())
                 fh.flush()
-
-    # top-tier exports for plotting
-    top = max(cfg.nt_tiers)
-    grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, top, c=cfg.c_coupling)
-    for g in payoffs:
-        vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-        hjb.export_boundary(hjb.exercise_boundary(vg), out / f"boundary_K{g.strike:g}.txt")
-        if cfg.export_value_grids:
-            hjb.export_values(vg, out / f"values_K{g.strike:g}.txt")
 
     z = norm.ppf(0.5 + 0.5 * cfg.ci_level)
     ordering_ok = all(r.a_minus <= r.a_plus + z * (r.se_minus + r.se_plus) for r in rows)
@@ -276,7 +279,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir) -> ConvergenceReport:
     tier_tasks = []
     for n_t in all_nt:
         grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-        tasks, _, _ = _build_tier_tasks(surf, [g], grid)
+        tasks, _, _ = _build_tier_tasks(surf, [g], grid, px0)
         tier_tasks.append(mc.TierTask(n_t=n_t, tasks=tasks))
     seed = derive_seed(cfg.seed, "convergence", max(all_nt))
     per_tier = mc.simulate_tiers_coupled(model, p, tier_tasks, cfg.m_paths, seed, cfg.ci_level)
@@ -393,12 +396,10 @@ def check_bachelier_bracket(floor_override: float | None = None,
                                         floor=floor_override)
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
     g = PutPayoff(cfg.strikes[0])
-    tasks, vgs_a, _ = _build_tier_tasks(surf, [g], grid)
+    tasks, (value,), _ = _build_tier_tasks(surf, [g], grid, float(p.weights @ model.x0))
     res = mc.simulate_bounds(model, p, tasks, n_t, m,
                              derive_seed(cfg.seed, "validate", n_t))[0]
     b = res.bounds
-    px0 = float(p.weights @ model.x0)
-    value = hjb.value_at(vgs_a[0], 0.0, px0)
     mid = b.midpoint
     tol = max(3.0 * (b.se_minus + b.se_plus), 0.02 * mid)
     ok = (b.a_minus - tol) <= value <= (b.a_plus + tol)

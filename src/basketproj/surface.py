@@ -51,9 +51,10 @@ def estimate_envelope(model: ModelSpec, p: Portfolio, m_pilot: int = PILOT_PATHS
     basket = x @ p.weights
     s_lo[0] = basket.min()
     s_hi[0] = basket.max()
+    sq = np.sqrt(dt)
     for n in range(n_t):
-        dw = mc.wiener_increments(seed, n, m_pilot, model.k, dt)
-        x = mc.step(model, x, dt, dw)
+        dws = mc.normal_matrix(seed, n, m_pilot, model.k) * sq @ model.sigma.T
+        x = mc.step(model, x, dt, dws)
         basket = x @ p.weights
         s_lo[n + 1] = basket.min()
         s_hi[n + 1] = basket.max()

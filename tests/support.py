@@ -1,0 +1,73 @@
+"""Reference helpers for the tests: finite differences, intervals and bound tasks.
+
+Nothing here is part of the package.  The finite-difference derivatives are
+the reference the analytic Laplace derivatives are checked against; the task
+builders feed ``simulate_bounds`` the way the pipeline does, or with a flat
+stopping level and a zero martingale to isolate one estimator.
+"""
+
+import numpy as np
+from scipy.stats import norm
+
+from basketproj import hjb
+from basketproj.mc import BoundTask, step
+from basketproj.rng import normal_matrix
+
+
+def fd_gradient(fun, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Central finite-difference gradient, step 1e-5 * scale."""
+    z = np.asarray(z, dtype=float)
+    h = 1e-5 * scale
+    g = np.empty(z.size)
+    for i in range(z.size):
+        e = np.zeros(z.size)
+        e[i] = h
+        g[i] = (fun(z + e) - fun(z - e)) / (2 * h)
+    return g
+
+
+def fd_hessian(fun, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Central finite-difference Hessian, step 1e-5 * scale."""
+    z = np.asarray(z, dtype=float)
+    h = 1e-5 * scale
+    n = z.size
+    out = np.empty((n, n))
+    f0 = fun(z)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        out[i, i] = (fun(z + ei) - 2 * f0 + fun(z - ei)) / h**2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            mixed = (fun(z + ei + ej) - fun(z + ei - ej) - fun(z - ei + ej) + fun(z - ei - ej)) / (4 * h**2)
+            out[i, j] = out[j, i] = mixed
+    return out
+
+
+def confidence_interval(mean: float, se: float, level: float) -> tuple[float, float]:
+    """Gaussian CLT interval at the given two-sided level."""
+    z = norm.ppf(0.5 + 0.5 * level)
+    return mean - z * se, mean + z * se
+
+
+def flat_task(payoff, n_t: int, level: float = -np.inf) -> BoundTask:
+    """Stop below a constant level; zero delta, so the upper bound is the running max."""
+    return BoundTask(payoff=payoff, boundary_levels=np.full(n_t + 1, level),
+                     delta_rows=np.zeros((n_t + 1, 2)), s_nodes=np.array([0.0, 1.0]))
+
+
+def solved_task(vg: hjb.ValueGrid) -> BoundTask:
+    """The pipeline's task for a solved American grid: its boundary and its delta."""
+    return BoundTask(payoff=vg.payoff, boundary_levels=hjb.exercise_boundary(vg).levels,
+                     delta_rows=hjb.delta_array(vg), s_nodes=vg.grid.s_nodes)
+
+
+def euler_states(model, seed: int, m: int, t_grid: np.ndarray):
+    """Yield the (m, d) forward-Euler state at every t_grid node, from the bound kernel's streams."""
+    x = np.tile(model.x0, (m, 1))
+    yield x
+    for n in range(t_grid.size - 1):
+        dt = t_grid[n + 1] - t_grid[n]
+        x = step(model, x, dt, normal_matrix(seed, n, m, model.k) * np.sqrt(dt) @ model.sigma.T)
+        yield x

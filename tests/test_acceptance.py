@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from basketproj import hjb, mc
-from basketproj.density import ExpansionCoords, fd_gradient, fd_hessian, chart, log_integrands
+from basketproj import hjb
+from basketproj.density import ExpansionCoords, chart, log_integrands
 from basketproj.mc import BoundTask, simulate_bounds
 from basketproj.model import Portfolio, PutPayoff, basket_value, payoff
 from basketproj.oracle import binomial_american_put_1d, quadrature_projected_vol
@@ -20,6 +20,7 @@ from basketproj.presets import bachelier5d, bs3d
 from basketproj.projection import projected_vol_sq
 from basketproj.rng import derive_seed
 from basketproj.surface import CoefficientSurface, build_surface
+from support import fd_gradient, fd_hessian, flat_task
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -134,14 +135,11 @@ def test_criterion_5_convergence_orders(tmp_path, bachelier5_model, bachelier5_p
     m, p = bachelier5_model, bachelier5_portfolio
     g = PutPayoff(500.0)
     n_t = 512
-
-    class _NoBoundary:
-        levels = np.full(n_t + 1, -np.inf)
-
+    task = flat_task(g, n_t)
     ratios = []
     for seed in (101, 202):
-        small = mc.lower_bound(m, p, g, _NoBoundary(), 8000, seed=seed)
-        big = mc.lower_bound(m, p, g, _NoBoundary(), 32_000, seed=seed + 1)
+        small = simulate_bounds(m, p, [task], n_t, 8000, seed=seed)[0]
+        big = simulate_bounds(m, p, [task], n_t, 32_000, seed=seed + 1)[0]
         ratios.append(small.bounds.se_minus / big.bounds.se_minus)
     se_ok = all(1.6 <= r <= 2.4 for r in ratios)
     ok = slopes_ok and se_ok

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from basketproj import hjb
 from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
-from basketproj.pipeline import (appendix_checks, check_bachelier_bracket,
-                                 check_solver_1d, run_experiment)
+from basketproj.pipeline import (appendix_checks, build_surface_from_config,
+                                 check_bachelier_bracket, check_solver_1d, run_experiment)
 from basketproj.presets import appendix2d, get_preset
 
 TINY_BACHELIER = """
@@ -82,6 +83,41 @@ class TestRunCommand:
         run_experiment(cfg, tmp_path / "two", threads=3)
         assert (tmp_path / "one" / "results.csv").read_bytes() == \
                (tmp_path / "two" / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_exports_come_from_top_tier(self, tmp_path, threads):
+        # every plotting file must equal a fresh American solve on the top tier's grid
+        cfg = get_preset("bs3d")
+        cfg.nt_tiers = [16, 32]
+        cfg.m_paths = 256
+        cfg.pilot_steps = 64
+        cfg.surface_slices = 4
+        cfg.surface_abscissae = 8
+        cfg.strikes = [280.0, 300.0]
+        cfg.export_value_grids = True
+        out = tmp_path / "run"
+        run_experiment(cfg, out, threads=threads)
+        model, p = cfg.build_model(), cfg.build_portfolio()
+        surf, _ = build_surface_from_config(cfg, model, p)
+        names = set()
+        differs_from_lower_tier = False
+        for g in cfg.build_payoffs():
+            for n_t in cfg.nt_tiers:
+                grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
+                vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
+                ref = tmp_path / f"ref{n_t}"
+                ref.mkdir(exist_ok=True)
+                for name, export, obj in (("boundary", hjb.export_boundary, hjb.exercise_boundary(vg)),
+                                          ("values", hjb.export_values, vg)):
+                    fname = f"{name}_K{g.strike:g}.txt"
+                    export(obj, ref / fname)
+                    if n_t == max(cfg.nt_tiers):
+                        names.add(fname)
+                        assert (out / fname).read_bytes() == (ref / fname).read_bytes(), fname
+                    elif (out / fname).read_bytes() != (ref / fname).read_bytes():
+                        differs_from_lower_tier = True
+        assert names == {f.name for f in out.glob("*_K*.txt")}
+        assert differs_from_lower_tier  # the check can tell the tiers apart
 
     def test_tiny_config_file(self, tmp_path, capsys):
         path = tmp_path / "tiny.cfg"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from basketproj.density import (ExpansionCoords, chart, fd_gradient, fd_hessian,
-                                log_density, log_integrands, pbbt)
+from basketproj.density import ExpansionCoords, chart, log_density, log_integrands, pbbt
 from basketproj.model import ModelKind, ModelSpec, Portfolio
+from support import fd_gradient, fd_hessian
 
 
 class TestLogDensity:

@@ -167,13 +167,13 @@ class TestDeltaAndValueAt:
         vg = hjb.ValueGrid(grid=grid, values=values, flavor=Flavor.AMERICAN, payoff=g)
         ds = grid.ds
         for s in grid.s_nodes[(grid.s_nodes < 100.0 - ds) & (grid.s_nodes > 0)]:
-            assert hjb.delta(vg, 0.0, float(s)) == pytest.approx(-1.0)
+            assert np.interp(s, grid.s_nodes, hjb.delta_array(vg)[0]) == pytest.approx(-1.0)
 
     def test_delta_constant_values(self):
         grid = make_grid(0.0, 10.0, 1.0, 2, n_s=11)
         vg = hjb.ValueGrid(grid=grid, values=np.full((3, 11), 4.0),
                            flavor=Flavor.EUROPEAN, payoff=PutPayoff(5.0))
-        assert hjb.delta(vg, 0.5, 3.3) == 0.0
+        assert np.interp(3.3, grid.s_nodes, hjb.delta_array(vg)[1]) == 0.0  # t = 0.5
 
     def test_delta_against_closed_form(self):
         grid = make_grid(0.0, 320.0, 0.5, 1024, n_s=257)
@@ -181,7 +181,7 @@ class TestDeltaAndValueAt:
         ncdf = lambda x: 0.5 * (1.0 + erf(x / sqrt(2.0)))
         d1 = (log(1.0) + (0.05 + 0.02) * 0.5) / (0.2 * sqrt(0.5))
         ref = ncdf(d1) - 1.0
-        assert hjb.delta(vg, 0.0, 100.0) == pytest.approx(ref, abs=1e-2)
+        assert np.interp(100.0, grid.s_nodes, hjb.delta_array(vg)[0]) == pytest.approx(ref, abs=1e-2)
 
     def test_value_at_nodes_and_midpoints(self):
         grid = make_grid(0.0, 10.0, 1.0, 2, n_s=11)

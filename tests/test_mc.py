@@ -2,35 +2,33 @@ import numpy as np
 import pytest
 
 from basketproj import hjb, mc
-from basketproj.mc import (BoundTask, PriceBounds, bias_estimate, confidence_interval,
-                           discounted_payoff, lower_bound, simulate_bounds, step,
-                           upper_bound)
+from basketproj.mc import BoundTask, PriceBounds, bias_estimate, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import normal_matrix
+from support import confidence_interval, euler_states, flat_task, solved_task
 
 
-def _flat_boundary(n_t, level):
-    class _B:
-        levels = np.full(n_t + 1, level)
-    return _B()
+def _flat_run(model, p, g, n_t, level, n_paths, seed):
+    """Bounds for a constant stopping level and a zero martingale."""
+    return simulate_bounds(model, p, [flat_task(g, n_t, level)], n_t, n_paths, seed)[0]
 
 
 class TestStep:
     def test_no_noise_no_rate(self):
         m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0, sigma=np.eye(2), x0=[1.0, 2.0], T=1.0)
         x = np.array([3.0, 4.0])
-        assert np.array_equal(step(m, x, 0.01, np.zeros(2)), x)
+        assert np.array_equal(step(m, x, 0.01, np.zeros(2) @ m.sigma.T), x)
 
     def test_bs_single_step_arithmetic(self):
         m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.05, sigma=[[0.2]], x0=[100.0], T=1.0)
-        got = step(m, np.array([100.0]), 1e-3, np.array([0.01]))
+        got = step(m, np.array([100.0]), 1e-3, np.array([0.01]) @ m.sigma.T)
         assert got[0] == pytest.approx(100.0 + 0.05 * 100.0 * 1e-3 + 20.0 * 0.01)
 
     def test_bs_floor_absorbing(self):
         m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.0, sigma=[[0.2]], x0=[100.0], T=1.0)
-        got = step(m, np.array([1.0]), 0.01, np.array([-200.0]))
+        got = step(m, np.array([1.0]), 0.01, np.array([-200.0]) @ m.sigma.T)
         assert got[0] == 0.0
-        assert step(m, got, 0.01, np.array([5.0]))[0] == 0.0
+        assert step(m, got, 0.01, np.array([5.0]) @ m.sigma.T)[0] == 0.0
 
     def test_bachelier_moments(self):
         sigma = np.array([[2.0, 0.0, 0.0], [0.5, 1.5, 0.0], [0.3, -0.2, 1.0]])
@@ -38,7 +36,7 @@ class TestStep:
         n, dt = 100_000, 0.04
         x0 = np.tile([10.0, 20.0, 30.0], (n, 1))
         dw = normal_matrix(123, 0, n, 3) * np.sqrt(dt)
-        x1 = step(m, x0, dt, dw)
+        x1 = step(m, x0, dt, dw @ sigma.T)
         target_mean = np.array([10.0, 20.0, 30.0]) * (1 + 0.1 * dt)
         target_cov = sigma @ sigma.T * dt
         mean_se = np.sqrt(np.diag(target_cov) / n)
@@ -49,23 +47,33 @@ class TestStep:
 
 class TestDiscountedPayoff:
     def test_examples(self):
+        # deterministic paths: every estimator is e^{-r t} g(s) at a known (t, s)
         g = PutPayoff(100.0)
-        assert discounted_payoff(g, 0.05, 0.0, 90.0) == 10.0
-        assert discounted_payoff(g, 0.0, 3.0, 90.0) == 10.0
-        assert discounted_payoff(g, 0.05, 1.0, 90.0) == pytest.approx(10.0 * np.exp(-0.05))
+        p = Portfolio([1.0])
+        n_t = 8
+
+        def model(r, x0, t_mat):
+            return ModelSpec(kind=ModelKind.BACHELIER, r=r, sigma=[[0.0]], x0=[x0], T=t_mat)
+
+        now = _flat_run(model(0.05, 90.0, 1.0), p, g, n_t, 1e12, 4, seed=1)
+        assert now.bounds.a_minus == 10.0  # stopped at t = 0, undiscounted
+        assert _flat_run(model(0.0, 90.0, 3.0), p, g, n_t, -np.inf, 4, seed=1).european == 10.0
+        x0 = 90.0 / (1.0 + 0.05 / n_t) ** n_t  # the Euler drift brings the basket to 90 at T
+        late = _flat_run(model(0.05, x0, 1.0), p, g, n_t, -np.inf, 4, seed=1)
+        assert late.european == pytest.approx(10.0 * np.exp(-0.05))
 
 
 class TestLowerBound:
     def test_immediate_exercise(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
-        res = lower_bound(m, p, PutPayoff(600.0), _flat_boundary(64, 1e12), 500, seed=1)
+        res = _flat_run(m, p, PutPayoff(600.0), 64, 1e12, 500, seed=1)
         assert res.bounds.a_minus == pytest.approx(100.0)
         assert res.bounds.se_minus == 0.0
         assert np.all(res.mean_hit_time == 0.0)
 
     def test_empty_boundary_degenerates_to_european(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
-        res = lower_bound(m, p, PutPayoff(500.0), _flat_boundary(64, -np.inf), 2000, seed=2)
+        res = _flat_run(m, p, PutPayoff(500.0), 64, -np.inf, 2000, seed=2)
         assert res.bounds.a_minus == res.european
         assert res.mean_hit_time == pytest.approx(m.T)
 
@@ -75,23 +83,24 @@ class TestUpperBound:
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
         n_t = 64
-        task_zero = BoundTask(payoff=g, boundary_levels=np.full(n_t + 1, -np.inf),
-                              delta_rows=np.zeros((n_t + 1, 2)), s_nodes=np.array([0.0, 1.0]))
-        res = simulate_bounds(m, p, [task_zero], n_t, 4000, seed=3)[0]
+        res = simulate_bounds(m, p, [flat_task(g, n_t)], n_t, 4000, seed=3)[0]
         assert res.bounds.a_plus >= res.bounds.a_minus
 
     def test_wrapper_matches_batched_run(self, bachelier5_model, bachelier5_portfolio,
                                          bachelier5_surface):
-        # the standalone estimator and the multi-strike batch see the same paths
+        # the upper bound alone (no stopping) and the multi-strike batch see the
+        # same paths; the dual bound does not depend on the exercise boundary
         m, p = bachelier5_model, bachelier5_portfolio
         surf, _ = bachelier5_surface
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, 128, c=16)
         g = PutPayoff(500.0)
         vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-        solo = upper_bound(m, p, g, vg, 4000, seed=55)
-        task = BoundTask(payoff=g, boundary_levels=hjb.exercise_boundary(vg).levels,
-                         delta_rows=hjb.delta_array(vg), s_nodes=grid.s_nodes)
-        combined = simulate_bounds(m, p, [task], 128, 4000, seed=55)[0]
+        task = solved_task(vg)
+        upper_only = BoundTask(payoff=g, boundary_levels=np.full(129, -np.inf),
+                               delta_rows=task.delta_rows, s_nodes=task.s_nodes)
+        solo = simulate_bounds(m, p, [upper_only], 128, 4000, seed=55)[0]
+        other = solved_task(hjb.solve(surf, PutPayoff(480.0), grid, hjb.Flavor.AMERICAN))
+        combined = simulate_bounds(m, p, [task, other], 128, 4000, seed=55)[0]
         assert solo.bounds.a_plus == combined.bounds.a_plus
         assert solo.bounds.se_plus == combined.bounds.se_plus
 
@@ -102,7 +111,7 @@ class TestUpperBound:
         g = PutPayoff(260.0)
         n_t = 16
         dt = m.T / n_t
-        res = lower_bound(m, p, g, _flat_boundary(n_t, -np.inf), 10, seed=4)
+        res = _flat_run(m, p, g, n_t, -np.inf, 10, seed=4)
         s_path = 200.0 * (1 + 0.05 * dt) ** np.arange(n_t + 1)
         expect = np.max(np.exp(-0.05 * dt * np.arange(n_t + 1)) * np.maximum(260.0 - s_path, 0.0))
         assert res.bounds.a_plus == pytest.approx(expect, rel=1e-14)
@@ -119,7 +128,8 @@ class TestStatistics:
     def test_interval_on_bounds(self):
         b = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.2,
                         ci_level=0.95, n_t=64, m=100)
-        lo, hi = b.interval()
+        lo = confidence_interval(b.a_minus, b.se_minus, b.ci_level)[0]
+        hi = confidence_interval(b.a_plus, b.se_plus, b.ci_level)[1]
         assert lo == pytest.approx(5.0 - 1.959964 * 0.1, abs=1e-5)
         assert hi == pytest.approx(6.0 + 1.959964 * 0.2, abs=1e-5)
 
@@ -128,8 +138,8 @@ class TestStatistics:
         g = PutPayoff(500.0)
         ratios = []
         for seed in (10, 11, 12):
-            small = lower_bound(m, p, g, _flat_boundary(128, -np.inf), 4000, seed=seed)
-            big = lower_bound(m, p, g, _flat_boundary(128, -np.inf), 16000, seed=seed + 100)
+            small = _flat_run(m, p, g, 128, -np.inf, 4000, seed=seed)
+            big = _flat_run(m, p, g, 128, -np.inf, 16000, seed=seed + 100)
             ratios.append(small.bounds.se_minus / big.bounds.se_minus)
         assert all(1.6 <= r <= 2.4 for r in ratios)
 
@@ -146,16 +156,13 @@ class TestPathBatch:
     def test_path_is_function_of_seed_and_index(self, bachelier5_model):
         m = bachelier5_model
         t_grid = np.linspace(0.0, m.T, 17)
-        small = mc.PathBatch(seed=3, m=40, t_grid=t_grid)
-        large = mc.PathBatch(seed=3, m=90, t_grid=t_grid)
-        xs_small = [x.copy() for _, x in small.states(m)]
-        xs_large = [x.copy() for _, x in large.states(m)]
+        xs_small = [x.copy() for x in euler_states(m, 3, 40, t_grid)]
+        xs_large = [x.copy() for x in euler_states(m, 3, 90, t_grid)]
         for a, b in zip(xs_small, xs_large):
             assert np.array_equal(a, b[:40])
 
     def test_increment_variance(self, bachelier5_model):
-        batch = mc.PathBatch(seed=4, m=200_000, t_grid=np.linspace(0.0, 1.0, 5))
-        dw = batch.increments(2, bachelier5_model.k)
+        dw = normal_matrix(4, 2, 200_000, bachelier5_model.k) * np.sqrt(0.25)
         assert dw.var() == pytest.approx(0.25, rel=0.02)
         assert abs(dw.mean()) < 3 * np.sqrt(0.25 / dw.size)
 
@@ -164,8 +171,8 @@ class TestReproducibility:
     def test_same_seed_bit_identical(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
-        a = lower_bound(m, p, g, _flat_boundary(64, 450.0), 3000, seed=42)
-        b = lower_bound(m, p, g, _flat_boundary(64, 450.0), 3000, seed=42)
+        a = _flat_run(m, p, g, 64, 450.0, 3000, seed=42)
+        b = _flat_run(m, p, g, 64, 450.0, 3000, seed=42)
         assert a.bounds.a_minus == b.bounds.a_minus
         assert a.bounds.a_plus == b.bounds.a_plus
         assert a.european == b.european
@@ -187,10 +194,7 @@ class TestOrderingAndConsistency:
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
         g = PutPayoff(500.0)
         vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-        bnd = hjb.exercise_boundary(vg)
-        task = BoundTask(payoff=g, boundary_levels=bnd.levels,
-                         delta_rows=hjb.delta_array(vg), s_nodes=grid.s_nodes)
-        return simulate_bounds(m, p, [task], n_t, n_paths, seed)[0], vg
+        return simulate_bounds(m, p, [solved_task(vg)], n_t, n_paths, seed)[0], vg
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bound_ordering(self, bachelier5_model, bachelier5_portfolio, bachelier5_surface, seed):
@@ -223,27 +227,34 @@ class TestOrderingAndConsistency:
 
 
 class TestCoupledTiers:
-    def test_single_tier_matches_plain_run(self, bachelier5_model, bachelier5_portfolio):
+    @pytest.mark.parametrize("kind", ["flat", "solved"])
+    def test_single_tier_matches_plain_run(self, bachelier5_model, bachelier5_portfolio,
+                                           bachelier5_surface, kind):
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
         n_t = 32
-        task = BoundTask(payoff=g, boundary_levels=np.full(n_t + 1, -np.inf),
-                         delta_rows=np.zeros((n_t + 1, 2)), s_nodes=np.array([0.0, 1.0]))
+        if kind == "flat":
+            task = flat_task(g, n_t)
+        else:  # a finite boundary and a real delta from a Bachelier solve
+            surf, _ = bachelier5_surface
+            grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
+            task = solved_task(hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN))
+            assert np.isfinite(task.boundary_levels).any()
+            assert np.any(task.delta_rows != 0.0)
         plain = simulate_bounds(m, p, [task], n_t, 1000, seed=9)[0]
         tiers = mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=n_t, tasks=[task])],
                                           1000, seed=9)
         coup = tiers[0][0]
         assert coup.bounds.a_minus == plain.bounds.a_minus
         assert coup.bounds.a_plus == plain.bounds.a_plus
+        assert coup == plain  # every field, the bounds' standard errors included
 
     def test_coupled_difference_has_low_variance(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(520.0)
         tier_tasks = []
         for n_t in (32, 64):
-            task = BoundTask(payoff=g, boundary_levels=np.full(n_t + 1, -np.inf),
-                             delta_rows=np.zeros((n_t + 1, 2)), s_nodes=np.array([0.0, 1.0]))
-            tier_tasks.append(mc.TierTask(n_t=n_t, tasks=[task]))
+            tier_tasks.append(mc.TierTask(n_t=n_t, tasks=[flat_task(g, n_t)]))
         out = mc.simulate_tiers_coupled(m, p, tier_tasks, 4000, seed=12)
         # same Brownian path: the terminal European values agree to first order
         assert abs(out[0][0].european - out[1][0].european) < 0.2
@@ -259,10 +270,7 @@ class TestCoupledTiers:
         for n_t in (256, 512, 1024, 2048):
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
             vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-            bnd = hjb.exercise_boundary(vg)
-            tiers.append(mc.TierTask(n_t=n_t, tasks=[BoundTask(
-                payoff=g, boundary_levels=bnd.levels,
-                delta_rows=hjb.delta_array(vg), s_nodes=grid.s_nodes)]))
+            tiers.append(mc.TierTask(n_t=n_t, tasks=[solved_task(vg)]))
         out = mc.simulate_tiers_coupled(m, p, tiers, 16_000, seed=71)
         gaps = [res[0].bounds.a_plus - res[0].bounds.a_minus for res in out]
         ses = [np.hypot(res[0].bounds.se_minus, res[0].bounds.se_plus) for res in out]
@@ -271,9 +279,7 @@ class TestCoupledTiers:
 
     def test_tier_must_divide(self, bachelier5_model, bachelier5_portfolio):
         g = PutPayoff(500.0)
-        mk = lambda n: mc.TierTask(n_t=n, tasks=[BoundTask(
-            payoff=g, boundary_levels=np.full(n + 1, -np.inf),
-            delta_rows=np.zeros((n + 1, 2)), s_nodes=np.array([0.0, 1.0]))])
+        mk = lambda n: mc.TierTask(n_t=n, tasks=[flat_task(g, n)])
         with pytest.raises(ValueError):
             mc.simulate_tiers_coupled(bachelier5_model, bachelier5_portfolio,
                                       [mk(48), mk(64)], 100, seed=1)

@@ -1,0 +1,72 @@
+"""The benchmark's tracer (perfbench/tracing.py) must still match the program.
+
+A traced benchmark run wraps public entry points by name and stops when one
+is gone; these tests make a rename or removal fail here as well.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from basketproj import hjb, mc, projection, surface
+from basketproj.model import PutPayoff
+from support import flat_task
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MODULES = (hjb, mc, projection, surface)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes():
+    return {(m.__name__, k): v for m in MODULES for k, v in vars(m).items()}
+
+
+def _traced(tracing, call):
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)  # SystemExit naming any entry point the program lacks
+        call()
+    finally:
+        tracer.restore()
+    return tracer
+
+
+def test_install_finds_every_entry_point_and_restore_undoes_it():
+    tracing = _load_tracing()
+    before = _attributes()
+    seen = {}
+    tracer = _traced(tracing, lambda: seen.update(_attributes()))
+    assert seen[("basketproj.mc", "simulate_bounds")] is not before[("basketproj.mc", "simulate_bounds")]
+    assert seen[("basketproj.mc", "simulate_tiers_coupled")] is not \
+        before[("basketproj.mc", "simulate_tiers_coupled")]
+    assert tracer.spans == []
+    assert _attributes() == before
+
+
+def test_each_bound_entry_point_is_one_mc_span(bachelier5_model, bachelier5_portfolio):
+    # neither public bound entry point may call the other: nested mc spans
+    # would count the same path-steps twice
+    m, p = bachelier5_model, bachelier5_portfolio
+    g = PutPayoff(500.0)
+
+    def call():
+        mc.simulate_bounds(m, p, [flat_task(g, 4), flat_task(g, 4)], 4, 16, seed=1)
+        mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=2, tasks=[flat_task(g, 2)]),
+                                         mc.TierTask(n_t=4, tasks=[flat_task(g, 4)])],
+                                  16, seed=1)
+
+    tracing = _load_tracing()
+    tracer = _traced(tracing, call)
+    mc_spans = [s for s in tracer.spans if s.name == "mc"]
+    assert len(mc_spans) == 2
+    assert all(s.parent is None for s in mc_spans)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["mc.strike_path_steps"] == 2 * 16 * 4 + 16 * (2 + 4)
+    assert metrics["rng.calls"] == 4 + 4  # one fine draw per step, shared by the tiers
