@@ -74,7 +74,7 @@ def cmd_validate(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _resolve_config(args)
     out = _resolve_out_dir(args, cfg)
-    report = convergence_study(cfg, out)
+    report = convergence_study(cfg, out, threads=args.threads)
     print(f"strike {report.strike:g}; biases over tiers {report.tiers}")
     for row in report.table:
         print(f"N_t={int(row[0]):<6d} A-={row[1]:.4f} A+={row[3]:.4f} "
@@ -101,6 +101,13 @@ def cmd_surface(args) -> int:
     return EXIT_OK
 
 
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 thread, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="basketproj",
@@ -108,23 +115,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log stage progress")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("config", nargs="?", help="experiment config file")
-            sp.add_argument("--preset", choices=sorted(PRESETS),
-                            help="use a shipped preset instead of a config file")
+    def add_common(sp, simulates=False):
+        sp.add_argument("config", nargs="?", help="experiment config file")
+        sp.add_argument("--preset", choices=sorted(PRESETS),
+                        help="use a shipped preset instead of a config file")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out-dir", default=None,
                         help=f"output directory (default: config, then ${OUT_DIR_ENV}, then ./out)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent tier jobs")
+        if simulates:
+            sp.add_argument("--threads", type=_thread_count, default=None,
+                            help="Monte Carlo worker threads over 65536-path chunks "
+                                 "(default: every available CPU; results do not depend on it)")
 
-    add_common(sub.add_parser("run", help="full pipeline: project, solve, simulate, report"))
+    add_common(sub.add_parser("run", help="full pipeline: project, solve, simulate, report"),
+               simulates=True)
     sp = sub.add_parser("validate", help="oracle cross-checks and invariant suite")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--threads", type=int, default=1)
-    add_common(sub.add_parser("convergence", help="bias decay across time-step tiers"))
+    add_common(sub.add_parser("convergence", help="bias decay across time-step tiers"),
+               simulates=True)
     add_common(sub.add_parser("surface", help="emit the fitted coefficient surface only"))
     return parser
 

@@ -3,37 +3,42 @@
 One path batch drives everything: the hitting-time lower bound implied by the
 projected exercise boundary, the dual-martingale upper bound built from the
 projected value function's delta, and the European put estimate.  Both bounds
-see the same Brownian increments.  Increments are keyed by (seed, step, path
-chunk), so results do not depend on scheduling or batch composition.  One
-kernel serves single-tier and coupled multi-tier runs: a single tier is the
-coupled run with one tier.
+see the same Brownian increments.  One kernel serves single-tier and coupled
+multi-tier runs: a single tier is the coupled run with one tier.
+
+The kernel is chunk-outer.  Increments are keyed by (seed, step, chunk of
+``rng.CHUNK`` paths), so each chunk's rows run the whole time loop, every tier
+and every strike, on their own, and chunks run on a thread pool (numpy
+releases the interpreter lock in the elementwise ufuncs, the gathers and the
+Philox fill).  Each chunk writes its slice of full-length per-path arrays, and
+the statistics reduce the whole arrays once at the end, so results do not
+depend on the number of workers.  The delta is read off each strike's grid
+row through one interval lookup per tier step, shared by the strikes, which
+gives ``np.interp``'s bits on the uniform ``make_grid`` nodes.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff
-from .rng import normal_matrix
-
-DEFAULT_CI_LEVEL = 0.95
+from .rng import CHUNK, normal_matrix
 
 
 @dataclass(frozen=True)
 class PriceBounds:
-    """Lower/upper estimators with standard errors and optional bias diagnostics."""
+    """Lower/upper estimators with their standard errors."""
 
     a_minus: float
     a_plus: float
     se_minus: float
     se_plus: float
-    ci_level: float
     n_t: int
     m: int
-    bias_minus: float | None = None
-    bias_plus: float | None = None
 
     @property
     def midpoint(self) -> float:
@@ -59,7 +64,8 @@ class BoundTask:
 
     boundary_levels[n] is the basket level at grid time n below which the path
     stops (-inf when the exercise region is empty there); delta_rows[n] holds
-    the finite-difference delta of the projected value function on s_nodes.
+    the finite-difference delta of the projected value function on s_nodes,
+    which are uniform and the same for every task of one tier.
     """
 
     payoff: PutPayoff
@@ -96,47 +102,28 @@ def bias_estimate(run_coarse: PriceBounds, run_fine: PriceBounds) -> tuple[float
             abs(run_fine.a_plus - run_coarse.a_plus))
 
 
-class _TaskState:
-    """Streaming accumulators for one strike on one batch."""
+def simulate_bounds(model: ModelSpec, p: Portfolio, tasks: list[BoundTask],
+                    n_t: int, m: int, seed: int,
+                    threads: int | None = None) -> list[BoundsResult]:
+    """One forward-Euler batch evaluating all strikes' bounds on shared paths.
 
-    def __init__(self, task: BoundTask, m: int):
-        self.task = task
-        self.mart = np.zeros(m)
-        self.umax = np.full(m, -np.inf)
-        self.zmax = np.full(m, -np.inf)
-        self.stopped = np.zeros(m, dtype=bool)
-        self.lowval = np.zeros(m)
-        self.tau = np.zeros(m)
-        self._delta_now = None
+    threads caps the workers over path chunks (None: every CPU this process
+    may run on); the results do not depend on it.
+    """
+    return _simulate(model, p, [TierTask(n_t=n_t, tasks=tasks)], m, seed, threads)[0]
 
-    def evaluate(self, n: int, t: float, r: float, basket: np.ndarray):
-        z = np.exp(-r * t) * self.task.payoff(basket)
-        np.maximum(self.umax, z - self.mart, out=self.umax)
-        np.maximum(self.zmax, z, out=self.zmax)
-        newly = ~self.stopped & (basket <= self.task.boundary_levels[n])
-        self.lowval[newly] = z[newly]
-        self.tau[newly] = t
-        self.stopped |= newly
-        self._z = z
-        self._delta_now = np.interp(basket, self.task.s_nodes, self.task.delta_rows[n])
 
-    def accumulate_martingale(self, t: float, r: float, pbdw: np.ndarray):
-        self.mart += np.exp(-r * t) * self._delta_now * pbdw
+def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask],
+                           m: int, seed: int,
+                           threads: int | None = None) -> list[list[BoundsResult]]:
+    """Evaluate several time-step tiers on one shared fine Brownian path.
 
-    def finish(self, t_final: float, ci_level: float, n_t: int, m: int) -> BoundsResult:
-        open_paths = ~self.stopped
-        self.lowval[open_paths] = self._z[open_paths]  # exercise at maturity
-        self.tau[open_paths] = t_final
-        low, se_low = _mean_se(self.lowval)
-        up, se_up = _mean_se(self.umax)
-        euro, se_euro = _mean_se(self._z)
-        tau, se_tau = _mean_se(self.tau)
-        zmax, se_zmax = _mean_se(self.zmax)
-        bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up,
-                             ci_level=ci_level, n_t=n_t, m=m)
-        return BoundsResult(bounds=bounds, european=euro, se_european=se_euro,
-                            mean_hit_time=tau, se_hit_time=se_tau,
-                            mean_running_max=zmax, se_running_max=se_zmax)
+    Coarser tiers consume sums of the fine increments, so tier differences
+    estimate pure discretization bias with far lower variance than independent
+    batches.  Tier step counts must divide the finest count.  threads is as in
+    simulate_bounds.
+    """
+    return _simulate(model, p, tiers, m, seed, threads)
 
 
 def _mean_se(v: np.ndarray) -> tuple[float, float]:
@@ -150,64 +137,239 @@ def _pbdw(model: ModelSpec, p: Portfolio, x: np.ndarray, dws: np.ndarray) -> np.
     return ((x * p.weights) * dws).sum(axis=1)
 
 
-def simulate_bounds(model: ModelSpec, p: Portfolio, tasks: list[BoundTask],
-                    n_t: int, m: int, seed: int,
-                    ci_level: float = DEFAULT_CI_LEVEL) -> list[BoundsResult]:
-    """One forward-Euler batch evaluating all strikes' bounds on shared paths."""
-    return _simulate(model, p, [TierTask(n_t=n_t, tasks=tasks)], m, seed, ci_level)[0]
+class _Nodes:
+    """One tier's uniform s_nodes, prepared for the interval lookup."""
+
+    def __init__(self, s: np.ndarray):
+        s = np.asarray(s, dtype=float)
+        n = s.size
+        if n < 2 or not s[-1] > s[0]:
+            raise ValueError("s_nodes need at least 2 increasing nodes")
+        self.s = s
+        self.upper = np.append(s[1:], np.inf)  # s[j + 1], +inf past the last node
+        self.gaps = np.diff(s)                 # np.interp's slope denominators
+        self.inv_ds = (n - 1) / (s[-1] - s[0])
+        # the floor estimate below is then off by at most one interval
+        if np.any(np.abs((s - s[0]) * self.inv_ds - np.arange(n)) > 0.25):
+            raise ValueError("s_nodes must be uniformly spaced")
 
 
-def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask],
-                           m: int, seed: int,
-                           ci_level: float = DEFAULT_CI_LEVEL) -> list[list[BoundsResult]]:
-    """Evaluate several time-step tiers on one shared fine Brownian path.
+class _WorkArrays:
+    """Work arrays of one chunk, shared by every tier and strike in it.
 
-    Coarser tiers consume sums of the fine increments, so tier differences
-    estimate pure discretization bias with far lower variance than independent
-    batches.  Tier step counts must divide the finest count.
+    xc, j and dx hold the located interval of the current tier step; they are
+    rewritten by the next locate and never outlive one step.  mask, a and b
+    are per-strike temporaries.
     """
-    return _simulate(model, p, tiers, m, seed, ci_level)
+
+    def __init__(self, b: int):
+        self.xc = np.empty(b)
+        self.j = np.empty(b, dtype=np.intp)
+        self.dx = np.empty(b)
+        self.mask = np.empty(b, dtype=bool)
+        self.a = np.empty(b)
+        self.b = np.empty(b)
 
 
-class _TierRun:
-    """One tier's paths and per-strike accumulators inside the shared fine loop."""
+def _locate(nodes: _Nodes, x: np.ndarray, sc: _WorkArrays) -> None:
+    """Interval of every x among the nodes, as np.interp finds it.
 
-    def __init__(self, model: ModelSpec, tier: TierTask, n_fine: int, m: int):
+    Sets sc.j with s[j] <= xc < s[j + 1] (j = n - 1 at the last node) and
+    sc.dx = xc - s[j], where xc is x clamped to [s[0], s[-1]].  Clamping puts
+    out-of-range points on an end node with offset zero, where _interp returns
+    that node's value, as np.interp does.
+    """
+    s, j, pos, below = nodes.s, sc.j, sc.dx, sc.mask
+    np.clip(x, s[0], s[-1], out=sc.xc)
+    np.subtract(sc.xc, s[0], out=pos)
+    np.multiply(pos, nodes.inv_ds, out=pos)
+    np.floor(pos, out=pos)
+    np.copyto(j, pos, casting="unsafe")
+    np.clip(j, 0, s.size - 1, out=j)
+    # one comparison each way against the nodes themselves makes the index exact
+    np.take(s, j, out=pos, mode="clip")
+    np.less(sc.xc, pos, out=below)
+    np.subtract(j, below, out=j)
+    np.take(nodes.upper, j, out=pos, mode="clip")
+    np.greater_equal(sc.xc, pos, out=below)
+    np.add(j, below, out=j)
+    np.take(s, j, out=pos, mode="clip")
+    np.subtract(sc.xc, pos, out=sc.dx)
+
+
+def _interp(nodes: _Nodes, row: np.ndarray, sc: _WorkArrays, out: np.ndarray) -> None:
+    """np.interp(x, nodes.s, row) at the x last located, bit for bit for finite rows."""
+    slope = np.zeros(row.size)  # zero past the last node, where dx is zero
+    slope[:-1] = np.diff(row) / nodes.gaps
+    np.take(slope, sc.j, out=out, mode="clip")
+    np.multiply(out, sc.dx, out=out)
+    np.take(row, sc.j, out=sc.b, mode="clip")
+    np.add(out, sc.b, out=out)
+
+
+class _StrikeOutput:
+    """Full-length per-path values of one strike; chunks write disjoint slices."""
+
+    def __init__(self, m: int):
+        self.lowval = np.zeros(m)           # payoff at the stopping time
+        self.umax = np.full(m, -np.inf)     # running max of payoff minus martingale
+        self.z = np.zeros(m)                # discounted payoff now; at the end, the European
+        self.tau = np.zeros(m)              # stopping time
+        self.zmax = np.full(m, -np.inf)     # running max of the payoff
+
+    def result(self, n_t: int) -> BoundsResult:
+        low, se_low = _mean_se(self.lowval)
+        up, se_up = _mean_se(self.umax)
+        euro, se_euro = _mean_se(self.z)
+        tau, se_tau = _mean_se(self.tau)
+        zmax, se_zmax = _mean_se(self.zmax)
+        bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up,
+                             n_t=n_t, m=self.z.size)
+        return BoundsResult(bounds=bounds, european=euro, se_european=se_euro,
+                            mean_hit_time=tau, se_hit_time=se_tau,
+                            mean_running_max=zmax, se_running_max=se_zmax)
+
+
+class _StrikeChunk:
+    """One strike on one chunk: views of its output slices plus running state."""
+
+    def __init__(self, task: BoundTask, out: _StrikeOutput, lo: int, hi: int):
+        self.task = task
+        self.lowval = out.lowval[lo:hi]
+        self.umax = out.umax[lo:hi]
+        self.z = out.z[lo:hi]
+        self.tau = out.tau[lo:hi]
+        self.zmax = out.zmax[lo:hi]
+        self.mart = np.zeros(hi - lo)
+        self.open = np.ones(hi - lo, dtype=bool)  # not yet stopped
+
+    def evaluate(self, n: int, t: float, disc: float, basket: np.ndarray, sc: _WorkArrays):
+        z = self.z
+        np.multiply(disc, self.task.payoff(basket), out=z)
+        np.subtract(z, self.mart, out=sc.a)
+        np.maximum(self.umax, sc.a, out=self.umax)
+        np.maximum(self.zmax, z, out=self.zmax)
+        newly = sc.mask
+        np.less_equal(basket, self.task.boundary_levels[n], out=newly)
+        np.logical_and(newly, self.open, out=newly)
+        np.copyto(self.lowval, z, where=newly)
+        np.copyto(self.tau, t, where=newly)
+        np.logical_xor(self.open, newly, out=self.open)
+
+    def hedge(self, n: int, disc: float, pbdw: np.ndarray, nodes: _Nodes, sc: _WorkArrays):
+        """Martingale increment disc * delta * P b dW with the delta at the located basket."""
+        delta = sc.a
+        _interp(nodes, self.task.delta_rows[n], sc, delta)
+        np.multiply(disc, delta, out=delta)
+        np.multiply(delta, pbdw, out=delta)
+        np.add(self.mart, delta, out=self.mart)
+
+    def finish(self, t_final: float):
+        # open paths exercise at maturity
+        np.copyto(self.lowval, self.z, where=self.open)
+        np.copyto(self.tau, t_final, where=self.open)
+
+
+class _TierChunk:
+    """One tier's paths and strikes on one chunk inside the shared fine loop."""
+
+    def __init__(self, model: ModelSpec, tier: TierTask, nodes: _Nodes,
+                 outs: list[_StrikeOutput], n_fine: int, lo: int, hi: int):
         self.n_t = tier.n_t
         self.stride = n_fine // tier.n_t
         self.dt = model.T / tier.n_t
-        self.x = np.tile(model.x0, (m, 1))
-        self.dw = None  # Brownian increment summed over the current coarse step
-        self.states = [_TaskState(task, m) for task in tier.tasks]
+        self.nodes = nodes
+        self.x = np.tile(model.x0, (hi - lo, 1))
+        # Brownian increment summed over the current coarse step (stride > 1)
+        self.dw = np.empty((hi - lo, model.k)) if self.stride > 1 else None
+        self.strikes = [_StrikeChunk(task, out, lo, hi) for task, out in zip(tier.tasks, outs)]
+
+    def _evaluate(self, model: ModelSpec, p: Portfolio, n: int, sc: _WorkArrays):
+        t = n * self.dt
+        disc = np.exp(-model.r * t)
+        basket = self.x @ p.weights
+        for st in self.strikes:
+            st.evaluate(n, t, disc, basket, sc)
+        return disc, basket
+
+    def advance(self, model: ModelSpec, p: Portfolio, n: int, dw: np.ndarray, sc: _WorkArrays):
+        """Evaluate coarse step n, hedge over its increment dw, step the paths.
+
+        The state at step n is evaluated once that step's increment is drawn,
+        so the basket and its located interval are used within this one call.
+        """
+        disc, basket = self._evaluate(model, p, n, sc)
+        dws = dw @ model.sigma.T
+        pb = _pbdw(model, p, self.x, dws)
+        _locate(self.nodes, basket, sc)
+        for st in self.strikes:
+            st.hedge(n, disc, pb, self.nodes, sc)
+        self.x = step(model, self.x, self.dt, dws)
+
+    def finish(self, model: ModelSpec, p: Portfolio, sc: _WorkArrays):
+        self._evaluate(model, p, self.n_t, sc)
+        for st in self.strikes:
+            st.finish(model.T)
+
+
+def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[TierTask], nodes: list,
+                    outs: list, seed: int, n_fine: int, chunk: int, lo: int, hi: int) -> None:
+    """Rows lo:hi (Philox chunk `chunk`) through every tier's time loop."""
+    sq = np.sqrt(model.T / n_fine)
+    sc = _WorkArrays(hi - lo)
+    runs = [_TierChunk(model, tier, nd, touts, n_fine, lo, hi)
+            for tier, nd, touts in zip(tiers, nodes, outs)]
+    for nf in range(n_fine):
+        dw = normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk)
+        np.multiply(dw, sq, out=dw)
+        for run in runs:
+            inc = dw
+            if run.stride > 1:
+                if nf % run.stride == 0:
+                    np.copyto(run.dw, dw)
+                else:
+                    np.add(run.dw, dw, out=run.dw)
+                inc = run.dw
+            if (nf + 1) % run.stride == 0:
+                run.advance(model, p, nf // run.stride, inc, sc)
+    for run in runs:
+        run.finish(model, p, sc)
+
+
+def _worker_count(threads: int | None) -> int:
+    if threads is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return threads
 
 
 def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, seed: int,
-              ci_level: float) -> list[list[BoundsResult]]:
+              threads: int | None) -> list[list[BoundsResult]]:
     """The bound kernel: every tier steps on sums of one fine increment stream."""
+    if m < 1:
+        raise ValueError(f"need at least one path, got m={m}")
     n_fine = max(t.n_t for t in tiers)
+    nodes = []
     for t in tiers:
         if n_fine % t.n_t != 0:
             raise ValueError(f"tier n_t={t.n_t} does not divide the finest tier {n_fine}")
-    sq = np.sqrt(model.T / n_fine)
-    sig_t = model.sigma.T
-    runs = [_TierRun(model, tier, n_fine, m) for tier in tiers]
-    for nf in range(n_fine + 1):
-        for run in runs:
-            if nf % run.stride == 0:
-                n = nf // run.stride
-                basket = run.x @ p.weights
-                for st in run.states:
-                    st.evaluate(n, n * run.dt, model.r, basket)
-        if nf == n_fine:
-            break
-        dw = normal_matrix(seed, nf, m, model.k) * sq
-        for run in runs:
-            run.dw = dw if nf % run.stride == 0 else run.dw + dw
-            if (nf + 1) % run.stride == 0:
-                t = (nf // run.stride) * run.dt
-                dws = run.dw @ sig_t
-                pb = _pbdw(model, p, run.x, dws)
-                for st in run.states:
-                    st.accumulate_martingale(t, model.r, pb)
-                run.x = step(model, run.x, run.dt, dws)
-    return [[st.finish(model.T, ci_level, run.n_t, m) for st in run.states] for run in runs]
+        if not t.tasks:
+            raise ValueError(f"tier n_t={t.n_t} has no strikes")
+        if any(not np.array_equal(task.s_nodes, t.tasks[0].s_nodes) for task in t.tasks):
+            raise ValueError(f"tier n_t={t.n_t}: every strike must share the tier's s_nodes")
+        nodes.append(_Nodes(t.tasks[0].s_nodes))
+    outs = [[_StrikeOutput(m) for _ in t.tasks] for t in tiers]
+    spans = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
+
+    def run(c: int) -> None:
+        _simulate_chunk(model, p, tiers, nodes, outs, seed, n_fine, c, *spans[c])
+
+    workers = min(len(spans), _worker_count(threads))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(len(spans))))  # re-raises a chunk's error
+    else:
+        for c in range(len(spans)):
+            run(c)
+    return [[o.result(t.n_t) for o in touts] for t, touts in zip(tiers, outs)]

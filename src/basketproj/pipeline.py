@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,19 +109,17 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
 
 def _build_tier_tasks(surf, payoffs, grid, px0: float, export_dir: Path | None = None,
                       export_values: bool = False):
-    """Solve each strike once per flavor on this tier's grid.
+    """Solve each strike's American problem once on this tier's grid.
 
-    Returns the bound tasks and the American and European values at (0, px0).
-    Each value grid lives only while its strike is processed; when export_dir
-    is given, the American boundary (and, with export_values, the value grid)
-    is written from it there.
+    Returns the bound tasks and the American values at (0, px0).  Each value
+    grid lives only while its strike is processed; when export_dir is given,
+    the American boundary (and, with export_values, the value grid) is written
+    from it there.
     """
     tasks = []
     hjb_a = []
-    hjb_e = []
     for g in payoffs:
         vg_a = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-        vg_e = hjb.solve(surf, g, grid, hjb.Flavor.EUROPEAN)
         bnd = hjb.exercise_boundary(vg_a)
         if export_dir is not None:
             hjb.export_boundary(bnd, export_dir / f"boundary_K{g.strike:g}.txt")
@@ -132,18 +129,19 @@ def _build_tier_tasks(surf, payoffs, grid, px0: float, export_dir: Path | None =
                                   delta_rows=hjb.delta_array(vg_a),
                                   s_nodes=grid.s_nodes))
         hjb_a.append(hjb.value_at(vg_a, 0.0, px0))
-        hjb_e.append(hjb.value_at(vg_e, 0.0, px0))
-    return tasks, hjb_a, hjb_e
+    return tasks, hjb_a
 
 
 def _run_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig,
-              export_dir: Path | None) -> _TierOutput:
+              export_dir: Path | None, threads: int | None) -> _TierOutput:
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
     px0 = float(p.weights @ model.x0)
-    tasks, hjb_a, hjb_e = _build_tier_tasks(surf, payoffs, grid, px0, export_dir,
-                                            cfg.export_value_grids)
+    tasks, hjb_a = _build_tier_tasks(surf, payoffs, grid, px0, export_dir,
+                                     cfg.export_value_grids)
+    hjb_e = [hjb.value_at(hjb.solve(surf, g, grid, hjb.Flavor.EUROPEAN), 0.0, px0)
+             for g in payoffs]
     seed = derive_seed(cfg.seed, "bounds", n_t)
-    results = mc.simulate_bounds(model, p, tasks, n_t, cfg.m_paths, seed, cfg.ci_level)
+    results = mc.simulate_bounds(model, p, tasks, n_t, cfg.m_paths, seed, threads=threads)
     return _TierOutput(n_t=n_t, results=results, hjb_american=hjb_a, hjb_european=hjb_e)
 
 
@@ -166,8 +164,12 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
     return checks
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunReport:
-    """Full pipeline for one configuration; writes CSVs incrementally."""
+def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> RunReport:
+    """Full pipeline for one configuration; writes CSVs incrementally.
+
+    threads caps the Monte Carlo workers over path chunks (None: every CPU
+    this process may run on); the outputs do not depend on it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -203,19 +205,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunRepor
         fh.flush()
 
         top = max(cfg.nt_tiers)  # the top tier also writes the files for plotting
-
-        def tier_job(n_t):
+        tier_outputs = []
+        for n_t in cfg.nt_tiers:
             try:
-                return _run_tier(model, p, surf, payoffs, n_t, cfg,
-                                 out if n_t == top else None)
+                tier_outputs.append(_run_tier(model, p, surf, payoffs, n_t, cfg,
+                                              out if n_t == top else None, threads))
             except Exception as exc:
                 raise StageError(f"tier-{n_t}", exc) from exc
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                tier_outputs = list(pool.map(tier_job, cfg.nt_tiers))
-        else:
-            tier_outputs = [tier_job(n_t) for n_t in cfg.nt_tiers]
 
         by_nt = {o.n_t: o for o in tier_outputs}
         for o in tier_outputs:
@@ -257,11 +253,13 @@ class ConvergenceReport:
     slopes: dict
 
 
-def convergence_study(cfg: ExperimentConfig, out_dir) -> ConvergenceReport:
+def convergence_study(cfg: ExperimentConfig, out_dir,
+                      threads: int | None = None) -> ConvergenceReport:
     """Coupled-path bias decay across time-step tiers for the near-the-money strike.
 
     All tiers consume the same fine Brownian increments so the step-doubling
-    differences measure discretization bias, not statistical noise.
+    differences measure discretization bias, not statistical noise.  threads
+    is as in run_experiment.
     """
     if len(cfg.nt_tiers) < 3:
         raise StageError("convergence", ValueError("need at least 3 tiers"))
@@ -279,10 +277,11 @@ def convergence_study(cfg: ExperimentConfig, out_dir) -> ConvergenceReport:
     tier_tasks = []
     for n_t in all_nt:
         grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-        tasks, _, _ = _build_tier_tasks(surf, [g], grid, px0)
+        tasks, _ = _build_tier_tasks(surf, [g], grid, px0)
         tier_tasks.append(mc.TierTask(n_t=n_t, tasks=tasks))
     seed = derive_seed(cfg.seed, "convergence", max(all_nt))
-    per_tier = mc.simulate_tiers_coupled(model, p, tier_tasks, cfg.m_paths, seed, cfg.ci_level)
+    per_tier = mc.simulate_tiers_coupled(model, p, tier_tasks, cfg.m_paths, seed,
+                                         threads=threads)
     by_nt = {tt.n_t: res[0] for tt, res in zip(tier_tasks, per_tier)}
 
     rows = []
@@ -396,7 +395,7 @@ def check_bachelier_bracket(floor_override: float | None = None,
                                         floor=floor_override)
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
     g = PutPayoff(cfg.strikes[0])
-    tasks, (value,), _ = _build_tier_tasks(surf, [g], grid, float(p.weights @ model.x0))
+    tasks, (value,) = _build_tier_tasks(surf, [g], grid, float(p.weights @ model.x0))
     res = mc.simulate_bounds(model, p, tasks, n_t, m,
                              derive_seed(cfg.seed, "validate", n_t))[0]
     b = res.bounds

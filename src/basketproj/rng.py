@@ -31,11 +31,16 @@ def _key(stream_seed: int, step: int, chunk: int) -> int:
     return ((int(stream_seed) & _MASK64) << 64) | ((int(step) & _MASK32) << 32) | (int(chunk) & _MASK32)
 
 
-def normal_matrix(stream_seed: int, step: int, n_rows: int, n_cols: int) -> np.ndarray:
-    """Standard normal (n_rows, n_cols) block for one time step, chunked by path index."""
+def normal_matrix(stream_seed: int, step: int, n_rows: int, n_cols: int,
+                  first_chunk: int = 0) -> np.ndarray:
+    """Standard normal (n_rows, n_cols) block for one time step, chunked by path index.
+
+    Row i belongs to path first_chunk * CHUNK + i, so a run of whole chunks can
+    be drawn on its own and matches the same rows of one large draw.
+    """
     out = np.empty((n_rows, n_cols))
     for lo in range(0, n_rows, CHUNK):
         hi = min(lo + CHUNK, n_rows)
-        gen = np.random.Generator(np.random.Philox(key=_key(stream_seed, step, lo // CHUNK)))
-        out[lo:hi] = gen.standard_normal((hi - lo, n_cols))
+        key = _key(stream_seed, step, first_chunk + lo // CHUNK)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=out[lo:hi])
     return out

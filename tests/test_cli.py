@@ -6,6 +6,7 @@ from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from basketproj.pipeline import (appendix_checks, build_surface_from_config,
                                  check_bachelier_bracket, check_solver_1d, run_experiment)
 from basketproj.presets import appendix2d, get_preset
+from basketproj.rng import CHUNK
 
 TINY_BACHELIER = """
 [model]
@@ -79,6 +80,8 @@ class TestRunCommand:
 
     def test_threads_give_identical_results(self, tmp_path):
         cfg = appendix2d()
+        cfg.nt_tiers = [64, 128]
+        cfg.m_paths = CHUNK + 4000  # two path chunks, so the workers have work to split
         run_experiment(cfg, tmp_path / "one", threads=1)
         run_experiment(cfg, tmp_path / "two", threads=3)
         assert (tmp_path / "one" / "results.csv").read_bytes() == \
@@ -207,9 +210,52 @@ class TestConvergenceCommand:
         assert rc == EXIT_OK
         assert (tmp_path / "out" / "convergence.csv").exists()
 
+    def test_threads_flag_reaches_the_kernel(self, tmp_path, monkeypatch):
+        from basketproj import mc
+
+        seen = []
+        kernel = mc.simulate_tiers_coupled
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "simulate_tiers_coupled", spy)
+        path = tmp_path / "det.cfg"
+        path.write_text(DETERMINISTIC, encoding="utf-8")
+        rc = main(["convergence", str(path), "--out-dir", str(tmp_path / "out"), "--threads", "2"])
+        assert rc == EXIT_OK
+        assert seen == [2]
+
+    def test_solves_only_the_american_flavor(self, tmp_path, monkeypatch):
+        # the study reads no European value, so it must not pay for one
+        from basketproj import pipeline
+
+        flavors = []
+        solve = hjb.solve
+
+        def spy(surf, payoff, grid, flavor):
+            flavors.append(flavor)
+            return solve(surf, payoff, grid, flavor)
+
+        monkeypatch.setattr(pipeline.hjb, "solve", spy)
+        path = tmp_path / "det.cfg"
+        path.write_text(DETERMINISTIC, encoding="utf-8")
+        assert main(["convergence", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert flavors == [hjb.Flavor.AMERICAN] * 4  # three tiers and the doubled top tier
+
     def test_needs_three_tiers(self, tmp_path):
         rc = main(["convergence", "--preset", "appendix2d", "--out-dir", str(tmp_path)])
         assert rc == EXIT_INVARIANT
+
+
+@pytest.mark.parametrize("argv", [["validate", "--threads", "2"],
+                                  ["surface", "--preset", "appendix2d", "--threads", "2"],
+                                  ["run", "--preset", "appendix2d", "--threads", "0"]])
+def test_threads_flag_only_where_it_acts(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
 
 
 class TestSurfaceCommand:

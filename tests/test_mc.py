@@ -4,7 +4,7 @@ import pytest
 from basketproj import hjb, mc
 from basketproj.mc import BoundTask, PriceBounds, bias_estimate, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
-from basketproj.rng import normal_matrix
+from basketproj.rng import CHUNK, normal_matrix
 from support import confidence_interval, euler_states, flat_task, solved_task
 
 
@@ -126,10 +126,9 @@ class TestStatistics:
         assert hi == pytest.approx(1.959964, abs=1e-6)
 
     def test_interval_on_bounds(self):
-        b = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.2,
-                        ci_level=0.95, n_t=64, m=100)
-        lo = confidence_interval(b.a_minus, b.se_minus, b.ci_level)[0]
-        hi = confidence_interval(b.a_plus, b.se_plus, b.ci_level)[1]
+        b = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.2, n_t=64, m=100)
+        lo = confidence_interval(b.a_minus, b.se_minus, 0.95)[0]
+        hi = confidence_interval(b.a_plus, b.se_plus, 0.95)[1]
         assert lo == pytest.approx(5.0 - 1.959964 * 0.1, abs=1e-5)
         assert hi == pytest.approx(6.0 + 1.959964 * 0.2, abs=1e-5)
 
@@ -144,10 +143,8 @@ class TestStatistics:
         assert all(1.6 <= r <= 2.4 for r in ratios)
 
     def test_bias_estimate(self):
-        b1 = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.1,
-                         ci_level=0.95, n_t=64, m=100)
-        b2 = PriceBounds(a_minus=5.2, a_plus=5.9, se_minus=0.1, se_plus=0.1,
-                         ci_level=0.95, n_t=128, m=100)
+        b1 = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.1, n_t=64, m=100)
+        b2 = PriceBounds(a_minus=5.2, a_plus=5.9, se_minus=0.1, se_plus=0.1, n_t=128, m=100)
         assert bias_estimate(b1, b2) == (pytest.approx(0.2), pytest.approx(0.1))
         assert bias_estimate(b1, b1) == (0.0, 0.0)
 
@@ -181,6 +178,11 @@ class TestReproducibility:
         full = normal_matrix(7, 3, 100, 4)
         part = normal_matrix(7, 3, 50, 4)
         assert np.array_equal(full[:50], part)
+
+    def test_chunk_block_matches_large_draw(self):
+        # a block drawn from its first chunk on is the same rows of one large draw
+        full = normal_matrix(7, 3, CHUNK + 40, 2)
+        assert np.array_equal(normal_matrix(7, 3, 40, 2, first_chunk=1), full[CHUNK:])
 
     def test_streams_differ_by_step_and_seed(self):
         a = normal_matrix(7, 3, 10, 2)
@@ -283,3 +285,92 @@ class TestCoupledTiers:
         with pytest.raises(ValueError):
             mc.simulate_tiers_coupled(bachelier5_model, bachelier5_portfolio,
                                       [mk(48), mk(64)], 100, seed=1)
+
+
+class TestGridLookup:
+    """The kernel's shared interval lookup against np.interp, bit for bit."""
+
+    def _lookup(self, s_nodes, x, row):
+        nodes = mc._Nodes(s_nodes)
+        sc = mc._WorkArrays(x.size)
+        mc._locate(nodes, x, sc)
+        out = np.empty(x.size)
+        mc._interp(nodes, row, sc, out)
+        return out
+
+    def test_equals_np_interp_on_make_grid_nodes(self):
+        grid = hjb.make_grid(37.123, 512.77, 1.0, 64)
+        s = grid.s_nodes
+        # (s_j - s0) / ds falls below j at some nodes: the floor estimate alone is off there
+        estimate = np.floor((s - s[0]) * ((s.size - 1) / (s[-1] - s[0])))
+        assert np.any(estimate != np.arange(s.size))
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            s,                                              # on nodes
+            0.5 * (s[1:] + s[:-1]),                         # midpoints
+            np.nextafter(s, -np.inf), np.nextafter(s, np.inf),  # one ulp either side
+            rng.uniform(s[0], s[-1], 5000),                 # between nodes
+            [s[0] - 1e-9, s[0] - 50.0, -1e300],             # below s0
+            [s[-1]],                                        # at the last node
+            [s[-1] + 1e-9, s[-1] + 50.0, 1e300],            # above it
+        ])
+        for row in (rng.normal(size=s.size), -np.cumsum(rng.uniform(size=s.size)),
+                    np.zeros(s.size)):
+            assert np.array_equal(self._lookup(s, x, row), np.interp(x, s, row))
+
+    def test_rejects_nonuniform_nodes(self):
+        with pytest.raises(ValueError, match="uniform"):
+            mc._Nodes(np.array([0.0, 1.0, 1.5, 3.0]))
+
+
+class TestChunkParallelKernel:
+    """Paths past one Philox chunk: the worker count must not change any output."""
+
+    M = CHUNK + 1000
+
+    def _tasks(self, m, surf, n_t, strikes=(480.0, 500.0)):
+        grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
+        return [solved_task(hjb.solve(surf, PutPayoff(k), grid, hjb.Flavor.AMERICAN))
+                for k in strikes]
+
+    def test_simulate_bounds_workers_agree(self, bachelier5_model, bachelier5_portfolio,
+                                           bachelier5_surface):
+        m, p = bachelier5_model, bachelier5_portfolio
+        tasks = self._tasks(m, bachelier5_surface[0], 16)
+        assert np.isfinite(tasks[1].boundary_levels).any()
+        one = simulate_bounds(m, p, tasks, 16, self.M, seed=21, threads=1)
+        two = simulate_bounds(m, p, tasks, 16, self.M, seed=21, threads=2)
+        assert one == two  # every BoundsResult field
+        assert one[0].bounds.m == self.M
+
+    def test_coupled_tiers_workers_agree(self, bachelier5_model, bachelier5_portfolio,
+                                         bachelier5_surface):
+        m, p = bachelier5_model, bachelier5_portfolio
+        surf, _ = bachelier5_surface
+        tiers = [mc.TierTask(n_t=n, tasks=self._tasks(m, surf, n, (500.0,))) for n in (8, 16)]
+        one = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=22, threads=1)
+        two = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=22, threads=2)
+        assert one == two
+        assert one[0][0] != one[1][0]  # the tiers are told apart
+
+    def test_european_matches_path_by_path_reference(self, bachelier5_model,
+                                                     bachelier5_portfolio):
+        # each chunk must draw its own Philox chunk: the terminal payoffs equal
+        # those of one Euler pass over all paths at once (T / n_t is exact here)
+        m, p = bachelier5_model, bachelier5_portfolio
+        g = PutPayoff(500.0)
+        res = simulate_bounds(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
+        *_, x_t = euler_states(m, 23, self.M, np.linspace(0.0, m.T, 17))
+        z = np.exp(-m.r * m.T) * g(x_t @ p.weights)
+        assert res.european == float(z.mean())
+        assert res.bounds.a_minus == res.european  # nothing stops before maturity
+
+    def test_mismatched_s_nodes_in_a_tier_raise(self, bachelier5_model, bachelier5_portfolio,
+                                                bachelier5_surface):
+        m, p = bachelier5_model, bachelier5_portfolio
+        surf, _ = bachelier5_surface
+        task = self._tasks(m, surf, 16, (500.0,))[0]
+        other = BoundTask(payoff=task.payoff, boundary_levels=task.boundary_levels,
+                          delta_rows=task.delta_rows, s_nodes=task.s_nodes + 1.0)
+        with pytest.raises(ValueError, match="n_t=16"):
+            simulate_bounds(m, p, [task, other], 16, 100, seed=1)
