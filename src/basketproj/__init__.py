@@ -8,20 +8,20 @@ with Monte Carlo lower (hitting-time) and upper (dual-martingale) bounds.
 
 __version__ = "0.1.0"
 
-from .density import ExpansionCoords, chart, log_density, log_integrands, pbbt
+from .density import ExpansionCoords, LogIntegrands, chart
 from .hjb import ExerciseBoundary, Flavor, Grid, ValueGrid, exercise_boundary, make_grid, solve, value_at
 from .mc import BoundTask, PriceBounds, bias_estimate, simulate_bounds, step
-from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, basket_value, correlation_to_sigma, diffusion, drift, payoff
+from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
 from .oracle import binned_conditional_vol, binomial_american_put_1d, quadrature_projected_vol
-from .projection import LaplacePoint, NewtonError, newton_maximize, projected_drift, projected_vol_sq
+from .projection import LaplacePoint, NewtonError, newton_maximize, projected_vol_sq
 from .surface import CoefficientSurface, Envelope, build_surface, estimate_envelope, fit_surface
 
 __all__ = [
     "__version__",
     "ModelKind", "ModelSpec", "Portfolio", "PutPayoff",
-    "drift", "diffusion", "basket_value", "payoff", "correlation_to_sigma",
-    "ExpansionCoords", "chart", "log_density", "log_integrands", "pbbt",
-    "LaplacePoint", "NewtonError", "newton_maximize", "projected_drift", "projected_vol_sq",
+    "correlation_to_sigma",
+    "ExpansionCoords", "LogIntegrands", "chart",
+    "LaplacePoint", "NewtonError", "newton_maximize", "projected_vol_sq",
     "CoefficientSurface", "Envelope", "build_surface", "estimate_envelope", "fit_surface",
     "Grid", "ValueGrid", "Flavor", "ExerciseBoundary",
     "make_grid", "solve", "exercise_boundary", "value_at",

@@ -129,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("run", help="full pipeline: project, solve, simulate, report"),
                simulates=True)
-    sp = sub.add_parser("validate", help="oracle cross-checks and invariant suite")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out-dir", default=None)
+    sub.add_parser("validate", help="oracle cross-checks and invariant suite")
     add_common(sub.add_parser("convergence", help="bias decay across time-step tiers"),
                simulates=True)
     add_common(sub.add_parser("surface", help="emit the fitted coefficient surface only"))

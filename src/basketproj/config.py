@@ -149,14 +149,6 @@ class ExperimentConfig:
     def build_payoffs(self) -> list[PutPayoff]:
         return [PutPayoff(float(k)) for k in self.strikes]
 
-    def floor_value(self, model: ModelSpec, p: Portfolio) -> float | None:
-        if self.surface_floor == "auto":
-            return None
-        return float(self.surface_floor)
-
-    def coords_value(self):
-        return None if self.expansion_coords == "auto" else self.expansion_coords
-
     def _build_sigma(self, d: int) -> np.ndarray:
         if isinstance(self.sigma, str):
             gen = _parse_generator(self.sigma)

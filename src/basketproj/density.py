@@ -82,16 +82,15 @@ class _Gaussian:
         self.logdet = 2.0 * float(np.sum(np.log(diag)))
         self.dim = mean.size
 
-    def alpha(self, y: np.ndarray) -> np.ndarray:
-        """cov^{-1} (y - mean)."""
-        return cho_solve(self._cf, y - self.mean)
-
     def inv(self) -> np.ndarray:
         return cho_solve(self._cf, np.eye(self.dim))
 
-    def logpdf(self, y: np.ndarray) -> float:
+    def logpdf_alpha(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """(log pdf at y, cov^{-1} (y - mean)) from one solve."""
         dev = y - self.mean
-        return float(-0.5 * dev @ self.alpha(y) - 0.5 * (self.dim * np.log(2 * np.pi) + self.logdet))
+        alpha = cho_solve(self._cf, dev)
+        val = float(-0.5 * dev @ alpha - 0.5 * (self.dim * np.log(2 * np.pi) + self.logdet))
+        return val, alpha
 
 
 def _bachelier_gaussian(model: ModelSpec, t: float) -> _Gaussian:
@@ -109,33 +108,6 @@ def _lognormal_gaussian(model: ModelSpec, t: float) -> _Gaussian:
     return _Gaussian(mean, omega * t)
 
 
-def log_density(model: ModelSpec, t: float, y: np.ndarray) -> float:
-    """Log transition density of X(t) started from x0; -inf outside the support."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.d,):
-        raise ValueError(f"y has shape {y.shape}, expected ({model.d},)")
-    if model.kind is ModelKind.BACHELIER:
-        return _bachelier_gaussian(model, t).logpdf(y)
-    if np.any(y <= 0.0):
-        return -np.inf
-    w = np.log(y / model.x0)
-    return _lognormal_gaussian(model, t).logpdf(w) - float(np.sum(np.log(y)))
-
-
-def pbbt(model: ModelSpec, p: Portfolio, t: float, x: np.ndarray) -> float:
-    """Quadratic form P b(t,x) b(t,x)^T P^T of the basket."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.d},)")
-    if model.kind is ModelKind.BACHELIER:
-        row = p.weights @ model.sigma
-    else:
-        row = (p.weights * x) @ model.sigma
-    return float(row @ row)
-
-
 class LogIntegrands:
     """f = log(density * PbbtP), ftilde = log(density), on the chart coordinates.
 
@@ -145,10 +117,14 @@ class LogIntegrands:
     underlying surface integral as in price coordinates.
     """
 
-    def __init__(self, model: ModelSpec, p: Portfolio, t: float, s: float,
-                 coords: ExpansionCoords = ExpansionCoords.PRICE):
+    def __init__(self, model: ModelSpec, p: Portfolio, t: float, s: float, coords=None):
+        """coords: an ExpansionCoords or its value; None picks log-price for
+        Black-Scholes and price for Bachelier."""
         if not t > 0:
             raise ValueError("t must be positive")
+        if coords is None:
+            coords = ExpansionCoords.PRICE if model.kind is ModelKind.BACHELIER else ExpansionCoords.LOG_PRICE
+        coords = ExpansionCoords(coords)
         if coords is ExpansionCoords.LOG_PRICE and model.kind is ModelKind.BACHELIER:
             raise ValueError("log-price coordinates undefined for Bachelier (prices may be negative)")
         self.model = model
@@ -158,14 +134,15 @@ class LogIntegrands:
         self.coords = coords
         self.chart = chart(p, s)
         self._omega = model.omega
+        # the transition law of the state (Bachelier) or of its log-returns
+        # (Black-Scholes); the Newton start conditions it on the basket
         if model.kind is ModelKind.BACHELIER:
-            self._gauss = _bachelier_gaussian(model, t)
-            self._cinv = self._gauss.inv()
+            self.gauss = _bachelier_gaussian(model, t)
             row = p.weights @ model.sigma
             self._const_q = float(row @ row)
         else:
-            self._gauss = _lognormal_gaussian(model, t)
-            self._cinv = self._gauss.inv()
+            self.gauss = _lognormal_gaussian(model, t)
+        self._cinv = self.gauss.inv()
 
     # -- state-space pieces -------------------------------------------------
 
@@ -183,12 +160,11 @@ class LogIntegrands:
     def _logphi_parts(self, x: np.ndarray):
         """Value, gradient and Hessian of log density in x."""
         if self.model.kind is ModelKind.BACHELIER:
-            a = self._gauss.alpha(x)
-            val = self._gauss.logpdf(x)
+            val, a = self.gauss.logpdf_alpha(x)
             return val, -a, -self._cinv
         w = np.log(x / self.model.x0)
-        a = self._gauss.alpha(w)
-        val = self._gauss.logpdf(w) - float(np.sum(np.log(x)))
+        val, a = self.gauss.logpdf_alpha(w)
+        val -= float(np.sum(np.log(x)))
         grad = -(a + 1.0) / x
         hess = -self._cinv / np.outer(x, x) + np.diag((a + 1.0) / x**2)
         return val, grad, hess
@@ -264,9 +240,3 @@ class LogIntegrands:
         pv, pg, ph = self._logphi_parts(x)
         qv, qg, qh = self._logq_parts(x)
         return self._chain(z, pv + qv, pg + qg, ph + qh)
-
-
-def log_integrands(model: ModelSpec, p: Portfolio, t: float, s: float,
-                   coords: ExpansionCoords = ExpansionCoords.PRICE) -> LogIntegrands:
-    return LogIntegrands(model, p, t, s, coords)
-

@@ -129,8 +129,7 @@ def solve(surf: CoefficientSurface, payoff: PutPayoff, grid: Grid, flavor: Flavo
     return ValueGrid(grid=grid, values=values, flavor=flavor, payoff=payoff)
 
 
-def exercise_boundary(vg: ValueGrid, payoff: PutPayoff | None = None,
-                      tol_eq: float = REGION_TOL) -> ExerciseBoundary:
+def exercise_boundary(vg: ValueGrid) -> ExerciseBoundary:
     """Discrete exercise region and its per-time upper frontier.
 
     Region membership is tested on interior nodes strictly below the strike;
@@ -138,12 +137,11 @@ def exercise_boundary(vg: ValueGrid, payoff: PutPayoff | None = None,
     """
     if vg.flavor is not Flavor.AMERICAN:
         raise ValueError("exercise boundary requires the American flavor")
-    g_fun = payoff if payoff is not None else vg.payoff
     s = vg.grid.s_nodes
-    g = g_fun(s)
-    below = (s < g_fun.strike)
+    g = vg.payoff(s)
+    below = (s < vg.payoff.strike)
     below[0] = below[-1] = False
-    tol = tol_eq * np.maximum(1.0, np.abs(g))
+    tol = REGION_TOL * np.maximum(1.0, np.abs(g))
     member = (vg.values - g <= tol) & below
     n_levels = vg.values.shape[0]
     indices = np.full(n_levels, -1, dtype=int)

@@ -115,40 +115,8 @@ class PutPayoff:
             raise ValueError("strike must be positive")
 
     def __call__(self, s):
-        return payoff(self, s)
-
-
-def drift(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
-    """Risk-neutral drift r * x (same for both model kinds)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.d},)")
-    return model.r * x
-
-
-def diffusion(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
-    """Volatility loading b(t, x) as a d x k matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.d},)")
-    if model.kind is ModelKind.BACHELIER:
-        return model.sigma.copy()
-    if np.any(x <= 0.0):
-        raise ValueError("Black-Scholes diffusion requires strictly positive state")
-    return x[:, None] * model.sigma
-
-
-def basket_value(p: Portfolio, x: np.ndarray) -> float:
-    """Inner product of the weights with the asset vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({p.d},)")
-    return float(p.weights @ x)
-
-
-def payoff(g: PutPayoff, s):
-    """Put payoff max(K - s, 0); accepts scalars or arrays."""
-    return np.maximum(g.strike - np.asarray(s, dtype=float), 0.0)
+        """Put payoff max(K - s, 0); accepts scalars or arrays."""
+        return np.maximum(self.strike - np.asarray(s, dtype=float), 0.0)
 
 
 def correlation_to_sigma(vols, corr, tol: float = PIVOT_TOL) -> np.ndarray:

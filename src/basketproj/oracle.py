@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ExpansionCoords, log_integrands
+from .density import ExpansionCoords, LogIntegrands
 from .model import ModelKind, ModelSpec, Portfolio
-from .projection import newton_maximize, newton_start, resolve_coords
+from .projection import newton_maximize, newton_start
 from .rng import normal_matrix
 
 N_PANELS = 16
@@ -49,29 +49,23 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s: float,
     """Exact-integrand ratio for d = 2 by composite quadrature in the free coordinate."""
     if model.d != 2:
         raise ValueError("quadrature oracle is one-dimensional: d must be 2")
-    coords = resolve_coords(model, coords)
-    li = log_integrands(model, p, t, s, coords)
+    li = LogIntegrands(model, p, t, s, coords)
+    res = newton_maximize(li.ftilde_derivs, newton_start(li))
+    mode = float(res.z[0])
     if spec is None:
-        z0 = newton_start(model, p, t, s, coords)
-        res = newton_maximize(li.ftilde_derivs, z0)
-        mode = float(res.z[0])
         std = 1.0 / np.sqrt(-float(res.hess[0, 0]))
         lo, hi = mode - INTERVAL_STDS * std, mode + INTERVAL_STDS * std
         # clip to the support of the chart (both assets positive for Black-Scholes)
         if model.kind is ModelKind.BLACK_SCHOLES:
             ch = li.chart
             w = p.weights
-            if coords is ExpansionCoords.PRICE:
+            if li.coords is ExpansionCoords.PRICE:
                 zmax = s / w[ch.free[0]] if w[ch.free[0]] * w[ch.pivot] > 0 else np.inf
                 lo = max(lo, 1e-12 * abs(s))
                 hi = min(hi, zmax * (1 - 1e-12)) if np.isfinite(zmax) else hi
         spec = QuadratureSpec(lo=lo, hi=hi)
-    else:
-        z0 = newton_start(model, p, t, s, coords)
-        res = newton_maximize(li.ftilde_derivs, z0)
-        mode = float(res.z[0])
-        if not (spec.lo < mode < spec.hi):
-            raise ValueError("quadrature interval does not contain the integrand mode")
+    elif not (spec.lo < mode < spec.hi):
+        raise ValueError("quadrature interval does not contain the integrand mode")
     xs, ws = _gl_nodes(spec)
     fvals = np.array([li.f(np.array([x])) for x in xs])
     gvals = np.array([li.ftilde(np.array([x])) for x in xs])

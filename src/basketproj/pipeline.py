@@ -102,8 +102,10 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
     return surface_mod.build_surface(
         model, p, seed=derive_seed(cfg.seed, "pilot"),
         n_slices=cfg.surface_slices, n_abscissae=cfg.surface_abscissae,
-        degree=cfg.surface_degree, floor=cfg.floor_value(model, p),
-        coords=cfg.coords_value(), m_pilot=cfg.m_pilot, pilot_steps=cfg.pilot_steps,
+        degree=cfg.surface_degree,
+        floor=None if cfg.surface_floor == "auto" else float(cfg.surface_floor),
+        coords=None if cfg.expansion_coords == "auto" else cfg.expansion_coords,
+        m_pilot=cfg.m_pilot, pilot_steps=cfg.pilot_steps,
         newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter)
 
 

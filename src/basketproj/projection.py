@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ExpansionCoords, LogIntegrands, log_integrands
+from .density import ExpansionCoords, LogIntegrands
 from .model import ModelKind, ModelSpec, Portfolio
 
 NEWTON_TOL = 1e-10
@@ -29,6 +29,7 @@ class NewtonResult:
     z: np.ndarray
     value: float
     hess: np.ndarray
+    logdet: float             # log det(-hess), from the Cholesky factor that proves -hess > 0
     iterations: int
 
 
@@ -50,27 +51,13 @@ class LaplacePoint:
                             + 0.5 * (self.logdet_hftilde - self.logdet_hf)))
 
 
-def projected_drift(model: ModelSpec, p: Portfolio, t: float, s: float) -> float:
-    """Drift of the surrogate SDE: r*s exactly, for both model kinds."""
-    return model.r * float(s)
-
-
-def resolve_coords(model: ModelSpec, requested=None) -> ExpansionCoords:
-    """Expansion coordinate system; defaults to log-price for Black-Scholes."""
-    if requested is None:
-        return ExpansionCoords.PRICE if model.kind is ModelKind.BACHELIER else ExpansionCoords.LOG_PRICE
-    coords = ExpansionCoords(requested) if not isinstance(requested, ExpansionCoords) else requested
-    if coords is ExpansionCoords.LOG_PRICE and model.kind is ModelKind.BACHELIER:
-        raise ValueError("log-price coordinates rejected for Bachelier (prices may be negative)")
-    return coords
-
-
 def newton_maximize(derivs, z0: np.ndarray, tol: float = NEWTON_TOL,
                     max_iter: int = NEWTON_MAX_ITER) -> NewtonResult:
     """Damped Newton ascent on a concave log-integrand.
 
     derivs(z) must return (value, gradient, Hessian); z0 must be interior.
     The step is z <- z - H^{-1} grad with halving while the value decreases.
+    A terminal Hessian that is not negative definite raises NewtonError.
     """
     z = np.asarray(z0, dtype=float).copy()
     try:
@@ -82,8 +69,8 @@ def newton_maximize(derivs, z0: np.ndarray, tol: float = NEWTON_TOL,
     for it in range(1, max_iter + 1):
         scale = max(1.0, float(np.max(np.abs(hess))))
         if float(np.linalg.norm(grad)) <= tol * scale:
-            _assert_negdef(hess)
-            return NewtonResult(z=z, value=val, hess=hess, iterations=it - 1)
+            return NewtonResult(z=z, value=val, hess=hess, logdet=_logdet_neg(hess),
+                                iterations=it - 1)
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -107,13 +94,6 @@ def newton_maximize(derivs, z0: np.ndarray, tol: float = NEWTON_TOL,
     raise NewtonError(f"Newton did not converge within {max_iter} iterations")
 
 
-def _assert_negdef(hess: np.ndarray) -> None:
-    try:
-        np.linalg.cholesky(-hess)
-    except np.linalg.LinAlgError as exc:
-        raise NewtonError("Hessian not negative definite at the terminal point") from exc
-
-
 def _logdet_neg(hess: np.ndarray) -> float:
     """log det(-H) by symmetric factorization; H must be negative definite."""
     try:
@@ -123,23 +103,18 @@ def _logdet_neg(hess: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def newton_start(model: ModelSpec, p: Portfolio, t: float, s: float,
-                 coords: ExpansionCoords) -> np.ndarray:
-    """Interior Newton start: conditional-mean point of the Gaussian comparison density.
+def newton_start(li: LogIntegrands) -> np.ndarray:
+    """Interior Newton start: conditional-mean point of the integrands' Gaussian.
 
     Bachelier conditions the exact Gaussian on the basket; Black-Scholes
     conditions the Gaussian log-returns on the linearized basket constraint.
     """
-    from .density import _bachelier_gaussian, _lognormal_gaussian, chart as make_chart
-
-    ch = make_chart(p, s)
-    w = p.weights
+    model, ch, g, s = li.model, li.chart, li.gauss, li.s
+    w = li.portfolio.weights
     if model.kind is ModelKind.BACHELIER:
-        g = _bachelier_gaussian(model, t)
         cp = g.cov @ w
         point = g.mean + cp * (s - float(w @ g.mean)) / float(w @ cp)
         return point[ch.free]
-    g = _lognormal_gaussian(model, t)
     a = w * model.x0
     ca = g.cov @ a
     target = s - float(w @ model.x0)
@@ -151,7 +126,7 @@ def newton_start(model: ModelSpec, p: Portfolio, t: float, s: float,
         if s <= 0.0 or float(w @ model.x0) <= 0.0:
             raise NewtonError("no interior Newton start exists for this (t, s)")
         x = model.x0 * (s / float(w @ model.x0))  # proportional point, always on the hyperplane
-    if coords is ExpansionCoords.LOG_PRICE:
+    if li.coords is ExpansionCoords.LOG_PRICE:
         return np.log(x[ch.free] / model.x0[ch.free])
     return x[ch.free]
 
@@ -159,19 +134,20 @@ def newton_start(model: ModelSpec, p: Portfolio, t: float, s: float,
 def laplace_point(model: ModelSpec, p: Portfolio, t: float, s: float,
                   coords=None, tol: float = NEWTON_TOL,
                   max_iter: int = NEWTON_MAX_ITER) -> LaplacePoint:
-    """Run both Newton maximizations and package the Laplace data."""
-    coords = resolve_coords(model, coords)
-    li: LogIntegrands = log_integrands(model, p, t, s, coords)
-    z0 = newton_start(model, p, t, s, coords)
-    res_den = newton_maximize(li.ftilde_derivs, z0, tol=tol, max_iter=max_iter)
+    """Run both Newton maximizations and package the Laplace data.
+
+    coords is as in LogIntegrands.
+    """
+    li = LogIntegrands(model, p, t, s, coords)
+    res_den = newton_maximize(li.ftilde_derivs, newton_start(li), tol=tol, max_iter=max_iter)
     res_num = newton_maximize(li.f_derivs, res_den.z, tol=tol, max_iter=max_iter)
     return LaplacePoint(
         z_star=res_num.z,
         z_dagger=res_den.z,
         f_star=res_num.value,
         ftilde_dagger=res_den.value,
-        logdet_hf=_logdet_neg(res_num.hess),
-        logdet_hftilde=_logdet_neg(res_den.hess),
+        logdet_hf=res_num.logdet,
+        logdet_hftilde=res_den.logdet,
         iterations=res_num.iterations + res_den.iterations,
     )
 

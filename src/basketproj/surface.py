@@ -34,9 +34,6 @@ class Envelope:
     s_lo: np.ndarray
     s_hi: np.ndarray
 
-    def width(self) -> float:
-        return float(self.s_hi[-1] - self.s_lo[-1])
-
 
 def estimate_envelope(model: ModelSpec, p: Portfolio, m_pilot: int = PILOT_PATHS,
                       n_t: int = PILOT_STEPS, seed: int = 0) -> Envelope:
@@ -67,8 +64,7 @@ def rectangle_from_envelope(env: Envelope, model: ModelSpec) -> tuple[float, flo
     Degenerate (deterministic) envelopes get a nominal pad so the rectangle
     keeps positive width.
     """
-    w = env.width()
-    pad = 0.5 * w
+    pad = 0.5 * float(env.s_hi[-1] - env.s_lo[-1])
     scale = max(abs(env.s_lo[-1]), abs(env.s_hi[-1]), 1.0)
     if pad < 1e-8 * scale:
         pad = 0.05 * scale
@@ -123,47 +119,29 @@ class CoefficientSurface:
         if self.residual_rms is None:
             object.__setattr__(self, "residual_rms", np.zeros(st.size))
 
-    def _b2_slices(self, s) -> np.ndarray:
-        """Raw (unfloored) polynomial values, shape (n_slices, *s.shape)."""
-        s = np.asarray(s, dtype=float)
-        u = (s[None, ...] - self.centers.reshape(-1, *([1] * s.ndim))) \
-            / self.halfwidths.reshape(-1, *([1] * s.ndim))
+    def _slice_b2(self, i: int, s: np.ndarray) -> np.ndarray:
+        """Raw (unfloored) polynomial value of slice i, by Horner in u."""
+        u = (s - self.centers[i]) / self.halfwidths[i]
         out = np.zeros_like(u)
-        for k in range(self.coeffs.shape[1] - 1, -1, -1):
-            out = out * u + self.coeffs[:, k].reshape(-1, *([1] * s.ndim))
-        return out
-
-    def raw_slice_coefficients(self, i: int) -> np.ndarray:
-        """Ascending coefficients of slice i in the raw s variable."""
-        c, h = self.centers[i], self.halfwidths[i]
-        poly = np.polynomial.Polynomial([0.0])
-        base = np.polynomial.Polynomial([-c / h, 1.0 / h])  # u(s)
-        for k, ck in enumerate(self.coeffs[i]):
-            poly = poly + ck * base**k
-        out = np.zeros(self.coeffs.shape[1])
-        out[: poly.coef.size] = poly.coef
+        for c in self.coeffs[i, ::-1]:
+            out = out * u + c
         return out
 
     def eval_b2(self, t: float, s) -> np.ndarray:
         """Floored squared volatility at time t, vectorized over s."""
         if t < -1e-12 or t > self.t_max * (1 + 1e-12):
             raise ValueError(f"t={t} outside [0, {self.t_max}]")
+        s = np.asarray(s, dtype=float)
         st = self.slice_times
-        vals = self._b2_slices(s)
         if t <= st[0]:
-            out = vals[0]
+            out = self._slice_b2(0, s)
         elif t >= st[-1]:
-            out = vals[-1]
+            out = self._slice_b2(-1, s)
         else:
             j = int(np.searchsorted(st, t, side="right")) - 1
             w = (t - st[j]) / (st[j + 1] - st[j])
-            out = (1.0 - w) * vals[j] + w * vals[j + 1]
+            out = (1.0 - w) * self._slice_b2(j, s) + w * self._slice_b2(j + 1, s)
         return np.maximum(out, self.floor)
-
-    def eval(self, t: float, s: float) -> tuple[float, float]:
-        """(drift, squared volatility) at a point; drift is exactly r*s."""
-        b2 = self.eval_b2(t, np.asarray(float(s)))
-        return self.r * float(s), float(b2)
 
     def save(self, path) -> None:
         """Plain-text table: header, then one row per slice

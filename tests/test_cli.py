@@ -190,6 +190,13 @@ class TestValidatePieces:
     def test_bachelier_bracket_passes(self):
         assert check_bachelier_bracket(n_t=256, m=8000).passed
 
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out-dir", "elsewhere"]])
+    def test_takes_no_seed_or_out_dir(self, flag):
+        # every check runs its own preset's seed and writes nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *flag])
+        assert exc.value.code == EXIT_CONFIG
+
 
 class TestConvergenceCommand:
     def test_deterministic_model_biases_zero(self, tmp_path, capsys):

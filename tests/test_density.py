@@ -2,9 +2,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from basketproj.density import ExpansionCoords, chart, log_density, log_integrands, pbbt
+from basketproj.density import ExpansionCoords, LogIntegrands, chart
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from support import fd_gradient, fd_hessian
+
+PRICE = ExpansionCoords.PRICE
+
+
+def log_density(m, t, y):
+    """Log transition density at y: ftilde in price coordinates on the hyperplane
+    through y (the empty chart when d = 1)."""
+    p = Portfolio(np.ones(m.d))
+    return LogIntegrands(m, p, t, float(np.sum(y)), PRICE).ftilde(np.delete(y, 0))
+
+
+def pbbt(m, p, t, x):
+    """P b b^T P^T at x: f - ftilde in price coordinates at x."""
+    li = LogIntegrands(m, p, t, float(p.weights @ x), PRICE)
+    z = np.delete(x, li.chart.pivot)
+    return float(np.exp(li.f(z) - li.ftilde(z)))
 
 
 class TestLogDensity:
@@ -114,21 +130,21 @@ class TestLogIntegrands:
         # coordinates: 3 - 2/sig^2 for the density integrand, 5 - 2/sig^2 once
         # the quadratic-form factor is included.
         sig = 0.1
-        li = log_integrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                            ExpansionCoords.LOG_PRICE)
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
+                           ExpansionCoords.LOG_PRICE)
         z0 = np.zeros(1)
         assert li.ftilde_derivs(z0)[2][0, 0] == pytest.approx(3.0 - 2.0 / sig**2, rel=1e-9)
         assert li.f_derivs(z0)[2][0, 0] == pytest.approx(5.0 - 2.0 / sig**2, rel=1e-9)
 
     def test_symmetric_point_is_critical_in_price_coords(self, appendix_model, appendix_portfolio):
-        li = log_integrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                            ExpansionCoords.PRICE)
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
+                           ExpansionCoords.PRICE)
         _, grad, hess = li.ftilde_derivs(np.array([100.0]))
         assert abs(grad[0]) < 1e-12 * abs(hess[0, 0])
 
     @pytest.mark.parametrize("coords", [ExpansionCoords.PRICE, ExpansionCoords.LOG_PRICE])
     def test_derivatives_match_finite_differences_bs(self, bs3d_model, bs3d_portfolio, coords):
-        li = log_integrands(bs3d_model, bs3d_portfolio, 0.5, 300.0, coords)
+        li = LogIntegrands(bs3d_model, bs3d_portfolio, 0.5, 300.0, coords)
         rng = np.random.default_rng(5)
         scale = 1.0 if coords is ExpansionCoords.LOG_PRICE else 100.0
         n_checked = 0
@@ -149,7 +165,7 @@ class TestLogIntegrands:
         assert n_checked >= 90
 
     def test_derivatives_match_finite_differences_bachelier(self, bachelier5_model, bachelier5_portfolio):
-        li = log_integrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0)
+        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0)
         rng = np.random.default_rng(6)
         for _ in range(100):
             z = rng.uniform(60.0, 140.0, 4)
@@ -158,19 +174,19 @@ class TestLogIntegrands:
             assert np.linalg.norm(grad - fd_g) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
     def test_bachelier_f_minus_ftilde_constant(self, bachelier5_model, bachelier5_portfolio):
-        li = log_integrands(bachelier5_model, bachelier5_portfolio, 0.25, 480.0)
+        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 480.0)
         rng = np.random.default_rng(8)
         diffs = [li.f(z) - li.ftilde(z) for z in rng.uniform(50.0, 150.0, (20, 4))]
         assert max(diffs) - min(diffs) < 1e-12
 
     def test_outside_support(self, appendix_model, appendix_portfolio):
-        li = log_integrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                            ExpansionCoords.PRICE)
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
+                           ExpansionCoords.PRICE)
         assert li.f(np.array([250.0])) == -np.inf  # first asset would be negative
         with pytest.raises(ValueError):
             li.f_derivs(np.array([250.0]))
 
     def test_log_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
         with pytest.raises(ValueError):
-            log_integrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0,
-                           ExpansionCoords.LOG_PRICE)
+            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0,
+                          ExpansionCoords.LOG_PRICE)

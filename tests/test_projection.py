@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
 
-from basketproj.density import ExpansionCoords, log_integrands
+from basketproj import density
+from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from basketproj.oracle import binned_conditional_vol, quadrature_projected_vol
 from basketproj.projection import (NewtonError, laplace_point, newton_maximize,
-                                   newton_start, projected_drift, projected_vol_sq,
-                                   resolve_coords)
+                                   newton_start, projected_vol_sq)
+from basketproj.presets import get_preset
 from basketproj.rng import derive_seed
-
-
-class TestProjectedDrift:
-    def test_examples(self, appendix_model, bs3d_model, appendix_portfolio, bs3d_portfolio):
-        m5 = ModelSpec(kind=ModelKind.BACHELIER, r=0.05, sigma=np.eye(2), x0=[50.0, 50.0], T=1.0)
-        assert projected_drift(m5, Portfolio([1.0, 1.0]), 0.3, 100.0) == pytest.approx(5.0)
-        assert projected_drift(appendix_model, appendix_portfolio, 0.5, 77.0) == 0.0
-        assert projected_drift(bs3d_model, bs3d_portfolio, 0.1, 300.0) == pytest.approx(15.0)
 
 
 class TestNewton:
@@ -33,22 +26,22 @@ class TestNewton:
 
     def test_appendix_maximizer_log_price(self, appendix_model, appendix_portfolio):
         # the symmetric point up to the lognormal drift correction O(sig^2/2)
-        li = log_integrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                            ExpansionCoords.LOG_PRICE)
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
+                           ExpansionCoords.LOG_PRICE)
         res = newton_maximize(li.f_derivs, np.array([0.3]))
         assert abs(res.z[0]) < 0.01
 
     def test_appendix_maximizer_price_exactly_symmetric(self, appendix_model, appendix_portfolio):
-        li = log_integrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                            ExpansionCoords.PRICE)
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
+                           ExpansionCoords.PRICE)
         res = newton_maximize(li.ftilde_derivs, np.array([130.0]))
         assert res.z[0] == pytest.approx(100.0, abs=1e-8)
 
     def test_bachelier_maximizer_is_conditional_mean(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
         t, s = 0.25, 460.0
-        li = log_integrands(m, p, t, s)
-        z0 = newton_start(m, p, t, s, ExpansionCoords.PRICE)
+        li = LogIntegrands(m, p, t, s, ExpansionCoords.PRICE)
+        z0 = newton_start(li)
         res = newton_maximize(li.ftilde_derivs, z0 + 30.0)
         # closed-form Gaussian conditioning
         scale = np.expm1(2 * m.r * t) / (2 * m.r)
@@ -59,6 +52,14 @@ class TestNewton:
         cond = mean + cp * (s - w @ mean) / (w @ cp)
         assert np.allclose(res.z, cond[li.chart.free], atol=1e-8)
 
+    def test_terminal_minimum_rejected(self):
+        # a stationary start with positive curvature: converged, but not a maximum
+        def derivs(z):
+            return float(z @ z), 2.0 * z, 2.0 * np.eye(2)
+
+        with pytest.raises(NewtonError, match="not negative definite"):
+            newton_maximize(derivs, np.zeros(2))
+
     def test_max_iter_exceeded(self):
         def derivs(z):
             return float(-np.abs(z[0]) ** 1.5), np.array([-1.5 * np.sign(z[0]) * np.abs(z[0]) ** 0.5]), np.array([[-1e-12]])
@@ -67,8 +68,8 @@ class TestNewton:
             newton_maximize(derivs, np.array([4.0]), max_iter=3)
 
     def test_start_outside_support(self, appendix_model, appendix_portfolio):
-        li = log_integrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                            ExpansionCoords.PRICE)
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
+                           ExpansionCoords.PRICE)
         with pytest.raises(NewtonError):
             newton_maximize(li.f_derivs, np.array([260.0]))
 
@@ -157,12 +158,65 @@ class TestProjectedVolSq:
 
 
 class TestCoords:
-    def test_default_log_price_for_bs(self, bs3d_model):
-        assert resolve_coords(bs3d_model) is ExpansionCoords.LOG_PRICE
+    def test_default_log_price_for_bs(self, bs3d_model, bs3d_portfolio):
+        li = LogIntegrands(bs3d_model, bs3d_portfolio, 0.5, 300.0)
+        assert li.coords is ExpansionCoords.LOG_PRICE
 
-    def test_default_price_for_bachelier(self, bachelier5_model):
-        assert resolve_coords(bachelier5_model) is ExpansionCoords.PRICE
+    def test_default_price_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
+        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0)
+        assert li.coords is ExpansionCoords.PRICE
 
-    def test_log_price_rejected_for_bachelier(self, bachelier5_model):
+    def test_log_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
         with pytest.raises(ValueError):
-            resolve_coords(bachelier5_model, "log-price")
+            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0, "log-price")
+
+
+class TestOneSetUpPerPoint:
+    # float.hex of projected_vol_sq before the Laplace set-up was shared per point
+    PINNED = {
+        "appendix": [(1.0, 200.0, "price", "0x1.920bc9e09e190p+7"),
+                     (1.0, 200.0, "log-price", "0x1.92064971f90c6p+7")],
+        "bs3d": [(0.5, 300.0, None, "0x1.4ea224b45da8ep+10"),
+                 (0.125, 290.0, None, "0x1.36c400dda66a9p+10"),
+                 (0.375, 320.0, None, "0x1.8941cebecdd8ep+10")],
+        "bs25d": [(0.25, 2500.0, None, "0x1.17ed218dd88d5p+12"),
+                  (0.5, 2400.0, None, "0x1.e6423dfe6f607p+11")],
+    }
+
+    @pytest.fixture
+    def models(self, appendix_model, appendix_portfolio, bs3d_model, bs3d_portfolio):
+        cfg = get_preset("bs25d")
+        return {"appendix": (appendix_model, appendix_portfolio),
+                "bs3d": (bs3d_model, bs3d_portfolio),
+                "bs25d": (cfg.build_model(), cfg.build_portfolio())}
+
+    def test_values_pinned_to_the_bit(self, models):
+        for name, points in self.PINNED.items():
+            m, p = models[name]
+            for t, s, coords, hexval in points:
+                assert projected_vol_sq(m, p, t, s, coords=coords) == float.fromhex(hexval)
+
+    def test_one_factorization_per_point(self, models, monkeypatch):
+        calls = {"cho_factor": 0, "cho_solve": 0, "cholesky": 0, "derivs": 0}
+
+        def counted(name, fun):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fun(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(density, "cho_factor", counted("cho_factor", density.cho_factor))
+        monkeypatch.setattr(density, "cho_solve", counted("cho_solve", density.cho_solve))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        for attr in ("f_derivs", "ftilde_derivs"):
+            monkeypatch.setattr(LogIntegrands, attr,
+                                counted("derivs", getattr(LogIntegrands, attr)))
+        for name, points in self.PINNED.items():
+            m, p = models[name]
+            for t, s, coords, _ in points:
+                calls.update(dict.fromkeys(calls, 0))
+                projected_vol_sq(m, p, t, s, coords=coords)
+                assert calls["cho_factor"] == 1           # the transition covariance
+                assert calls["cholesky"] == 2             # one per Newton maximization
+                # one solve per derivative evaluation, one for the inverse covariance
+                assert calls["cho_solve"] == calls["derivs"] + 1

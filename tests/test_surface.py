@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from basketproj.model import ModelKind, ModelSpec, Portfolio
-from basketproj.surface import (CoefficientSurface, constant_surface, default_floor,
-                                estimate_envelope, fit_surface, rectangle_from_envelope)
+from basketproj.rng import derive_seed
+from basketproj.surface import (CoefficientSurface, build_surface, constant_surface,
+                                default_floor, estimate_envelope, fit_surface,
+                                rectangle_from_envelope)
 
 
 class TestEnvelope:
@@ -49,7 +51,8 @@ class TestFit:
         ss = np.linspace(150.0, 450.0, 24)
         evals = [(0.5, s, float(np.polyval(coef[::-1], s))) for s in ss]
         surf = fit_surface(evals, degree=3, floor=1e-9, rect=(100.0, 500.0), t_max=1.0, r=0.0)
-        got = surf.raw_slice_coefficients(0)
+        c, h = surf.centers[0], surf.halfwidths[0]
+        got = np.polynomial.Polynomial(surf.coeffs[0], domain=[c - h, c + h]).convert().coef
         assert np.allclose(got, coef, rtol=1e-8, atol=1e-8 * np.abs(coef).max())
         probe = np.linspace(120.0, 480.0, 50)
         assert np.allclose(surf.eval_b2(0.5, probe),
@@ -83,31 +86,26 @@ class TestEval:
     def test_floor_clamp(self):
         surf = CoefficientSurface(slice_times=np.array([0.0]), coeffs=np.array([[-5.0]]),
                                   floor=1.0, s_min=0.0, s_max=1.0, t_max=1.0, r=0.0)
-        assert surf.eval(0.5, 0.3) == (0.0, 1.0)
+        assert surf.eval_b2(0.5, 0.3) == 1.0
 
     def test_slice_time_exact(self):
         surf = self._surf()
-        assert surf.eval(0.2, 3.0)[1] == pytest.approx(5.0)
-        assert surf.eval(0.4, 3.0)[1] == pytest.approx(7.0)
+        assert surf.eval_b2(0.2, 3.0) == pytest.approx(5.0)
+        assert surf.eval_b2(0.4, 3.0) == pytest.approx(7.0)
 
     def test_linear_in_time_between_slices(self):
         surf = self._surf()
-        assert surf.eval(0.3, 3.0)[1] == pytest.approx(6.0)
+        assert surf.eval_b2(0.3, 3.0) == pytest.approx(6.0)
 
     def test_clamped_outside_slices(self):
         surf = self._surf()
-        assert surf.eval(0.0, 3.0)[1] == pytest.approx(5.0)
-        assert surf.eval(0.5, 3.0)[1] == pytest.approx(7.0)
-
-    def test_drift_is_rs(self):
-        surf = self._surf()
-        a, _ = surf.eval(0.25, 6.0)
-        assert a == pytest.approx(0.3)
+        assert surf.eval_b2(0.0, 3.0) == pytest.approx(5.0)
+        assert surf.eval_b2(0.5, 3.0) == pytest.approx(7.0)
 
     def test_time_domain_checked(self):
         surf = self._surf()
         with pytest.raises(ValueError):
-            surf.eval(0.7, 3.0)
+            surf.eval_b2(0.7, 3.0)
 
     def test_continuity(self, bs3d_surface):
         surf, _ = bs3d_surface
@@ -129,6 +127,49 @@ class TestEval:
             assert np.all(surf.eval_b2(float(t), ss) >= surf.floor)
 
 
+def all_slice_b2(surf, t, s):
+    """Reference eval_b2: every slice's polynomial in u, then the bracketing pair."""
+    s = np.asarray(s, dtype=float)
+    shape = (-1,) + (1,) * s.ndim
+    u = (s[None, ...] - surf.centers.reshape(shape)) / surf.halfwidths.reshape(shape)
+    vals = np.zeros_like(u)
+    for k in range(surf.coeffs.shape[1] - 1, -1, -1):
+        vals = vals * u + surf.coeffs[:, k].reshape(shape)
+    st = surf.slice_times
+    if t <= st[0]:
+        out = vals[0]
+    elif t >= st[-1]:
+        out = vals[-1]
+    else:
+        j = int(np.searchsorted(st, t, side="right")) - 1
+        w = (t - st[j]) / (st[j + 1] - st[j])
+        out = (1.0 - w) * vals[j] + w * vals[j + 1]
+    return np.maximum(out, surf.floor)
+
+
+class TestTwoSliceEval:
+    def _inner_slices(self):
+        # last slice before t_max, so times after it are inside the domain
+        rng = np.random.default_rng(4)
+        return CoefficientSurface(slice_times=np.array([0.1, 0.2, 0.35]),
+                                  coeffs=rng.normal(50.0, 20.0, (3, 4)), floor=1.0,
+                                  s_min=80.0, s_max=120.0, t_max=0.5, r=0.05,
+                                  centers=np.array([99.0, 100.0, 101.0]),
+                                  halfwidths=np.array([5.0, 8.0, 11.0]))
+
+    def test_equals_all_slice_formula(self, bs3d_surface):
+        for surf in (bs3d_surface[0], self._inner_slices()):
+            st = surf.slice_times
+            times = [0.0, 0.5 * st[0], *st, *(0.5 * (st[1:] + st[:-1])),
+                     0.5 * (st[-1] + surf.t_max), surf.t_max]
+            ss = np.linspace(surf.s_min, surf.s_max, 57)
+            for t in times:
+                t = float(t)
+                assert np.array_equal(surf.eval_b2(t, ss), all_slice_b2(surf, t, ss))
+                for s in (float(ss[3]), np.asarray(ss[40])):
+                    assert surf.eval_b2(t, s) == all_slice_b2(surf, t, s)
+
+
 class TestBachelierShortcut:
     def test_constant_equals_quadratic_form(self, bachelier5_surface, bachelier5_model, bachelier5_portfolio):
         surf, _ = bachelier5_surface
@@ -142,7 +183,7 @@ class TestBachelierShortcut:
 
     def test_zero_vol_surface_uses_floor(self):
         surf = constant_surface(0.0, floor=0.5, rect=(0.0, 1.0), t_max=1.0, r=0.0)
-        assert surf.eval(0.3, 0.5)[1] == 0.5
+        assert surf.eval_b2(0.3, 0.5) == 0.5
 
 
 class TestRectangleAndFloor:
@@ -174,3 +215,21 @@ class TestSaveLoad:
         ss = np.linspace(surf.s_min, surf.s_max, 17)
         for t in (0.0, 0.21, 0.5):
             assert np.array_equal(back.eval_b2(t, ss), surf.eval_b2(t, ss))
+
+
+class TestPinnedBits:
+    # float.hex of the fit before the Laplace set-up was shared per point
+    COEFFS = [
+        ["0x1.5759feebcefe7p+10", "0x1.bf5c3c1eae9e1p+6", "0x1.5c9f279bc2020p+1", "0x1.462c5f7ff7671p-7"],
+        ["0x1.69cbbdce8e2b9p+10", "0x1.a3cddf8a5fbbap+8", "0x1.227eb0c6c8c80p+5", "0x1.dbf24d9bafaecp-2"],
+        ["0x1.6912147c46d0fp+10", "0x1.3c656db9dcf03p+9", "0x1.4ab6cdb48adafp+6", "0x1.a3373a637e377p+0"],
+        ["0x1.6b1a079d7dce9p+10", "0x1.44f81e8e10cfap+9", "0x1.5b2fd00054ff9p+6", "0x1.c65dc2cae90efp+0"],
+    ]
+    RESIDUAL_RMS = ["0x1.4f6c725069fb7p-16", "0x1.b78364fd14ac7p-9",
+                    "0x1.214e830dbfbabp-6", "0x1.3edde6c41f065p-6"]
+
+    def test_reduced_bs3d_fit(self, bs3d_model, bs3d_portfolio):
+        surf, _ = build_surface(bs3d_model, bs3d_portfolio, seed=derive_seed(3, "pilot"),
+                                n_slices=4, n_abscissae=8, pilot_steps=64)
+        assert surf.coeffs.tolist() == [[float.fromhex(h) for h in row] for row in self.COEFFS]
+        assert surf.residual_rms.tolist() == [float.fromhex(h) for h in self.RESIDUAL_RMS]
