@@ -75,16 +75,8 @@ class ExperimentConfig:
     nt_tiers: list = field(default_factory=lambda: [512, 1024, 2048, 4096])
     c_coupling: float = 16.0
     m_paths: int = 100_000
-    m_pilot: int = 100
-    pilot_steps: int = 512
-    surface_degree: int = 3
     surface_slices: int = 16
     surface_abscissae: int = 24
-    surface_floor: float | str = "auto"
-    expansion_coords: str = "auto"
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-    ci_level: float = 0.95
     seed: int = 1
     # outputs
     out_dir: str = ""
@@ -100,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError("model T must be positive")
         if not self.weights:
             raise ConfigError("portfolio weights are required")
+        if not isinstance(self.weights, str) and len(self.weights) != len(self.x0):
+            raise ConfigError(f"{len(self.weights)} weights for {len(self.x0)} assets")
         if not self.strikes:
             raise ConfigError("at least one strike is required")
         tiers = list(self.nt_tiers)
@@ -143,11 +137,18 @@ class ExperimentConfig:
             rng = np.random.Generator(np.random.Philox(key=derive_seed(int(kw["seed"]), "weights")))
             w = rng.uniform(0.5, 1.5, size=d)
             w *= total / w.sum()
+        else:
+            w = np.array(self.weights, dtype=float)
+        try:
             return Portfolio(w)
-        return Portfolio(np.array(self.weights, dtype=float))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def build_payoffs(self) -> list[PutPayoff]:
-        return [PutPayoff(float(k)) for k in self.strikes]
+        try:
+            return [PutPayoff(float(k)) for k in self.strikes]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def _build_sigma(self, d: int) -> np.ndarray:
         if isinstance(self.sigma, str):
@@ -206,18 +207,16 @@ _SECTIONS = {
     "model": ["kind", "r", "T", "x0", "vols", "correlation", "sigma"],
     "portfolio": ["weights"],
     "payoff": ["strikes"],
-    "numerics": ["nt_tiers", "c_coupling", "m_paths", "m_pilot", "pilot_steps",
-                 "surface_degree", "surface_slices", "surface_abscissae",
-                 "surface_floor", "expansion_coords", "newton_tol",
-                 "newton_max_iter", "ci_level", "seed"],
+    "numerics": ["nt_tiers", "c_coupling", "m_paths", "surface_slices",
+                 "surface_abscissae", "seed"],
     "outputs": ["out_dir", "export_value_grids", "appendix_check"],
 }
 
 _LIST_KEYS = {"x0", "vols", "correlation", "sigma", "weights", "strikes", "nt_tiers"}
-_INT_KEYS = {"m_paths", "m_pilot", "pilot_steps", "surface_degree", "surface_slices",
-             "surface_abscissae", "newton_max_iter", "seed"}
-_FLOAT_KEYS = {"r", "T", "c_coupling", "newton_tol", "ci_level"}
+_INT_KEYS = {"m_paths", "surface_slices", "surface_abscissae", "seed"}
+_FLOAT_KEYS = {"r", "T", "c_coupling"}
 _BOOL_KEYS = {"appendix_check", "export_value_grids"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -245,14 +244,16 @@ def _parse_value(key: str, raw: str):
         if raw.startswith("["):
             return _parse_list(raw)
         return raw  # generator expression or symbolic value
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
+    if key in _INT_KEYS or key in _FLOAT_KEYS:
+        cast = int if key in _INT_KEYS else float
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be {cast.__name__}, got {raw!r}") from exc
     if key in _BOOL_KEYS:
-        return raw.lower() in ("1", "true", "yes")
-    if key == "surface_floor":
-        return raw if raw == "auto" else float(raw)
+        if raw.lower() not in _BOOL_WORDS:
+            raise ConfigError(f"{key} = {raw!r} is not one of {', '.join(_BOOL_WORDS)}")
+        return _BOOL_WORDS[raw.lower()]
     return raw
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
 
 from . import __version__, hjb, mc, oracle, surface as surface_mod
 from .config import ExperimentConfig, config_hash, serialize_config
@@ -24,6 +23,10 @@ from .projection import projected_vol_sq
 from .rng import derive_seed
 
 log = logging.getLogger(__name__)
+
+# two-sided 95% normal quantile, norm.ppf(0.975) to the bit; kept as a literal
+# so a CLI run never imports scipy.stats
+BOUND_ORDERING_Z = 1.959963984540054
 
 RESULTS_COLUMNS = ["strike", "n_t", "m", "euro_mc", "se_euro", "a_minus", "se_minus",
                    "a_plus", "se_plus", "bias_minus", "bias_plus",
@@ -98,15 +101,10 @@ class _TierOutput:
 
 
 def build_surface_from_config(cfg: ExperimentConfig, model, p):
-    """The surface stage with every numerics knob taken from the config."""
+    """The surface stage with the config's seed and slice grid."""
     return surface_mod.build_surface(
         model, p, seed=derive_seed(cfg.seed, "pilot"),
-        n_slices=cfg.surface_slices, n_abscissae=cfg.surface_abscissae,
-        degree=cfg.surface_degree,
-        floor=None if cfg.surface_floor == "auto" else float(cfg.surface_floor),
-        coords=None if cfg.expansion_coords == "auto" else cfg.expansion_coords,
-        m_pilot=cfg.m_pilot, pilot_steps=cfg.pilot_steps,
-        newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter)
+        n_slices=cfg.surface_slices, n_abscissae=cfg.surface_abscissae)
 
 
 def _build_tier_tasks(surf, payoffs, grid, px0: float, export_dir: Path | None = None,
@@ -235,8 +233,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -
                 writer.writerow(row.as_list())
                 fh.flush()
 
-    z = norm.ppf(0.5 + 0.5 * cfg.ci_level)
-    ordering_ok = all(r.a_minus <= r.a_plus + z * (r.se_minus + r.se_plus) for r in rows)
+    ordering_ok = all(r.a_minus <= r.a_plus + BOUND_ORDERING_Z * (r.se_minus + r.se_plus)
+                      for r in rows)
     checks.append(CheckResult("bound-ordering", ordering_ok,
                               "A- <= A+ + z(se- + se+) on every row"))
     passed = all(c.passed for c in checks)
@@ -265,17 +263,20 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
     """
     if len(cfg.nt_tiers) < 3:
         raise StageError("convergence", ValueError("need at least 3 tiers"))
+    finest = 2 * max(cfg.nt_tiers)
+    if any(finest % n_t for n_t in cfg.nt_tiers):
+        raise StageError("convergence", ValueError(
+            f"every tier must divide the doubled top tier {finest}, got {cfg.nt_tiers}"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()
     p = cfg.build_portfolio()
     px0 = float(p.weights @ model.x0)
-    strike = min(cfg.strikes, key=lambda k: abs(k - px0))
-    g = PutPayoff(float(strike))
+    g = min(cfg.build_payoffs(), key=lambda g: abs(g.strike - px0))
 
     surf, _ = build_surface_from_config(cfg, model, p)
 
-    all_nt = list(cfg.nt_tiers) + [2 * max(cfg.nt_tiers)]
+    all_nt = list(cfg.nt_tiers) + [finest]
     tier_tasks = []
     for n_t in all_nt:
         grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
@@ -312,7 +313,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
 
     path = out / "convergence.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# basketproj convergence v1 strike={strike:g} m={cfg.m_paths} "
+        fh.write(f"# basketproj convergence v1 strike={g.strike:g} m={cfg.m_paths} "
                  f"config={config_hash(cfg)} seed={cfg.seed}\n")
         writer = csv.writer(fh)
         writer.writerow(CONVERGENCE_COLUMNS)
@@ -320,7 +321,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
             writer.writerow(row)
         for name, val in slopes.items():
             fh.write(f"# slope_{name} = {'undefined' if val is None else f'{val:.4f}'}\n")
-    return ConvergenceReport(strike=strike, tiers=list(cfg.nt_tiers), table=table, slopes=slopes)
+    return ConvergenceReport(strike=g.strike, tiers=list(cfg.nt_tiers), table=table, slopes=slopes)
 
 
 # -- validation suite ---------------------------------------------------------
@@ -385,16 +386,14 @@ def check_bachelier_surface() -> CheckResult:
                        f"max relative deviation from the analytic constant {worst:.2e}")
 
 
-def check_bachelier_bracket(floor_override: float | None = None,
-                            n_t: int = 1024, m: int = 16_000) -> CheckResult:
+def check_bachelier_bracket(n_t: int = 1024, m: int = 16_000) -> CheckResult:
     """Bachelier projection is exact, so the PDE value must sit inside the MC bracket."""
     from .presets import bachelier5d
 
     cfg = bachelier5d()
     model = cfg.build_model()
     p = cfg.build_portfolio()
-    surf, _ = surface_mod.build_surface(model, p, seed=derive_seed(cfg.seed, "pilot"),
-                                        floor=floor_override)
+    surf, _ = surface_mod.build_surface(model, p, seed=derive_seed(cfg.seed, "pilot"))
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
     g = PutPayoff(cfg.strikes[0])
     tasks, (value,) = _build_tier_tasks(surf, [g], grid, float(p.weights @ model.x0))

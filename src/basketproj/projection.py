@@ -132,15 +132,14 @@ def newton_start(li: LogIntegrands) -> np.ndarray:
 
 
 def laplace_point(model: ModelSpec, p: Portfolio, t: float, s: float,
-                  coords=None, tol: float = NEWTON_TOL,
-                  max_iter: int = NEWTON_MAX_ITER) -> LaplacePoint:
+                  coords=None) -> LaplacePoint:
     """Run both Newton maximizations and package the Laplace data.
 
     coords is as in LogIntegrands.
     """
     li = LogIntegrands(model, p, t, s, coords)
-    res_den = newton_maximize(li.ftilde_derivs, newton_start(li), tol=tol, max_iter=max_iter)
-    res_num = newton_maximize(li.f_derivs, res_den.z, tol=tol, max_iter=max_iter)
+    res_den = newton_maximize(li.ftilde_derivs, newton_start(li))
+    res_num = newton_maximize(li.f_derivs, res_den.z)
     return LaplacePoint(
         z_star=res_num.z,
         z_dagger=res_den.z,
@@ -153,8 +152,7 @@ def laplace_point(model: ModelSpec, p: Portfolio, t: float, s: float,
 
 
 def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float, s: float,
-                     coords=None, tol: float = NEWTON_TOL,
-                     max_iter: int = NEWTON_MAX_ITER) -> float:
+                     coords=None) -> float:
     """Projected squared volatility of the basket at (t, s).
 
     Bachelier: the exact constant P Sigma Sigma^T P^T.  Black-Scholes: the
@@ -163,5 +161,4 @@ def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float, s: float,
     if model.kind is ModelKind.BACHELIER:
         row = p.weights @ model.sigma
         return float(row @ row)
-    lp = laplace_point(model, p, t, s, coords=coords, tol=tol, max_iter=max_iter)
-    return lp.value
+    return laplace_point(model, p, t, s, coords=coords).value

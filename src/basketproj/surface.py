@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mc
 from .model import ModelKind, ModelSpec, Portfolio
-from .projection import NEWTON_MAX_ITER, NEWTON_TOL, NewtonError, projected_vol_sq
+from .projection import NewtonError, projected_vol_sq
 
 log = logging.getLogger(__name__)
 
@@ -231,33 +231,27 @@ def constant_surface(value: float, floor: float, rect: tuple[float, float],
 
 
 def build_surface(model: ModelSpec, p: Portfolio, seed: int = 0,
-                  n_slices: int = DEFAULT_SLICES, n_abscissae: int = DEFAULT_ABSCISSAE,
-                  degree: int = DEFAULT_DEGREE, floor: float | None = None,
-                  coords=None, m_pilot: int = PILOT_PATHS,
-                  pilot_steps: int = PILOT_STEPS,
-                  newton_tol: float = NEWTON_TOL,
-                  newton_max_iter: int = NEWTON_MAX_ITER) -> tuple[CoefficientSurface, Envelope]:
+                  n_slices: int = DEFAULT_SLICES,
+                  n_abscissae: int = DEFAULT_ABSCISSAE) -> tuple[CoefficientSurface, Envelope]:
     """Envelope estimation, Laplace evaluation and slice fitting in one call.
 
     For the Bachelier model the conditional expectation is a known constant and
     the fit is bypassed entirely.
     """
-    env = estimate_envelope(model, p, m_pilot=m_pilot, n_t=pilot_steps, seed=seed)
+    env = estimate_envelope(model, p, seed=seed)
     rect = rectangle_from_envelope(env, model)
-    if floor is None:
-        floor = default_floor(model, p)
+    floor = default_floor(model, p)
     if model.kind is ModelKind.BACHELIER:
         const = projected_vol_sq(model, p, model.T, float(p.weights @ model.x0))
         return constant_surface(const, floor, rect, model.T, model.r), env
-    idx = np.unique(np.round(np.linspace(1, pilot_steps, n_slices)).astype(int))
+    idx = np.unique(np.round(np.linspace(1, PILOT_STEPS, n_slices)).astype(int))
     evaluations = []
     n_failed = 0
     for i in idx:
         t = env.times[i]
         for s in np.linspace(env.s_lo[i], env.s_hi[i], n_abscissae):
             try:
-                v = projected_vol_sq(model, p, t, float(s), coords=coords,
-                                     tol=newton_tol, max_iter=newton_max_iter)
+                v = projected_vol_sq(model, p, t, float(s))
             except NewtonError as exc:
                 n_failed += 1
                 log.info("skipping Laplace point (t=%.4g, s=%.6g): %s", t, s, exc)
@@ -266,6 +260,6 @@ def build_surface(model: ModelSpec, p: Portfolio, seed: int = 0,
     if n_failed:
         log.warning("Laplace evaluation failed at %d of %d points", n_failed,
                     idx.size * n_abscissae)
-    surf = fit_surface(evaluations, degree=degree, floor=floor, rect=rect,
+    surf = fit_surface(evaluations, degree=DEFAULT_DEGREE, floor=floor, rect=rect,
                        t_max=model.T, r=model.r)
     return surf, env

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from basketproj import hjb
+import basketproj
+from basketproj import hjb, pipeline
 from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
-from basketproj.pipeline import (appendix_checks, build_surface_from_config,
-                                 check_bachelier_bracket, check_solver_1d, run_experiment)
+from basketproj.pipeline import (BOUND_ORDERING_Z, StageError, appendix_checks,
+                                 build_surface_from_config, check_bachelier_bracket,
+                                 check_solver_1d, convergence_study, run_experiment)
 from basketproj.presets import appendix2d, get_preset
 from basketproj.rng import CHUNK
 
@@ -25,7 +32,6 @@ strikes = [310]
 [numerics]
 nt_tiers = [32, 64, 128]
 m_paths = 2000
-pilot_steps = 64
 seed = 6
 """
 
@@ -46,7 +52,6 @@ strikes = [260]
 [numerics]
 nt_tiers = [16, 32, 64]
 m_paths = 50
-pilot_steps = 32
 seed = 1
 """
 
@@ -93,7 +98,6 @@ class TestRunCommand:
         cfg = get_preset("bs3d")
         cfg.nt_tiers = [16, 32]
         cfg.m_paths = 256
-        cfg.pilot_steps = 64
         cfg.surface_slices = 4
         cfg.surface_abscissae = 8
         cfg.strikes = [280.0, 300.0]
@@ -136,6 +140,21 @@ class TestRunCommand:
         path.write_text("[model]\nkind = heston\n", encoding="utf-8")
         assert main(["run", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("weights = [1, 1, 1]", "weights = [1, 1]", "2 weights for 3 assets"),
+        ("weights = [1, 1, 1]", "weights = [1, 0, 1]", "nonzero"),
+        ("strikes = [310]", "strikes = [0]", "strike must be positive"),
+        ("m_paths = 2000", "m_paths = 1e3", "m_paths"),
+        ("seed = 6", "seed = 6\n\n[outputs]\nappendix_check = on", "appendix_check"),
+    ], ids=["weights-length", "zero-weight", "strike", "non-numeric", "bool-word"])
+    def test_config_mistake_exit_code(self, tmp_path, capsys, old, new, named):
+        assert old in TINY_BACHELIER
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_BACHELIER.replace(old, new), encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+
     def test_no_config_exit_code(self):
         assert main(["run"]) == EXIT_CONFIG
 
@@ -152,7 +171,6 @@ class TestHighDimensionalPresets:
         cfg = get_preset(name)
         cfg.nt_tiers = [64]
         cfg.m_paths = 2000
-        cfg.pilot_steps = 64
         cfg.surface_slices = 8
         cfg.strikes = cfg.strikes[-2:]
         rep = run_experiment(cfg, tmp_path / name)
@@ -251,6 +269,18 @@ class TestConvergenceCommand:
         assert main(["convergence", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
         assert flavors == [hjb.Flavor.AMERICAN] * 4  # three tiers and the doubled top tier
 
+    def test_rejects_uncoupled_tiers_before_any_work(self, tmp_path, monkeypatch):
+        def no_surface(*args):
+            raise AssertionError("the surface was built before the tiers were checked")
+
+        monkeypatch.setattr(pipeline, "build_surface_from_config", no_surface)
+        cfg = get_preset("bachelier-exact")
+        cfg.nt_tiers = [6, 8, 10]  # 6 does not divide the doubled top tier 20
+        with pytest.raises(StageError) as exc:
+            convergence_study(cfg, tmp_path / "out")
+        assert exc.value.stage == "convergence"
+        assert not (tmp_path / "out").exists()
+
     def test_needs_three_tiers(self, tmp_path):
         rc = main(["convergence", "--preset", "appendix2d", "--out-dir", str(tmp_path)])
         assert rc == EXIT_INVARIANT
@@ -279,3 +309,18 @@ class TestSurfaceCommand:
         rc = main(["surface", "--preset", "appendix2d"])
         assert rc == EXIT_OK
         assert (tmp_path / "envout" / "surface.txt").exists()
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # every CLI run pays the import time and memory of whatever this graph pulls in
+        env = dict(os.environ, PYTHONPATH=str(Path(basketproj.__file__).parents[1]))
+        code = "import sys, basketproj.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+    def test_bound_ordering_z_is_the_normal_quantile(self):
+        from scipy.stats import norm
+
+        assert BOUND_ORDERING_Z.hex() == float(norm.ppf(0.975)).hex()

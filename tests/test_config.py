@@ -28,8 +28,6 @@ class TestParsing:
         cfg = parse_config(MINIMAL)
         assert cfg.nt_tiers == [512, 1024, 2048, 4096]
         assert cfg.m_paths == 100_000
-        assert cfg.surface_floor == "auto"
-        assert cfg.ci_level == 0.95
         assert cfg.seed == 1
 
     def test_roundtrip_identity(self):
