@@ -9,7 +9,7 @@ with Monte Carlo lower (hitting-time) and upper (dual-martingale) bounds.
 __version__ = "0.1.0"
 
 from .density import ExpansionCoords, LogIntegrands, chart
-from .hjb import ExerciseBoundary, Flavor, Grid, ValueGrid, exercise_boundary, make_grid, solve, value_at
+from .hjb import ExerciseBoundary, Grid, Sweep, exercise_boundary, make_grid, solve, value_at
 from .mc import BoundTask, PriceBounds, bias_estimate, simulate_bounds, step
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
 from .oracle import binned_conditional_vol, binomial_american_put_1d, quadrature_projected_vol
@@ -23,7 +23,7 @@ __all__ = [
     "ExpansionCoords", "LogIntegrands", "chart",
     "LaplacePoint", "NewtonError", "newton_maximize", "projected_vol_sq",
     "CoefficientSurface", "Envelope", "build_surface", "estimate_envelope", "fit_surface",
-    "Grid", "ValueGrid", "Flavor", "ExerciseBoundary",
+    "Grid", "Sweep", "ExerciseBoundary",
     "make_grid", "solve", "exercise_boundary", "value_at",
     "BoundTask", "PriceBounds", "simulate_bounds", "step", "bias_estimate",
     "quadrature_projected_vol", "binomial_american_put_1d", "binned_conditional_vol",

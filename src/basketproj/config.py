@@ -31,21 +31,35 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _parse_generator(text: str):
+def _generator_args(key: str, text: str, name: str, *required: str) -> dict:
+    """Numeric keyword arguments of the `name(k=v, ...)` value given for config key `key`.
+
+    Every generator draws from a seeded stream, so `seed` is required and integral.
+    """
     m = _GEN_RE.match(text)
     if not m:
-        return None
-    name, args = m.group(1), m.group(2)
+        raise ConfigError(f"cannot parse {key} {text!r}")
+    if m.group(1) != name:
+        raise ConfigError(f"unknown {key} generator {m.group(1)!r}")
     kwargs = {}
-    for part in args.split(","):
+    for part in m.group(2).split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ConfigError(f"generator argument {part!r} must be key=value")
-        k, v = part.split("=", 1)
-        kwargs[k.strip()] = float(v) if "." in v or "e" in v.lower() else int(v)
-    return name, kwargs
+            raise ConfigError(f"{key} generator {name}: argument {part!r} must be key=value")
+        k, v = (x.strip() for x in part.split("=", 1))
+        try:
+            kwargs[k] = float(v) if "." in v or "e" in v.lower() else int(v)
+        except ValueError as exc:
+            raise ConfigError(f"{key} generator {name}: {k} must be a number, got {v!r}") from exc
+    for k in ("seed",) + required:
+        if k not in kwargs:
+            raise ConfigError(f"{key} generator {name}: {k} is required")
+    seed = kwargs["seed"]
+    if not isinstance(seed, int):
+        raise ConfigError(f"{key} generator {name}: seed must be an integer, got {seed!r}")
+    return kwargs
 
 
 def _parse_list(text: str):
@@ -126,15 +140,10 @@ class ExperimentConfig:
 
     def build_portfolio(self) -> Portfolio:
         if isinstance(self.weights, str):
-            gen = _parse_generator(self.weights)
-            if gen is None:
-                raise ConfigError(f"cannot parse weights {self.weights!r}")
-            name, kw = gen
-            if name != "random":
-                raise ConfigError(f"unknown weights generator {name!r}")
+            kw = _generator_args("weights", self.weights, "random")
             d = len(self.x0)
             total = float(kw.get("total", d))
-            rng = np.random.Generator(np.random.Philox(key=derive_seed(int(kw["seed"]), "weights")))
+            rng = np.random.Generator(np.random.Philox(key=derive_seed(kw["seed"], "weights")))
             w = rng.uniform(0.5, 1.5, size=d)
             w *= total / w.sum()
         else:
@@ -152,13 +161,8 @@ class ExperimentConfig:
 
     def _build_sigma(self, d: int) -> np.ndarray:
         if isinstance(self.sigma, str):
-            gen = _parse_generator(self.sigma)
-            if gen is None:
-                raise ConfigError(f"cannot parse sigma {self.sigma!r}")
-            name, kw = gen
-            if name != "upper_random":
-                raise ConfigError(f"unknown sigma generator {name!r}")
-            rng = np.random.Generator(np.random.Philox(key=derive_seed(int(kw["seed"]), "sigma")))
+            kw = _generator_args("sigma", self.sigma, "upper_random", "diag")
+            rng = np.random.Generator(np.random.Philox(key=derive_seed(kw["seed"], "sigma")))
             sig = np.diag(np.full(d, float(kw["diag"])))
             iu = np.triu_indices(d, 1)
             sig[iu] = rng.standard_normal(iu[0].size)
@@ -170,13 +174,8 @@ class ExperimentConfig:
 
     def _build_correlation(self, d: int) -> np.ndarray:
         if isinstance(self.correlation, str):
-            gen = _parse_generator(self.correlation)
-            if gen is None:
-                raise ConfigError(f"cannot parse correlation {self.correlation!r}")
-            name, kw = gen
-            if name != "random":
-                raise ConfigError(f"unknown correlation generator {name!r}")
-            return random_correlation(d, int(kw["seed"]), float(kw.get("base", 0.2)))
+            kw = _generator_args("correlation", self.correlation, "random")
+            return random_correlation(d, kw["seed"], float(kw.get("base", 0.2)))
         corr = np.array(self.correlation, dtype=float)
         if corr.shape != (d, d):
             raise ConfigError(f"correlation shape {corr.shape} for {d} assets")

@@ -1,16 +1,17 @@
 """Backward solve of the projected obstacle (American) and linear (European) PDEs.
 
 Projected backward Euler: each time level solves one implicit tridiagonal
-system, then the American flavor projects onto the obstacle.  Dirichlet rows
-carry the payoff at both ends of the rectangle.  The exercise boundary and the
-finite-difference delta extracted here drive the Monte Carlo bounds.
+system, then the American flavor projects onto the obstacle.  The system does
+not depend on the payoff, so one sweep serves every strike and both flavors.
+Dirichlet rows carry the payoff at both ends of the rectangle.  The exercise
+boundary and the finite-difference delta extracted here drive the Monte Carlo
+bounds.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -22,11 +23,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_COUPLING = 16.0  # N_s = round(sqrt(c * N_t))
 REGION_TOL = 1e-9
-
-
-class Flavor(Enum):
-    AMERICAN = "american"
-    EUROPEAN = "european"
+# time levels per boundary/delta extraction: few enough calls that their
+# overhead vanishes, few enough rows that their temporaries stay small
+BLOCK_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -65,26 +64,38 @@ def make_grid(s_min: float, s_max: float, t_max: float, n_t: int,
 
 
 @dataclass(frozen=True)
-class ValueGrid:
-    """Discrete value function on the grid, terminal condition g, Dirichlet rows g."""
+class Sweep:
+    """What one backward sweep over K strikes keeps.
+
+    american and european hold every strike's value grid, (K, n_t + 1, n_s),
+    when the sweep was asked for values; otherwise only its t = 0 rows,
+    (K, 1, n_s).
+    """
 
     grid: Grid
-    values: np.ndarray  # (n_t + 1, n_s)
-    flavor: Flavor
-    payoff: PutPayoff
+    levels: np.ndarray    # (K, n_t + 1) American exercise frontier, -inf where the region is empty
+    delta: np.ndarray     # (K, n_t + 1, n_s) American finite-difference delta
+    american: np.ndarray
+    european: np.ndarray
 
 
 @dataclass(frozen=True)
 class ExerciseBoundary:
-    """Largest in-region node per time step; level -inf where the region is empty."""
+    """Largest in-region node per strike and time level; -inf where the region is empty."""
 
-    t_grid: np.ndarray
-    indices: np.ndarray  # int, -1 when absent
-    levels: np.ndarray   # s-coordinate, -inf when absent
+    levels: np.ndarray  # (K, L)
 
 
-def solve(surf: CoefficientSurface, payoff: PutPayoff, grid: Grid, flavor: Flavor) -> ValueGrid:
-    """Backward Euler with implicit tridiagonal steps; obstacle applied by projection."""
+def solve(surf: CoefficientSurface, payoffs: list[PutPayoff], grid: Grid,
+          values: bool = False) -> Sweep:
+    """Backward Euler for every payoff and both flavors; obstacle applied by projection.
+
+    b2 does not depend on the payoff, so each time level builds one implicit
+    tridiagonal matrix and solves the American and European column of every
+    strike in one call.  The American rows are staged in the delta array and
+    turned into boundary levels and delta rows a block of levels at a time;
+    the value grids are kept only with values.
+    """
     s = grid.s_nodes
     if s[0] < surf.s_min - 1e-9 * max(1.0, abs(surf.s_min)) or \
        s[-1] > surf.s_max + 1e-9 * max(1.0, abs(surf.s_max)):
@@ -93,10 +104,15 @@ def solve(surf: CoefficientSurface, payoff: PutPayoff, grid: Grid, flavor: Flavo
         raise ValueError("surface horizon shorter than the grid")
     r = surf.r
     ds = grid.ds
-    g = payoff(s)
-    u = g.copy()
-    values = np.empty((grid.n_t + 1, grid.n_s))
-    values[grid.n_t] = u
+    k = len(payoffs)
+    strikes = np.array([p.strike for p in payoffs])
+    g = np.array([p(s) for p in payoffs])
+    u = np.concatenate((g, g))  # rows: American per strike, then European per strike
+    delta = np.empty((k, grid.n_t + 1, grid.n_s))  # the American rows until the blocks below
+    delta[:, grid.n_t] = g
+    full = np.empty((2 * k, grid.n_t + 1, grid.n_s)) if values else None
+    if values:
+        full[:, grid.n_t] = u
     interior = s[1:-1]
     ab = np.zeros((3, grid.n_s - 2))
     warned = False
@@ -112,84 +128,76 @@ def solve(surf: CoefficientSurface, payoff: PutPayoff, grid: Grid, flavor: Flavo
             log.warning("tridiagonal system not diagonally dominant at t=%.6g "
                         "(coarse space step relative to the drift)", grid.t_grid[n])
             warned = True
-        rhs = u[1:-1].copy()
-        rhs[0] -= sub[0] * g[0]
-        rhs[-1] -= sup[-1] * g[-1]
+        rhs = u[:, 1:-1].copy()
+        rhs[:, 0] -= sub[0] * u[:, 0]
+        rhs[:, -1] -= sup[-1] * u[:, -1]
         ab[0, 1:] = sup[:-1]
         ab[1] = dia
         ab[2, :-1] = sub[1:]
-        inner = solve_banded((1, 1), ab, rhs)
+        inner = solve_banded((1, 1), ab, rhs.T, overwrite_b=True)
         if not np.all(np.isfinite(inner)):
             raise RuntimeError(f"backward solve produced non-finite values at t={grid.t_grid[n]}")
-        u = np.concatenate(([g[0]], inner, [g[-1]]))
-        if flavor is Flavor.AMERICAN:
-            np.maximum(u, g, out=u)
-        values[n] = u
-    values.setflags(write=False)
-    return ValueGrid(grid=grid, values=values, flavor=flavor, payoff=payoff)
+        u[:, 1:-1] = inner.T
+        np.maximum(u[:k], g, out=u[:k])
+        delta[:, n] = u[:k]
+        if values:
+            full[:, n] = u
+    levels = np.empty((k, grid.n_t + 1))
+    for lo in range(0, grid.n_t + 1, BLOCK_LEVELS):
+        block = delta[:, lo:lo + BLOCK_LEVELS]
+        levels[:, lo:lo + BLOCK_LEVELS] = exercise_boundary(block, g, strikes, s).levels
+        block[...] = delta_array(block, s)
+    rows = full if values else u[:, None, :]
+    for out in (levels, delta, rows):
+        out.setflags(write=False)
+    return Sweep(grid=grid, levels=levels, delta=delta, american=rows[:k], european=rows[k:])
 
 
-def exercise_boundary(vg: ValueGrid) -> ExerciseBoundary:
-    """Discrete exercise region and its per-time upper frontier.
+def exercise_boundary(u: np.ndarray, g: np.ndarray, strikes: np.ndarray,
+                      s_nodes: np.ndarray) -> ExerciseBoundary:
+    """Discrete exercise region and its upper frontier at L time levels.
 
-    Region membership is tested on interior nodes strictly below the strike;
-    the Dirichlet rows satisfy u = g by construction and carry no information.
+    u is (K, L, n_s), the American values of K strikes at L levels, and g the
+    (K, n_s) payoffs.  Region membership is tested on interior nodes strictly
+    below the strike; the Dirichlet rows satisfy u = g by construction and
+    carry no information.
     """
-    if vg.flavor is not Flavor.AMERICAN:
-        raise ValueError("exercise boundary requires the American flavor")
-    s = vg.grid.s_nodes
-    g = vg.payoff(s)
-    below = (s < vg.payoff.strike)
-    below[0] = below[-1] = False
+    below = s_nodes < strikes[:, None]
+    below[:, [0, -1]] = False
     tol = REGION_TOL * np.maximum(1.0, np.abs(g))
-    member = (vg.values - g <= tol) & below
-    n_levels = vg.values.shape[0]
-    indices = np.full(n_levels, -1, dtype=int)
-    levels = np.full(n_levels, -np.inf)
-    for n in range(n_levels):
-        hits = np.nonzero(member[n])[0]
-        if hits.size:
-            indices[n] = hits[-1]
-            levels[n] = s[hits[-1]]
-    return ExerciseBoundary(t_grid=vg.grid.t_grid, indices=indices, levels=levels)
+    member = (u - g[:, None] <= tol[:, None]) & below[:, None]
+    last = s_nodes.size - 1 - np.argmax(member[..., ::-1], axis=-1)
+    return ExerciseBoundary(levels=np.where(member.any(axis=-1), s_nodes[last], -np.inf))
 
 
-def delta_array(vg: ValueGrid) -> np.ndarray:
-    """Finite-difference delta on every node: central inside, one-sided at the edges."""
-    return np.gradient(vg.values, vg.grid.s_nodes, axis=1)
+def delta_array(values: np.ndarray, s_nodes: np.ndarray) -> np.ndarray:
+    """Finite-difference delta along s: central inside, one-sided at the edges."""
+    return np.gradient(values, s_nodes, axis=-1)
 
 
-def value_at(vg: ValueGrid, t: float, s: float) -> float:
-    """Value at (t, s); t must lie on the shared time grid, s interpolates linearly."""
-    n = _time_index(vg.grid, t)
-    nodes = vg.grid.s_nodes
+def value_at(sol: Sweep, s: float) -> tuple[list[float], list[float]]:
+    """American and European value of every strike at (0, s), linear in s."""
+    nodes = sol.grid.s_nodes
     if s < nodes[0] or s > nodes[-1]:
         log.warning("value_at query s=%.6g outside [%.6g, %.6g]; clamped to the boundary row",
                     s, nodes[0], nodes[-1])
-    return float(np.interp(s, nodes, vg.values[n]))
+    return ([float(np.interp(s, nodes, row)) for row in sol.american[:, 0]],
+            [float(np.interp(s, nodes, row)) for row in sol.european[:, 0]])
 
 
-def _time_index(grid: Grid, t: float) -> int:
-    dt = grid.t_grid[1] - grid.t_grid[0]
-    n = int(round(t / dt))
-    if n < 0 or n > grid.n_t or abs(grid.t_grid[n] - t) > 1e-9 * max(1.0, grid.t_grid[-1]):
-        raise ValueError(f"t={t} is not on the shared time grid")
-    return n
-
-
-def export_values(vg: ValueGrid, path) -> None:
-    """Plain-text table of the value function for plotting: t, s, value triples."""
+def export_values(grid: Grid, values: np.ndarray, path) -> None:
+    """Plain-text table of one (n_t + 1, n_s) value grid for plotting: t, s, value triples."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# t s value\n")
-        for n, t in enumerate(vg.grid.t_grid):
-            for m, s in enumerate(vg.grid.s_nodes):
-                fh.write(f"{float(t)!r} {float(s)!r} {float(vg.values[n, m])!r}\n")
+        for n, t in enumerate(grid.t_grid):
+            for m, s in enumerate(grid.s_nodes):
+                fh.write(f"{float(t)!r} {float(s)!r} {float(values[n, m])!r}\n")
 
 
-def export_boundary(b: ExerciseBoundary, path) -> None:
-    """Plain-text table of the exercise frontier: t, level (empty region rows omitted)."""
+def export_boundary(t_grid: np.ndarray, levels: np.ndarray, path) -> None:
+    """Plain-text table of one exercise frontier: t, level (empty region rows omitted)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# t boundary_level\n")
-        for t, lvl in zip(b.t_grid, b.levels):
+        for t, lvl in zip(t_grid, levels):
             if np.isfinite(lvl):
                 fh.write(f"{float(t)!r} {float(lvl)!r}\n")

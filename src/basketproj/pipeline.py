@@ -1,8 +1,9 @@
 """Experiment pipeline: project, solve, simulate, report.
 
-Wires the stages together for the CLI: envelope -> Laplace surface -> HJB
-American/European solves -> boundary and delta extraction -> Monte Carlo
-bounds per strike per time-step tier, with machine-readable CSV output.
+Wires the stages together for the CLI: envelope -> Laplace surface -> one HJB
+sweep per time-step tier (every strike, American and European, with the
+boundary and delta extracted as it goes) -> Monte Carlo bounds per strike per
+tier, with machine-readable CSV output.
 """
 
 from __future__ import annotations
@@ -107,41 +108,33 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
         n_slices=cfg.surface_slices, n_abscissae=cfg.surface_abscissae)
 
 
-def _build_tier_tasks(surf, payoffs, grid, px0: float, export_dir: Path | None = None,
-                      export_values: bool = False):
-    """Solve each strike's American problem once on this tier's grid.
-
-    Returns the bound tasks and the American values at (0, px0).  Each value
-    grid lives only while its strike is processed; when export_dir is given,
-    the American boundary (and, with export_values, the value grid) is written
-    from it there.
-    """
-    tasks = []
-    hjb_a = []
-    for g in payoffs:
-        vg_a = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-        bnd = hjb.exercise_boundary(vg_a)
-        if export_dir is not None:
-            hjb.export_boundary(bnd, export_dir / f"boundary_K{g.strike:g}.txt")
-            if export_values:
-                hjb.export_values(vg_a, export_dir / f"values_K{g.strike:g}.txt")
-        tasks.append(mc.BoundTask(payoff=g, boundary_levels=bnd.levels,
-                                  delta_rows=hjb.delta_array(vg_a),
-                                  s_nodes=grid.s_nodes))
-        hjb_a.append(hjb.value_at(vg_a, 0.0, px0))
-    return tasks, hjb_a
+def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
+    """Each strike's bound task: its American boundary and delta from the tier's sweep."""
+    return [mc.BoundTask(payoff=g, boundary_levels=sol.levels[k], delta_rows=sol.delta[k],
+                         s_nodes=sol.grid.s_nodes)
+            for k, g in enumerate(payoffs)]
 
 
 def _run_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig,
               export_dir: Path | None, threads: int | None) -> _TierOutput:
+    """One sweep for every strike and flavor, then the bounds.
+
+    When export_dir is given, each strike's American boundary (and, with
+    export_value_grids, its value grid) is written there from the sweep.
+    """
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-    px0 = float(p.weights @ model.x0)
-    tasks, hjb_a = _build_tier_tasks(surf, payoffs, grid, px0, export_dir,
-                                     cfg.export_value_grids)
-    hjb_e = [hjb.value_at(hjb.solve(surf, g, grid, hjb.Flavor.EUROPEAN), 0.0, px0)
-             for g in payoffs]
+    export_values = export_dir is not None and cfg.export_value_grids
+    sol = hjb.solve(surf, payoffs, grid, values=export_values)
+    if export_dir is not None:
+        for k, g in enumerate(payoffs):
+            hjb.export_boundary(grid.t_grid, sol.levels[k],
+                                export_dir / f"boundary_K{g.strike:g}.txt")
+            if export_values:
+                hjb.export_values(grid, sol.american[k], export_dir / f"values_K{g.strike:g}.txt")
+    hjb_a, hjb_e = hjb.value_at(sol, float(p.weights @ model.x0))
     seed = derive_seed(cfg.seed, "bounds", n_t)
-    results = mc.simulate_bounds(model, p, tasks, n_t, cfg.m_paths, seed, threads=threads)
+    results = mc.simulate_bounds(model, p, _bound_tasks(sol, payoffs), n_t, cfg.m_paths, seed,
+                                 threads=threads)
     return _TierOutput(n_t=n_t, results=results, hjb_american=hjb_a, hjb_european=hjb_e)
 
 
@@ -280,8 +273,8 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
     tier_tasks = []
     for n_t in all_nt:
         grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-        tasks, _ = _build_tier_tasks(surf, [g], grid, px0)
-        tier_tasks.append(mc.TierTask(n_t=n_t, tasks=tasks))
+        sol = hjb.solve(surf, [g], grid)
+        tier_tasks.append(mc.TierTask(n_t=n_t, tasks=_bound_tasks(sol, [g])))
     seed = derive_seed(cfg.seed, "convergence", max(all_nt))
     per_tier = mc.simulate_tiers_coupled(model, p, tier_tasks, cfg.m_paths, seed,
                                          threads=threads)
@@ -346,19 +339,16 @@ def validation_checks(fast: bool = True) -> list[CheckResult]:
     return checks
 
 
-def check_solver_1d(floor_override: float | None = None) -> CheckResult:
+def check_solver_1d() -> CheckResult:
     from math import erf, exp, log as mlog, sqrt
 
     strike = spot = 100.0
     vol, r, t_mat = 0.2, 0.05, 0.5
     surf = surface_mod.CoefficientSurface(
         slice_times=np.array([0.0]), coeffs=np.array([[0.0, 0.0, vol**2, 0.0]]),
-        floor=1e-6 if floor_override is None else floor_override,
-        s_min=0.0, s_max=320.0, t_max=t_mat, r=r)
+        floor=1e-6, s_min=0.0, s_max=320.0, t_max=t_mat, r=r)
     grid = hjb.make_grid(0.0, 320.0, t_mat, 4096, n_s=257)
-    pay = PutPayoff(strike)
-    pe = hjb.value_at(hjb.solve(surf, pay, grid, hjb.Flavor.EUROPEAN), 0.0, spot)
-    pa = hjb.value_at(hjb.solve(surf, pay, grid, hjb.Flavor.AMERICAN), 0.0, spot)
+    (pa,), (pe,) = hjb.value_at(hjb.solve(surf, [PutPayoff(strike)], grid), spot)
     ncdf = lambda x: 0.5 * (1.0 + erf(x / sqrt(2.0)))
     d1 = (mlog(spot / strike) + (r + 0.5 * vol**2) * t_mat) / (vol * sqrt(t_mat))
     d2 = d1 - vol * sqrt(t_mat)
@@ -396,8 +386,9 @@ def check_bachelier_bracket(n_t: int = 1024, m: int = 16_000) -> CheckResult:
     surf, _ = surface_mod.build_surface(model, p, seed=derive_seed(cfg.seed, "pilot"))
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
     g = PutPayoff(cfg.strikes[0])
-    tasks, (value,) = _build_tier_tasks(surf, [g], grid, float(p.weights @ model.x0))
-    res = mc.simulate_bounds(model, p, tasks, n_t, m,
+    sol = hjb.solve(surf, [g], grid)
+    (value,), _ = hjb.value_at(sol, float(p.weights @ model.x0))
+    res = mc.simulate_bounds(model, p, _bound_tasks(sol, [g]), n_t, m,
                              derive_seed(cfg.seed, "validate", n_t))[0]
     b = res.bounds
     mid = b.midpoint
@@ -417,10 +408,9 @@ def check_dominance() -> CheckResult:
     surf, _ = surface_mod.build_surface(model, p, seed=derive_seed(cfg.seed, "pilot"))
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, 512, c=cfg.c_coupling)
     g = PutPayoff(300.0)
-    vg_a = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-    vg_e = hjb.solve(surf, g, grid, hjb.Flavor.EUROPEAN)
-    obstacle = float(np.min(vg_a.values - g(grid.s_nodes)))
-    dominance = float(np.min(vg_a.values - vg_e.values))
+    sol = hjb.solve(surf, [g], grid, values=True)
+    obstacle = float(np.min(sol.american - g(grid.s_nodes)))
+    dominance = float(np.min(sol.american - sol.european))
     ok = obstacle >= -1e-12 and dominance >= -1e-10
     return CheckResult("hjb-dominance", ok,
                        f"min(u_A - g) = {obstacle:.2e}, min(u_A - u_E) = {dominance:.2e}")

@@ -57,10 +57,10 @@ def flat_task(payoff, n_t: int, level: float = -np.inf) -> BoundTask:
                      delta_rows=np.zeros((n_t + 1, 2)), s_nodes=np.array([0.0, 1.0]))
 
 
-def solved_task(vg: hjb.ValueGrid) -> BoundTask:
-    """The pipeline's task for a solved American grid: its boundary and its delta."""
-    return BoundTask(payoff=vg.payoff, boundary_levels=hjb.exercise_boundary(vg).levels,
-                     delta_rows=hjb.delta_array(vg), s_nodes=vg.grid.s_nodes)
+def solved_tasks(sol: hjb.Sweep, payoffs) -> list[BoundTask]:
+    """The pipeline's tasks for one tier's sweep: each strike's boundary and delta."""
+    return [BoundTask(payoff=g, boundary_levels=sol.levels[k], delta_rows=sol.delta[k],
+                      s_nodes=sol.grid.s_nodes) for k, g in enumerate(payoffs)]
 
 
 def euler_states(model, seed: int, m: int, t_grid: np.ndarray):

@@ -104,9 +104,7 @@ def test_criterion_4_solver_fidelity():
                               coeffs=np.array([[0.0, 0.0, vol**2, 0.0]]),
                               floor=1e-6, s_min=0.0, s_max=320.0, t_max=t_mat, r=r)
     grid = hjb.make_grid(0.0, 320.0, t_mat, 4096, n_s=257)
-    g = PutPayoff(strike)
-    price_e = hjb.value_at(hjb.solve(surf, g, grid, hjb.Flavor.EUROPEAN), 0.0, 100.0)
-    price_a = hjb.value_at(hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN), 0.0, 100.0)
+    (price_a,), (price_e,) = hjb.value_at(hjb.solve(surf, [PutPayoff(strike)], grid), 100.0)
     ncdf = lambda x: 0.5 * (1.0 + erf(x / sqrt(2.0)))
     d1 = (log(1.0) + (r + 0.5 * vol**2) * t_mat) / (vol * sqrt(t_mat))
     d2 = d1 - vol * sqrt(t_mat)
@@ -157,10 +155,10 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     surf, _ = bs3d_surface
     grid = hjb.make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
     g3 = PutPayoff(300.0)
-    vg = hjb.solve(surf, g3, grid, hjb.Flavor.AMERICAN)
-    obstacle = float(np.min(vg.values - g3(grid.s_nodes)))
-    dirichlet = (np.all(vg.values[:, 0] == g3(grid.s_nodes[0]))
-                 and np.all(vg.values[:, -1] == g3(grid.s_nodes[-1])))
+    values = hjb.solve(surf, [g3], grid, values=True).american[0]
+    obstacle = float(np.min(values - g3(grid.s_nodes)))
+    dirichlet = (np.all(values[:, 0] == g3(grid.s_nodes[0]))
+                 and np.all(values[:, -1] == g3(grid.s_nodes[-1])))
     details.append(f"obstacle min={obstacle:.1e}")
     assert obstacle >= -1e-12 and dirichlet
 
@@ -169,9 +167,9 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     bsurf, _ = bachelier5_surface
     bgrid = hjb.make_grid(bsurf.s_min, bsurf.s_max, m.T, 512, c=16)
     gb = PutPayoff(500.0)
-    vgb = hjb.solve(bsurf, gb, bgrid, hjb.Flavor.AMERICAN)
-    task = BoundTask(payoff=gb, boundary_levels=hjb.exercise_boundary(vgb).levels,
-                     delta_rows=hjb.delta_array(vgb), s_nodes=bgrid.s_nodes)
+    sol = hjb.solve(bsurf, [gb], bgrid)
+    task = BoundTask(payoff=gb, boundary_levels=sol.levels[0], delta_rows=sol.delta[0],
+                     s_nodes=bgrid.s_nodes)
     res = simulate_bounds(m, p, [task], 512, 16_000, seed=derive_seed(2, "acc6"))[0]
     b = res.bounds
     z = norm.ppf(0.975)

@@ -94,7 +94,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_exports_come_from_top_tier(self, tmp_path, threads):
-        # every plotting file must equal a fresh American solve on the top tier's grid
+        # every plotting file must equal a fresh sweep's American rows on the top tier's grid
         cfg = get_preset("bs3d")
         cfg.nt_tiers = [16, 32]
         cfg.m_paths = 256
@@ -108,16 +108,17 @@ class TestRunCommand:
         surf, _ = build_surface_from_config(cfg, model, p)
         names = set()
         differs_from_lower_tier = False
-        for g in cfg.build_payoffs():
-            for n_t in cfg.nt_tiers:
-                grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-                vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-                ref = tmp_path / f"ref{n_t}"
-                ref.mkdir(exist_ok=True)
-                for name, export, obj in (("boundary", hjb.export_boundary, hjb.exercise_boundary(vg)),
-                                          ("values", hjb.export_values, vg)):
-                    fname = f"{name}_K{g.strike:g}.txt"
-                    export(obj, ref / fname)
+        payoffs = cfg.build_payoffs()
+        for n_t in cfg.nt_tiers:
+            grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
+            sol = hjb.solve(surf, payoffs, grid, values=True)
+            ref = tmp_path / f"ref{n_t}"
+            ref.mkdir(exist_ok=True)
+            for k, g in enumerate(payoffs):
+                boundary, values = f"boundary_K{g.strike:g}.txt", f"values_K{g.strike:g}.txt"
+                hjb.export_boundary(grid.t_grid, sol.levels[k], ref / boundary)
+                hjb.export_values(grid, sol.american[k], ref / values)
+                for fname in (boundary, values):
                     if n_t == max(cfg.nt_tiers):
                         names.add(fname)
                         assert (out / fname).read_bytes() == (ref / fname).read_bytes(), fname
@@ -146,7 +147,15 @@ class TestRunCommand:
         ("strikes = [310]", "strikes = [0]", "strike must be positive"),
         ("m_paths = 2000", "m_paths = 1e3", "m_paths"),
         ("seed = 6", "seed = 6\n\n[outputs]\nappendix_check = on", "appendix_check"),
-    ], ids=["weights-length", "zero-weight", "strike", "non-numeric", "bool-word"])
+        ("weights = [1, 1, 1]", "weights = random(seed=x)", "weights generator random: seed"),
+        ("weights = [1, 1, 1]", "weights = random(total=2)", "weights generator random: seed"),
+        ("sigma = [[20, 1, 0], [0, 20, 2], [0, 0, 20]]", "sigma = upper_random(diag=20)",
+         "sigma generator upper_random: seed"),
+        ("weights = [1, 1, 1]", "weights = random(seed=1.5)",
+         "weights generator random: seed must be an integer"),
+    ], ids=["weights-length", "zero-weight", "strike", "non-numeric", "bool-word",
+            "generator-not-a-number", "generator-without-seed", "sigma-generator-without-seed",
+            "generator-fractional-seed"])
     def test_config_mistake_exit_code(self, tmp_path, capsys, old, new, named):
         assert old in TINY_BACHELIER
         path = tmp_path / "bad.cfg"
@@ -196,12 +205,15 @@ class TestValidatePieces:
         checks = appendix_checks(cfg.build_model(), cfg.build_portfolio())
         assert all(c.passed for c in checks)
 
-    def test_corrupted_floor_reported(self):
+    def test_corrupted_floor_reported(self, monkeypatch):
         # fault injection: an absurd volatility floor must break the solver
         # fidelity check (reported as a failure, not raised)
         good = check_solver_1d()
         assert good.passed
-        bad = check_solver_1d(floor_override=1e6)
+        surface_cls = pipeline.surface_mod.CoefficientSurface
+        monkeypatch.setattr(pipeline.surface_mod, "CoefficientSurface",
+                            lambda **kw: surface_cls(**{**kw, "floor": 1e6}))
+        bad = check_solver_1d()
         assert not bad.passed
         assert "rel err" in bad.detail
 
@@ -252,22 +264,21 @@ class TestConvergenceCommand:
         assert rc == EXIT_OK
         assert seen == [2]
 
-    def test_solves_only_the_american_flavor(self, tmp_path, monkeypatch):
-        # the study reads no European value, so it must not pay for one
-        from basketproj import pipeline
-
-        flavors = []
+    def test_one_sweep_per_tier(self, tmp_path, monkeypatch):
+        # one backward sweep per tier, none of them keeping a full value grid
+        sweeps = []
         solve = hjb.solve
 
-        def spy(surf, payoff, grid, flavor):
-            flavors.append(flavor)
-            return solve(surf, payoff, grid, flavor)
+        def spy(surf, payoffs, grid, values=False):
+            sweeps.append((grid.n_t, len(payoffs), values))
+            return solve(surf, payoffs, grid, values)
 
         monkeypatch.setattr(pipeline.hjb, "solve", spy)
         path = tmp_path / "det.cfg"
         path.write_text(DETERMINISTIC, encoding="utf-8")
         assert main(["convergence", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
-        assert flavors == [hjb.Flavor.AMERICAN] * 4  # three tiers and the doubled top tier
+        # three tiers and the doubled top tier
+        assert sweeps == [(16, 1, False), (32, 1, False), (64, 1, False), (128, 1, False)]
 
     def test_rejects_uncoupled_tiers_before_any_work(self, tmp_path, monkeypatch):
         def no_surface(*args):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from basketproj import hjb
-from basketproj.hjb import Flavor, exercise_boundary, make_grid, solve, value_at
+from basketproj.hjb import exercise_boundary, make_grid, solve, value_at
 from basketproj.model import PutPayoff
 from basketproj.surface import CoefficientSurface
+
+BS3D_STRIKES = (240.0, 260.0, 280.0, 300.0, 320.0, 340.0)
 
 
 def gbm_surface(vol=0.2, r=0.05, s_max=320.0, t_max=0.5, floor=1e-6):
@@ -23,53 +25,72 @@ def bs_put(spot, strike, r, vol, t):
     return strike * exp(-r * t) * ncdf(-d2) - spot * ncdf(-d1)
 
 
+def t0_sweep(grid, american, european):
+    """A sweep holding only the given (K, n_s) t = 0 rows."""
+    k = american.shape[0]
+    return hjb.Sweep(grid=grid, levels=np.full((k, grid.n_t + 1), -np.inf),
+                     delta=np.zeros((k, grid.n_t + 1, grid.n_s)),
+                     american=american[:, None, :], european=european[:, None, :])
+
+
+def reference_levels(values, g, strike, s):
+    """Per-level loop over one strike's (n_t + 1, n_s) American grid."""
+    below = s < strike
+    below[0] = below[-1] = False
+    member = (values - g <= hjb.REGION_TOL * np.maximum(1.0, np.abs(g))) & below
+    levels = np.full(values.shape[0], -np.inf)
+    for n in range(values.shape[0]):
+        hits = np.nonzero(member[n])[0]
+        if hits.size:
+            levels[n] = s[hits[-1]]
+    return levels
+
+
 class TestSolve:
     def test_degenerate_limit_equals_payoff(self):
         surf = CoefficientSurface(slice_times=np.array([0.0]), coeffs=np.array([[0.0]]),
                                   floor=1e-12, s_min=0.0, s_max=200.0, t_max=1.0, r=0.0)
         grid = make_grid(0.0, 200.0, 1.0, 64, n_s=101)
         g = PutPayoff(100.0)
-        for flavor in (Flavor.AMERICAN, Flavor.EUROPEAN):
-            vg = solve(surf, g, grid, flavor)
-            assert np.max(np.abs(vg.values - g(grid.s_nodes))) < 1e-7
+        sol = solve(surf, [g], grid, values=True)
+        for values in (sol.american, sol.european):
+            assert np.max(np.abs(values - g(grid.s_nodes))) < 1e-7
 
     def test_european_against_closed_form(self):
         grid = make_grid(0.0, 320.0, 0.5, 1024, n_s=257)
-        vg = solve(gbm_surface(), PutPayoff(100.0), grid, Flavor.EUROPEAN)
+        _, (euro,) = value_at(solve(gbm_surface(), [PutPayoff(100.0)], grid), 100.0)
         ref = bs_put(100.0, 100.0, 0.05, 0.2, 0.5)
-        assert value_at(vg, 0.0, 100.0) == pytest.approx(ref, rel=4e-3)
+        assert euro == pytest.approx(ref, rel=4e-3)
 
     def test_terminal_and_dirichlet_rows(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 128, c=16)
         g = PutPayoff(300.0)
-        vg = solve(surf, g, grid, Flavor.AMERICAN)
+        sol = solve(surf, [g], grid, values=True)
         s = grid.s_nodes
-        assert np.array_equal(vg.values[-1], g(s))
-        assert np.all(vg.values[:, 0] == g(s[0]))
-        assert np.all(vg.values[:, -1] == g(s[-1]))
+        for values in (sol.american[0], sol.european[0]):
+            assert np.array_equal(values[-1], g(s))
+            assert np.all(values[:, 0] == g(s[0]))
+            assert np.all(values[:, -1] == g(s[-1]))
 
     def test_obstacle_invariant(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
         g = PutPayoff(300.0)
-        vg = solve(surf, g, grid, Flavor.AMERICAN)
-        assert float(np.min(vg.values - g(grid.s_nodes))) >= -1e-12
+        sol = solve(surf, [g], grid, values=True)
+        assert float(np.min(sol.american - g(grid.s_nodes))) >= -1e-12
 
     def test_american_dominates_european(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
-        g = PutPayoff(300.0)
-        va = solve(surf, g, grid, Flavor.AMERICAN)
-        ve = solve(surf, g, grid, Flavor.EUROPEAN)
-        assert float(np.min(va.values - ve.values)) >= -1e-10
+        sol = solve(surf, [PutPayoff(300.0)], grid, values=True)
+        assert float(np.min(sol.american - sol.european)) >= -1e-10
 
     def test_monotone_in_strike(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 128, c=16)
-        lo = solve(surf, PutPayoff(280.0), grid, Flavor.AMERICAN)
-        hi = solve(surf, PutPayoff(320.0), grid, Flavor.AMERICAN)
-        assert np.all(hi.values - lo.values >= -1e-10)
+        lo, hi = solve(surf, [PutPayoff(280.0), PutPayoff(320.0)], grid, values=True).american
+        assert np.all(hi - lo >= -1e-10)
 
     def test_comparison_principle(self):
         surf = gbm_surface()
@@ -78,8 +99,8 @@ class TestSolve:
                                     t_max=surf.t_max, r=surf.r)
         grid = make_grid(0.0, 320.0, 0.5, 512, n_s=161)
         g = PutPayoff(100.0)
-        base = value_at(solve(surf, g, grid, Flavor.EUROPEAN), 0.0, 100.0)
-        more = value_at(solve(bumped, g, grid, Flavor.EUROPEAN), 0.0, 100.0)
+        _, (base,) = value_at(solve(surf, [g], grid), 100.0)
+        _, (more,) = value_at(solve(bumped, [g], grid), 100.0)
         assert more >= base
 
     def test_refinement_improves(self):
@@ -87,15 +108,15 @@ class TestSolve:
         errs = []
         for n_t in (256, 1024, 4096):
             grid = make_grid(0.0, 320.0, 0.5, n_t, c=257**2 / 4096)
-            vg = solve(gbm_surface(), PutPayoff(100.0), grid, Flavor.EUROPEAN)
-            errs.append(abs(value_at(vg, 0.0, 100.0) - ref))
+            _, (euro,) = value_at(solve(gbm_surface(), [PutPayoff(100.0)], grid), 100.0)
+            errs.append(abs(euro - ref))
         assert errs[0] > errs[1] > errs[2]
 
     def test_grid_outside_rectangle_rejected(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min - 50.0, surf.s_max, 0.5, 64, c=16)
         with pytest.raises(ValueError):
-            solve(surf, PutPayoff(300.0), grid, Flavor.AMERICAN)
+            solve(surf, [PutPayoff(300.0)], grid)
 
     def test_coupling_rule(self):
         grid = make_grid(0.0, 1.0, 1.0, 4096, c=16.0)
@@ -104,45 +125,89 @@ class TestSolve:
             make_grid(0.0, 1.0, 1.0, 1, c=0.5)  # fewer than 3 nodes
 
 
-class TestExerciseBoundary:
-    def _flat_value_grid(self, strike=100.0):
-        grid = make_grid(0.0, 200.0, 1.0, 8, n_s=21)
-        g = PutPayoff(strike)
-        values = np.tile(g(grid.s_nodes), (9, 1))
-        return hjb.ValueGrid(grid=grid, values=values, flavor=Flavor.AMERICAN, payoff=g)
+class TestOneSweep:
+    """Every strike and both flavors share one tridiagonal solve per time level."""
 
+    def test_strikes_equal_one_payoff_sweeps(self, bs3d_surface):
+        surf, _ = bs3d_surface
+        grid = make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
+        payoffs = [PutPayoff(k) for k in BS3D_STRIKES]
+        sol = solve(surf, payoffs, grid, values=True)
+        for k, g in enumerate(payoffs):
+            one = solve(surf, [g], grid, values=True)
+            for name in ("levels", "delta", "american", "european"):
+                got, want = getattr(sol, name)[k], getattr(one, name)[0]
+                assert np.array_equal(got, want), (g.strike, name)
+
+    def test_without_values_keeps_the_t0_rows_only(self, bs3d_surface):
+        surf, _ = bs3d_surface
+        grid = make_grid(surf.s_min, surf.s_max, 0.5, 128, c=16)
+        payoffs = [PutPayoff(280.0), PutPayoff(320.0)]
+        lean = solve(surf, payoffs, grid)
+        full = solve(surf, payoffs, grid, values=True)
+        assert lean.american.shape == lean.european.shape == (2, 1, grid.n_s)
+        assert full.american.shape == full.european.shape == (2, grid.n_t + 1, grid.n_s)
+        for name in ("american", "european"):
+            assert np.array_equal(getattr(lean, name), getattr(full, name)[:, :1])
+        assert np.array_equal(lean.levels, full.levels)
+        assert np.array_equal(lean.delta, full.delta)
+        assert value_at(lean, 300.0) == value_at(full, 300.0)
+
+    @pytest.mark.parametrize("r", [0.05, 0.0])  # with r = 0 the region empties early on
+    def test_levels_and_delta_come_from_the_american_grid(self, r):
+        grid = make_grid(50.0, 320.0, 0.5, 256, n_s=109)
+        payoffs = [PutPayoff(k) for k in (80.0, 100.0, 120.0)]
+        sol = solve(gbm_surface(r=r), payoffs, grid, values=True)
+        s = grid.s_nodes
+        for k, g in enumerate(payoffs):
+            assert np.array_equal(sol.levels[k],
+                                  reference_levels(sol.american[k], g(s), g.strike, s))
+            assert np.array_equal(sol.delta[k], np.gradient(sol.american[k], s, axis=1))
+        assert np.isfinite(sol.levels[:, -1]).all()
+        assert np.isneginf(sol.levels).any() == (r == 0.0)
+
+    def test_values_pinned_to_the_bit(self, bs3d_surface):
+        # float.hex of the (0, 300) values of the per-(strike, flavor) solves
+        # the sweep replaced, bs3d surface, n_t = 512
+        pinned = {
+            240.0: ("0x1.795c4f4f05004p-7", "0x1.6cebafacf79c8p-7"),
+            260.0: ("0x1.cfc6b793e532fp-3", "0x1.baa5f4c66d2b3p-3"),
+            280.0: ("0x1.d2385bd513df4p+0", "0x1.b322e31a2eedcp+0"),
+            300.0: ("0x1.eb4b0e61462cep+2", "0x1.bba836ebdada4p+2"),
+            320.0: ("0x1.49f44e8506b50p+4", "0x1.1c4ebbd269602p+4"),
+            340.0: ("0x1.4000000000000p+5", "0x1.0ae9abfceabfdp+5"),
+        }
+        surf, _ = bs3d_surface
+        grid = make_grid(surf.s_min, surf.s_max, 0.5, 512, c=16)
+        american, european = value_at(solve(surf, [PutPayoff(k) for k in pinned], grid), 300.0)
+        got = {k: (a.hex(), e.hex()) for k, a, e in zip(pinned, american, european)}
+        assert got == pinned
+
+
+class TestExerciseBoundary:
     def test_value_equals_payoff_everywhere(self):
-        vg = self._flat_value_grid()
-        b = exercise_boundary(vg)
-        s = vg.grid.s_nodes
+        s = make_grid(0.0, 200.0, 1.0, 8, n_s=21).s_nodes
+        g = PutPayoff(100.0)(s)[None, :]
+        b = exercise_boundary(np.tile(g, (9, 1))[None], g, np.array([100.0]), s)
         expect = s[s < 100.0][-1]
+        assert b.levels.shape == (1, 9)
         assert np.all(b.levels == expect)
         # frontier stays at or below the strike node
         assert np.all(b.levels <= 100.0)
 
     def test_empty_region(self):
-        grid = make_grid(150.0, 350.0, 1.0, 4, n_s=11)
-        g = PutPayoff(100.0)  # strike below the whole grid
-        values = np.tile(np.maximum(g.strike - grid.s_nodes, 0.0) + 1.0, (5, 1))
-        vg = hjb.ValueGrid(grid=grid, values=values, flavor=Flavor.AMERICAN, payoff=g)
-        b = exercise_boundary(vg)
-        assert np.all(b.indices == -1)
+        s = make_grid(150.0, 350.0, 1.0, 4, n_s=11).s_nodes
+        g = PutPayoff(100.0)(s)[None, :]  # strike below the whole grid
+        values = np.tile(np.maximum(100.0 - s, 0.0) + 1.0, (5, 1))
+        b = exercise_boundary(values[None], g, np.array([100.0]), s)
         assert np.all(np.isneginf(b.levels))
-
-    def test_european_flavor_rejected(self, bs3d_surface):
-        surf, _ = bs3d_surface
-        grid = make_grid(surf.s_min, surf.s_max, 0.5, 32, c=16)
-        vg = solve(surf, PutPayoff(300.0), grid, Flavor.EUROPEAN)
-        with pytest.raises(ValueError):
-            exercise_boundary(vg)
 
     def test_3d_boundary_rises_toward_strike(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 2048, c=16)
-        vg = solve(surf, PutPayoff(300.0), grid, Flavor.AMERICAN)
-        b = exercise_boundary(vg)
-        sel = vg.grid.t_grid >= 0.05
-        levels = b.levels[sel]
+        sol = solve(surf, [PutPayoff(300.0)], grid)
+        sel = grid.t_grid >= 0.05
+        levels = sol.levels[0][sel]
         assert np.all(np.isfinite(levels))
         assert np.all(np.diff(levels) >= -1e-9)
 
@@ -152,11 +217,10 @@ class TestExerciseBoundary:
         # triggered near t=0
         surf, env = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 2048, c=16)
-        vg = solve(surf, PutPayoff(240.0), grid, Flavor.AMERICAN)
-        b = exercise_boundary(vg)
-        early = vg.grid.t_grid <= 0.02
-        env_lo = np.interp(vg.grid.t_grid[early], env.times, env.s_lo)
-        assert np.all(b.levels[early] < env_lo - 10.0)
+        sol = solve(surf, [PutPayoff(240.0)], grid)
+        early = grid.t_grid <= 0.02
+        env_lo = np.interp(grid.t_grid[early], env.times, env.s_lo)
+        assert np.all(sol.levels[0][early] < env_lo - 10.0)
 
 
 class TestDeltaAndValueAt:
@@ -164,68 +228,58 @@ class TestDeltaAndValueAt:
         grid = make_grid(0.0, 200.0, 1.0, 4, n_s=51)
         g = PutPayoff(100.0)
         values = np.tile(g(grid.s_nodes), (5, 1))
-        vg = hjb.ValueGrid(grid=grid, values=values, flavor=Flavor.AMERICAN, payoff=g)
         ds = grid.ds
         for s in grid.s_nodes[(grid.s_nodes < 100.0 - ds) & (grid.s_nodes > 0)]:
-            assert np.interp(s, grid.s_nodes, hjb.delta_array(vg)[0]) == pytest.approx(-1.0)
+            assert np.interp(s, grid.s_nodes, hjb.delta_array(values, grid.s_nodes)[0]) == \
+                pytest.approx(-1.0)
 
     def test_delta_constant_values(self):
         grid = make_grid(0.0, 10.0, 1.0, 2, n_s=11)
-        vg = hjb.ValueGrid(grid=grid, values=np.full((3, 11), 4.0),
-                           flavor=Flavor.EUROPEAN, payoff=PutPayoff(5.0))
-        assert np.interp(3.3, grid.s_nodes, hjb.delta_array(vg)[1]) == 0.0  # t = 0.5
+        delta = hjb.delta_array(np.full((3, 11), 4.0), grid.s_nodes)
+        assert np.interp(3.3, grid.s_nodes, delta[1]) == 0.0  # t = 0.5
 
     def test_delta_against_closed_form(self):
         grid = make_grid(0.0, 320.0, 0.5, 1024, n_s=257)
-        vg = solve(gbm_surface(), PutPayoff(100.0), grid, Flavor.EUROPEAN)
+        sol = solve(gbm_surface(), [PutPayoff(100.0)], grid, values=True)
         ncdf = lambda x: 0.5 * (1.0 + erf(x / sqrt(2.0)))
         d1 = (log(1.0) + (0.05 + 0.02) * 0.5) / (0.2 * sqrt(0.5))
         ref = ncdf(d1) - 1.0
-        assert np.interp(100.0, grid.s_nodes, hjb.delta_array(vg)[0]) == pytest.approx(ref, abs=1e-2)
+        delta = hjb.delta_array(sol.european[0], grid.s_nodes)
+        assert np.interp(100.0, grid.s_nodes, delta[0]) == pytest.approx(ref, abs=1e-2)
 
     def test_value_at_nodes_and_midpoints(self):
         grid = make_grid(0.0, 10.0, 1.0, 2, n_s=11)
-        values = np.tile(2.0 * grid.s_nodes, (3, 1))
-        vg = hjb.ValueGrid(grid=grid, values=values, flavor=Flavor.EUROPEAN,
-                           payoff=PutPayoff(5.0))
-        assert value_at(vg, 0.0, 3.0) == 6.0
-        assert value_at(vg, 0.5, 3.5) == pytest.approx(7.0)
+        rows = np.stack([2.0 * grid.s_nodes, 3.0 * grid.s_nodes])
+        sol = t0_sweep(grid, rows, -rows)
+        assert value_at(sol, 3.0) == ([6.0, 9.0], [-6.0, -9.0])
+        american, european = value_at(sol, 3.5)
+        assert american == pytest.approx([7.0, 10.5])
+        assert european == pytest.approx([-7.0, -10.5])
 
     def test_value_at_clamps_below_grid(self, caplog):
         grid = make_grid(10.0, 20.0, 1.0, 2, n_s=11)
         g = PutPayoff(15.0)
-        values = np.tile(g(grid.s_nodes), (3, 1))
-        vg = hjb.ValueGrid(grid=grid, values=values, flavor=Flavor.AMERICAN, payoff=g)
+        rows = g(grid.s_nodes)[None, :]
         with caplog.at_level(logging.WARNING):
-            got = value_at(vg, 0.0, 5.0)
+            (got,), _ = value_at(t0_sweep(grid, rows, rows), 5.0)
         assert got == g(10.0)
         assert any("clamped" in rec.message for rec in caplog.records)
-
-    def test_value_at_requires_grid_time(self):
-        grid = make_grid(0.0, 10.0, 1.0, 4, n_s=11)
-        vg = hjb.ValueGrid(grid=grid, values=np.zeros((5, 11)),
-                           flavor=Flavor.EUROPEAN, payoff=PutPayoff(5.0))
-        with pytest.raises(ValueError):
-            value_at(vg, 0.13, 5.0)
 
 
 class TestExports:
     def test_boundary_export(self, tmp_path, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 64, c=16)
-        vg = solve(surf, PutPayoff(300.0), grid, Flavor.AMERICAN)
-        b = exercise_boundary(vg)
+        levels = solve(surf, [PutPayoff(300.0)], grid).levels[0]
         path = tmp_path / "bnd.txt"
-        hjb.export_boundary(b, path)
+        hjb.export_boundary(grid.t_grid, levels, path)
         rows = np.loadtxt(path)
         assert rows.shape[1] == 2
-        assert rows.shape[0] == int(np.isfinite(b.levels).sum())
+        assert rows.shape[0] == int(np.isfinite(levels).sum())
 
     def test_values_export(self, tmp_path):
         grid = make_grid(0.0, 10.0, 1.0, 2, n_s=5)
-        g = PutPayoff(5.0)
-        vg = hjb.ValueGrid(grid=grid, values=np.ones((3, 5)), flavor=Flavor.EUROPEAN, payoff=g)
         path = tmp_path / "vals.txt"
-        hjb.export_values(vg, path)
+        hjb.export_values(grid, np.ones((3, 5)), path)
         rows = np.loadtxt(path)
         assert rows.shape == (15, 3)

@@ -5,7 +5,7 @@ from basketproj import hjb, mc
 from basketproj.mc import BoundTask, PriceBounds, bias_estimate, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import CHUNK, normal_matrix
-from support import confidence_interval, euler_states, flat_task, solved_task
+from support import confidence_interval, euler_states, flat_task, solved_tasks
 
 
 def _flat_run(model, p, g, n_t, level, n_paths, seed):
@@ -94,12 +94,11 @@ class TestUpperBound:
         surf, _ = bachelier5_surface
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, 128, c=16)
         g = PutPayoff(500.0)
-        vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-        task = solved_task(vg)
+        payoffs = [g, PutPayoff(480.0)]
+        task, other = solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
         upper_only = BoundTask(payoff=g, boundary_levels=np.full(129, -np.inf),
                                delta_rows=task.delta_rows, s_nodes=task.s_nodes)
         solo = simulate_bounds(m, p, [upper_only], 128, 4000, seed=55)[0]
-        other = solved_task(hjb.solve(surf, PutPayoff(480.0), grid, hjb.Flavor.AMERICAN))
         combined = simulate_bounds(m, p, [task, other], 128, 4000, seed=55)[0]
         assert solo.bounds.a_plus == combined.bounds.a_plus
         assert solo.bounds.se_plus == combined.bounds.se_plus
@@ -195,8 +194,8 @@ class TestOrderingAndConsistency:
         surf, _ = bachelier5_surface
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
         g = PutPayoff(500.0)
-        vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-        return simulate_bounds(m, p, [solved_task(vg)], n_t, n_paths, seed)[0], vg
+        sol = hjb.solve(surf, [g], grid)
+        return simulate_bounds(m, p, solved_tasks(sol, [g]), n_t, n_paths, seed)[0], sol
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bound_ordering(self, bachelier5_model, bachelier5_portfolio, bachelier5_surface, seed):
@@ -212,18 +211,18 @@ class TestOrderingAndConsistency:
         res, _ = self._bachelier_run(m, p, 512, 30_000, 77, bachelier5_surface)
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, 512, c=16)
         g = PutPayoff(500.0)
-        pde_val = hjb.value_at(hjb.solve(surf, g, grid, hjb.Flavor.EUROPEAN), 0.0, 500.0)
+        _, (pde_val,) = hjb.value_at(hjb.solve(surf, [g], grid), 500.0)
         fine = hjb.make_grid(surf.s_min, surf.s_max, m.T, 1024, c=16)
-        pde_fine = hjb.value_at(hjb.solve(surf, g, fine, hjb.Flavor.EUROPEAN), 0.0, 500.0)
+        _, (pde_fine,) = hjb.value_at(hjb.solve(surf, [g], fine), 500.0)
         pde_bias = 2 * abs(pde_fine - pde_val)
         assert abs(res.european - pde_val) <= 3 * res.se_european + pde_bias + 0.02
 
     def test_pde_value_inside_bounds_bachelier(self, bachelier5_model, bachelier5_portfolio, bachelier5_surface):
         # exact projection: the PDE American value is the true price
         m, p = bachelier5_model, bachelier5_portfolio
-        res, vg = self._bachelier_run(m, p, 1024, 32_000, 5, bachelier5_surface)
+        res, sol = self._bachelier_run(m, p, 1024, 32_000, 5, bachelier5_surface)
         b = res.bounds
-        value = hjb.value_at(vg, 0.0, 500.0)
+        (value,), _ = hjb.value_at(sol, 500.0)
         slack = 3 * (b.se_minus + b.se_plus) + 0.02 * b.midpoint
         assert b.a_minus - slack <= value <= b.a_plus + slack
 
@@ -240,7 +239,7 @@ class TestCoupledTiers:
         else:  # a finite boundary and a real delta from a Bachelier solve
             surf, _ = bachelier5_surface
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
-            task = solved_task(hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN))
+            (task,) = solved_tasks(hjb.solve(surf, [g], grid), [g])
             assert np.isfinite(task.boundary_levels).any()
             assert np.any(task.delta_rows != 0.0)
         plain = simulate_bounds(m, p, [task], n_t, 1000, seed=9)[0]
@@ -271,8 +270,7 @@ class TestCoupledTiers:
         tiers = []
         for n_t in (256, 512, 1024, 2048):
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
-            vg = hjb.solve(surf, g, grid, hjb.Flavor.AMERICAN)
-            tiers.append(mc.TierTask(n_t=n_t, tasks=[solved_task(vg)]))
+            tiers.append(mc.TierTask(n_t=n_t, tasks=solved_tasks(hjb.solve(surf, [g], grid), [g])))
         out = mc.simulate_tiers_coupled(m, p, tiers, 16_000, seed=71)
         gaps = [res[0].bounds.a_plus - res[0].bounds.a_minus for res in out]
         ses = [np.hypot(res[0].bounds.se_minus, res[0].bounds.se_plus) for res in out]
@@ -330,8 +328,8 @@ class TestChunkParallelKernel:
 
     def _tasks(self, m, surf, n_t, strikes=(480.0, 500.0)):
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
-        return [solved_task(hjb.solve(surf, PutPayoff(k), grid, hjb.Flavor.AMERICAN))
-                for k in strikes]
+        payoffs = [PutPayoff(k) for k in strikes]
+        return solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
 
     def test_simulate_bounds_workers_agree(self, bachelier5_model, bachelier5_portfolio,
                                            bachelier5_surface):

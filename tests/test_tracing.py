@@ -8,8 +8,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from basketproj import hjb, mc, projection, surface
+import numpy as np
+
+from basketproj import hjb, mc, pipeline, projection, surface
 from basketproj.model import PutPayoff
+from basketproj.presets import appendix2d
 from support import flat_task
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -70,3 +73,30 @@ def test_each_bound_entry_point_is_one_mc_span(bachelier5_model, bachelier5_port
     metrics = tracing.layer_metrics(tracer)
     assert metrics["mc.strike_path_steps"] == 2 * 16 * 4 + 16 * (2 + 4)
     assert metrics["rng.calls"] == 4 + 4  # one fine draw per step, shared by the tiers
+
+
+def test_hjb_counts_on_a_traced_run(tmp_path):
+    # a traced run evaluates every count lambda; the HJB ones must read one
+    # sweep per tier and every empty-region level of every strike
+    cfg = appendix2d()  # r = 0: the exercise region is empty at many levels
+    cfg.nt_tiers = [16, 32]
+    cfg.m_paths = 256
+    cfg.surface_slices = 4
+    cfg.surface_abscissae = 8
+    cfg.appendix_check = False
+    tracing = _load_tracing()
+    tracer = _traced(tracing, lambda: pipeline.run_experiment(cfg, tmp_path, threads=1))
+    assert {"hjb.solve", "hjb.boundary", "hjb.delta", "mc", "rng",
+            "projection.laplace_point"} <= {s.name for s in tracer.spans}
+    metrics = tracing.layer_metrics(tracer)
+
+    model, p = cfg.build_model(), cfg.build_portfolio()
+    surf, _ = pipeline.build_surface_from_config(cfg, model, p)
+    grids = [hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
+             for n_t in cfg.nt_tiers]
+    empty = sum(int(np.isneginf(hjb.solve(surf, cfg.build_payoffs(), grid).levels).sum())
+                for grid in grids)
+    assert metrics["hjb.solves"] == len(cfg.nt_tiers)
+    assert metrics["hjb.node_steps"] == sum(grid.n_t * grid.n_s for grid in grids)
+    assert empty > 0
+    assert metrics["hjb.empty_region_steps"] == empty
