@@ -95,7 +95,6 @@ class ExperimentConfig:
     # outputs
     out_dir: str = ""
     export_value_grids: bool = False
-    appendix_check: bool = False
 
     def validate(self) -> None:
         if self.kind not in ("bachelier", "black-scholes"):
@@ -208,13 +207,13 @@ _SECTIONS = {
     "payoff": ["strikes"],
     "numerics": ["nt_tiers", "c_coupling", "m_paths", "surface_slices",
                  "surface_abscissae", "seed"],
-    "outputs": ["out_dir", "export_value_grids", "appendix_check"],
+    "outputs": ["out_dir", "export_value_grids"],
 }
 
 _LIST_KEYS = {"x0", "vols", "correlation", "sigma", "weights", "strikes", "nt_tiers"}
 _INT_KEYS = {"m_paths", "surface_slices", "surface_abscissae", "seed"}
 _FLOAT_KEYS = {"r", "T", "c_coupling"}
-_BOOL_KEYS = {"appendix_check", "export_value_grids"}
+_BOOL_KEYS = {"export_value_grids"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 

@@ -93,19 +93,18 @@ class _Gaussian:
         return val, alpha
 
 
-def _bachelier_gaussian(model: ModelSpec, t: float) -> _Gaussian:
-    # Solution of dX = rX dt + Sigma dW: Gaussian with the integrated covariance.
-    if abs(model.r) < 1e-12:
-        scale = t
-    else:
-        scale = np.expm1(2.0 * model.r * t) / (2.0 * model.r)
-    return _Gaussian(model.x0 * np.exp(model.r * t), model.omega * scale)
-
-
-def _lognormal_gaussian(model: ModelSpec, t: float) -> _Gaussian:
+def transition_law(model: ModelSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the Gaussian law at time t: of X(t) itself
+    (Bachelier) or of the log-returns log(X(t) / x0) (Black-Scholes)."""
+    if model.kind is ModelKind.BACHELIER:
+        # Solution of dX = rX dt + Sigma dW: Gaussian with the integrated covariance.
+        if abs(model.r) < 1e-12:
+            scale = t
+        else:
+            scale = np.expm1(2.0 * model.r * t) / (2.0 * model.r)
+        return model.x0 * np.exp(model.r * t), model.omega * scale
     omega = model.omega
-    mean = (model.r - 0.5 * np.diag(omega)) * t
-    return _Gaussian(mean, omega * t)
+    return (model.r - 0.5 * np.diag(omega)) * t, omega * t
 
 
 class LogIntegrands:
@@ -136,12 +135,10 @@ class LogIntegrands:
         self._omega = model.omega
         # the transition law of the state (Bachelier) or of its log-returns
         # (Black-Scholes); the Newton start conditions it on the basket
+        self.gauss = _Gaussian(*transition_law(model, t))
         if model.kind is ModelKind.BACHELIER:
-            self.gauss = _bachelier_gaussian(model, t)
             row = p.weights @ model.sigma
             self._const_q = float(row @ row)
-        else:
-            self.gauss = _lognormal_gaussian(model, t)
         self._cinv = self.gauss.inv()
 
     # -- state-space pieces -------------------------------------------------

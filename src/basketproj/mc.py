@@ -37,7 +37,6 @@ class PriceBounds:
     a_plus: float
     se_minus: float
     se_plus: float
-    n_t: int
     m: int
 
     @property
@@ -53,9 +52,7 @@ class BoundsResult:
     european: float
     se_european: float
     mean_hit_time: float
-    se_hit_time: float
     mean_running_max: float
-    se_running_max: float
 
 
 @dataclass
@@ -217,17 +214,15 @@ class _StrikeOutput:
         self.tau = np.zeros(m)              # stopping time
         self.zmax = np.full(m, -np.inf)     # running max of the payoff
 
-    def result(self, n_t: int) -> BoundsResult:
+    def result(self) -> BoundsResult:
         low, se_low = _mean_se(self.lowval)
         up, se_up = _mean_se(self.umax)
         euro, se_euro = _mean_se(self.z)
-        tau, se_tau = _mean_se(self.tau)
-        zmax, se_zmax = _mean_se(self.zmax)
         bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up,
-                             n_t=n_t, m=self.z.size)
+                             m=self.z.size)
         return BoundsResult(bounds=bounds, european=euro, se_european=se_euro,
-                            mean_hit_time=tau, se_hit_time=se_tau,
-                            mean_running_max=zmax, se_running_max=se_zmax)
+                            mean_hit_time=float(self.tau.mean()),
+                            mean_running_max=float(self.zmax.mean()))
 
 
 class _StrikeChunk:
@@ -372,4 +367,4 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     else:
         for c in range(len(spans)):
             run(c)
-    return [[o.result(t.n_t) for o in touts] for t, touts in zip(tiers, outs)]
+    return [[o.result() for o in touts] for touts in outs]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ExpansionCoords, LogIntegrands
+from .density import ExpansionCoords, LogIntegrands, transition_law
 from .model import ModelKind, ModelSpec, Portfolio
 from .projection import newton_maximize, newton_start
 from .rng import normal_matrix
@@ -100,17 +100,9 @@ def binomial_american_put_1d(spot: float, vol: float, r: float, strike: float,
 def sample_exact(model: ModelSpec, t: float, m: int, seed: int) -> np.ndarray:
     """Draw m exact-in-law samples of X(t) (no time stepping)."""
     xi = normal_matrix(seed, 0, m, model.d)
-    if model.kind is ModelKind.BACHELIER:
-        if abs(model.r) < 1e-12:
-            scale = t
-        else:
-            scale = np.expm1(2.0 * model.r * t) / (2.0 * model.r)
-        chol = np.linalg.cholesky(model.omega * scale)
-        return model.x0 * np.exp(model.r * t) + xi @ chol.T
-    omega = model.omega
-    mean = (model.r - 0.5 * np.diag(omega)) * t
-    chol = np.linalg.cholesky(omega * t)
-    return model.x0 * np.exp(mean + xi @ chol.T)
+    mean, cov = transition_law(model, t)
+    y = mean + xi @ np.linalg.cholesky(cov).T
+    return y if model.kind is ModelKind.BACHELIER else model.x0 * np.exp(y)
 
 
 def binned_conditional_vol(model: ModelSpec, p: Portfolio, t: float, m: int,

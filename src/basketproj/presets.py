@@ -46,7 +46,6 @@ def appendix2d() -> ExperimentConfig:
         nt_tiers=[256, 512],
         m_paths=20_000,
         seed=1,
-        appendix_check=True,
     )
 
 

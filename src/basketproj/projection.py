@@ -51,8 +51,7 @@ class LaplacePoint:
                             + 0.5 * (self.logdet_hftilde - self.logdet_hf)))
 
 
-def newton_maximize(derivs, z0: np.ndarray, tol: float = NEWTON_TOL,
-                    max_iter: int = NEWTON_MAX_ITER) -> NewtonResult:
+def newton_maximize(derivs, z0: np.ndarray) -> NewtonResult:
     """Damped Newton ascent on a concave log-integrand.
 
     derivs(z) must return (value, gradient, Hessian); z0 must be interior.
@@ -66,9 +65,9 @@ def newton_maximize(derivs, z0: np.ndarray, tol: float = NEWTON_TOL,
         raise NewtonError(f"Newton start outside the support: {exc}") from exc
     if not np.isfinite(val):
         raise NewtonError("Newton start outside the support")
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         scale = max(1.0, float(np.max(np.abs(hess))))
-        if float(np.linalg.norm(grad)) <= tol * scale:
+        if float(np.linalg.norm(grad)) <= NEWTON_TOL * scale:
             return NewtonResult(z=z, value=val, hess=hess, logdet=_logdet_neg(hess),
                                 iterations=it - 1)
         try:
@@ -91,7 +90,7 @@ def newton_maximize(derivs, z0: np.ndarray, tol: float = NEWTON_TOL,
         else:
             raise NewtonError("line search failed (iterate left the support)")
         z, val, grad, hess = cand, nval, ngrad, nhess
-    raise NewtonError(f"Newton did not converge within {max_iter} iterations")
+    raise NewtonError(f"Newton did not converge within {NEWTON_MAX_ITER} iterations")
 
 
 def _logdet_neg(hess: np.ndarray) -> float:

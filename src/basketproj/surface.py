@@ -35,22 +35,20 @@ class Envelope:
     s_hi: np.ndarray
 
 
-def estimate_envelope(model: ModelSpec, p: Portfolio, m_pilot: int = PILOT_PATHS,
-                      n_t: int = PILOT_STEPS, seed: int = 0) -> Envelope:
-    """Forward-Euler pilot batch; componentwise basket min/max per time step."""
-    if m_pilot < 2:
-        raise ValueError("need at least 2 pilot paths")
-    times = np.linspace(0.0, model.T, n_t + 1)
-    dt = model.T / n_t
-    x = np.tile(model.x0, (m_pilot, 1))
-    s_lo = np.empty(n_t + 1)
-    s_hi = np.empty(n_t + 1)
+def estimate_envelope(model: ModelSpec, p: Portfolio, seed: int) -> Envelope:
+    """Forward-Euler pilot batch of PILOT_PATHS paths over PILOT_STEPS steps;
+    componentwise basket min/max per time step."""
+    times = np.linspace(0.0, model.T, PILOT_STEPS + 1)
+    dt = model.T / PILOT_STEPS
+    x = np.tile(model.x0, (PILOT_PATHS, 1))
+    s_lo = np.empty(PILOT_STEPS + 1)
+    s_hi = np.empty(PILOT_STEPS + 1)
     basket = x @ p.weights
     s_lo[0] = basket.min()
     s_hi[0] = basket.max()
     sq = np.sqrt(dt)
-    for n in range(n_t):
-        dws = mc.normal_matrix(seed, n, m_pilot, model.k) * sq @ model.sigma.T
+    for n in range(PILOT_STEPS):
+        dws = mc.normal_matrix(seed, n, PILOT_PATHS, model.k) * sq @ model.sigma.T
         x = mc.step(model, x, dt, dws)
         basket = x @ p.weights
         s_lo[n + 1] = basket.min()
@@ -158,31 +156,6 @@ class CoefficientSurface:
                 fh.write(f"{float(t)!r} {float(self.centers[i])!r} "
                          f"{float(self.halfwidths[i])!r} {row} "
                          f"{float(self.residual_rms[i])!r}\n")
-
-    @classmethod
-    def load(cls, path) -> "CoefficientSurface":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        head = {}
-        for ln in lines[:5]:
-            key, *rest = ln.split()
-            head[key] = rest
-        degree = int(head["degree"][0])
-        n_slices = int(head["slices"][0])
-        rows = [list(map(float, ln.split())) for ln in lines[5 : 5 + n_slices]]
-        arr = np.array(rows)
-        return cls(
-            slice_times=arr[:, 0],
-            coeffs=arr[:, 3 : degree + 4],
-            floor=float(head["floor"][0]),
-            s_min=float(head["rect"][0]),
-            s_max=float(head["rect"][1]),
-            t_max=float(head["rect"][2]),
-            r=float(head["r"][0]),
-            centers=arr[:, 1],
-            halfwidths=arr[:, 2],
-            residual_rms=arr[:, degree + 4],
-        )
 
 
 def fit_surface(evaluations, degree: int, floor: float, rect: tuple[float, float],

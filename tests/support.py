@@ -1,4 +1,5 @@
-"""Reference helpers for the tests: finite differences, intervals and bound tasks.
+"""Reference helpers for the tests: finite differences, intervals, bound tasks
+and a reader for the surface table.
 
 Nothing here is part of the package.  The finite-difference derivatives are
 the reference the analytic Laplace derivatives are checked against; the task
@@ -12,6 +13,7 @@ from scipy.stats import norm
 from basketproj import hjb
 from basketproj.mc import BoundTask, step
 from basketproj.rng import normal_matrix
+from basketproj.surface import CoefficientSurface
 
 
 def fd_gradient(fun, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -71,3 +73,16 @@ def euler_states(model, seed: int, m: int, t_grid: np.ndarray):
         dt = t_grid[n + 1] - t_grid[n]
         x = step(model, x, dt, normal_matrix(seed, n, m, model.k) * np.sqrt(dt) @ model.sigma.T)
         yield x
+
+
+def load_surface(path) -> CoefficientSurface:
+    """Read a table written by CoefficientSurface.save: a format line and five
+    keyed header lines, then (t, center, halfwidth, coeffs..., rms) per slice."""
+    with open(path, encoding="utf-8") as fh:
+        head = dict(line.split(maxsplit=1) for line in list(fh)[1:6])
+    rows = np.loadtxt(path, skiprows=6, ndmin=2)
+    s_min, s_max, t_max = map(float, head["rect"].split())
+    return CoefficientSurface(slice_times=rows[:, 0], coeffs=rows[:, 3:-1],
+                              floor=float(head["floor"]), s_min=s_min, s_max=s_max,
+                              t_max=t_max, r=float(head["r"]), centers=rows[:, 1],
+                              halfwidths=rows[:, 2], residual_rms=rows[:, -1])

@@ -10,10 +10,11 @@ import basketproj
 from basketproj import hjb, pipeline
 from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from basketproj.pipeline import (BOUND_ORDERING_Z, StageError, appendix_checks,
-                                 build_surface_from_config, check_bachelier_bracket,
-                                 check_solver_1d, convergence_study, run_experiment)
+                                 build_surface_from_config, check_solver_1d,
+                                 convergence_study, run_experiment)
 from basketproj.presets import appendix2d, get_preset
 from basketproj.rng import CHUNK
+from support import load_surface
 
 TINY_BACHELIER = """
 [model]
@@ -61,8 +62,7 @@ class TestRunCommand:
         rc = main(["run", "--preset", "appendix2d", "--out-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
-        assert "PASS  laplace-price" in out
-        assert "PASS  quadrature" in out
+        assert "PASS  bound-ordering" in out
         assert (tmp_path / "results.csv").exists()
         assert (tmp_path / "surface.txt").exists()
         assert (tmp_path / "config.cfg").exists()
@@ -146,7 +146,7 @@ class TestRunCommand:
         ("weights = [1, 1, 1]", "weights = [1, 0, 1]", "nonzero"),
         ("strikes = [310]", "strikes = [0]", "strike must be positive"),
         ("m_paths = 2000", "m_paths = 1e3", "m_paths"),
-        ("seed = 6", "seed = 6\n\n[outputs]\nappendix_check = on", "appendix_check"),
+        ("seed = 6", "seed = 6\n\n[outputs]\nexport_value_grids = on", "export_value_grids"),
         ("weights = [1, 1, 1]", "weights = random(seed=x)", "weights generator random: seed"),
         ("weights = [1, 1, 1]", "weights = random(total=2)", "weights generator random: seed"),
         ("sigma = [[20, 1, 0], [0, 20, 2], [0, 0, 20]]", "sigma = upper_random(diag=20)",
@@ -216,9 +216,6 @@ class TestValidatePieces:
         bad = check_solver_1d()
         assert not bad.passed
         assert "rel err" in bad.detail
-
-    def test_bachelier_bracket_passes(self):
-        assert check_bachelier_bracket(n_t=256, m=8000).passed
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out-dir", "elsewhere"]])
     def test_takes_no_seed_or_out_dir(self, flag):
@@ -292,6 +289,15 @@ class TestConvergenceCommand:
         assert exc.value.stage == "convergence"
         assert not (tmp_path / "out").exists()
 
+    def test_surface_failure_names_its_stage(self, tmp_path, monkeypatch, capsys):
+        def broken_surface(*args):
+            raise ValueError("injected surface fault")
+
+        monkeypatch.setattr(pipeline, "build_surface_from_config", broken_surface)
+        rc = main(["convergence", "--preset", "bachelier-exact", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INVARIANT
+        assert "stage failure: [surface] injected surface fault" in capsys.readouterr().err
+
     def test_needs_three_tiers(self, tmp_path):
         rc = main(["convergence", "--preset", "appendix2d", "--out-dir", str(tmp_path)])
         assert rc == EXIT_INVARIANT
@@ -308,11 +314,9 @@ def test_threads_flag_only_where_it_acts(argv):
 
 class TestSurfaceCommand:
     def test_emits_loadable_table(self, tmp_path):
-        from basketproj.surface import CoefficientSurface
-
         rc = main(["surface", "--preset", "appendix2d", "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
-        surf = CoefficientSurface.load(tmp_path / "surface.txt")
+        surf = load_surface(tmp_path / "surface.txt")
         assert surf.slice_times.size == 16
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):

@@ -125,7 +125,7 @@ class TestStatistics:
         assert hi == pytest.approx(1.959964, abs=1e-6)
 
     def test_interval_on_bounds(self):
-        b = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.2, n_t=64, m=100)
+        b = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.2, m=100)
         lo = confidence_interval(b.a_minus, b.se_minus, 0.95)[0]
         hi = confidence_interval(b.a_plus, b.se_plus, 0.95)[1]
         assert lo == pytest.approx(5.0 - 1.959964 * 0.1, abs=1e-5)
@@ -142,8 +142,8 @@ class TestStatistics:
         assert all(1.6 <= r <= 2.4 for r in ratios)
 
     def test_bias_estimate(self):
-        b1 = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.1, n_t=64, m=100)
-        b2 = PriceBounds(a_minus=5.2, a_plus=5.9, se_minus=0.1, se_plus=0.1, n_t=128, m=100)
+        b1 = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.1, m=100)
+        b2 = PriceBounds(a_minus=5.2, a_plus=5.9, se_minus=0.1, se_plus=0.1, m=100)
         assert bias_estimate(b1, b2) == (pytest.approx(0.2), pytest.approx(0.1))
         assert bias_estimate(b1, b1) == (0.0, 0.0)
 

@@ -88,7 +88,7 @@ class TestDiffusion:
 def basket_at_start(p, x0):
     """The basket value the pipeline forms: the pilot envelope at t = 0."""
     m = black_scholes(np.eye(len(x0)) * 0.2, x0)
-    env = estimate_envelope(m, p, m_pilot=2, n_t=1, seed=0)
+    env = estimate_envelope(m, p, seed=0)
     assert env.s_lo[0] == env.s_hi[0]
     return env.s_lo[0]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basketproj import density
+from basketproj import density, projection
 from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from basketproj.oracle import binned_conditional_vol, quadrature_projected_vol
@@ -60,12 +60,16 @@ class TestNewton:
         with pytest.raises(NewtonError, match="not negative definite"):
             newton_maximize(derivs, np.zeros(2))
 
-    def test_max_iter_exceeded(self):
+    def test_max_iter_exceeded(self, monkeypatch):
+        # -z^4: each Newton step only shrinks z by a third, so convergence
+        # takes a couple dozen iterations
         def derivs(z):
-            return float(-np.abs(z[0]) ** 1.5), np.array([-1.5 * np.sign(z[0]) * np.abs(z[0]) ** 0.5]), np.array([[-1e-12]])
+            return float(-z[0] ** 4), np.array([-4.0 * z[0] ** 3]), np.array([[-12.0 * z[0] ** 2]])
 
-        with pytest.raises(NewtonError):
-            newton_maximize(derivs, np.array([4.0]), max_iter=3)
+        assert newton_maximize(derivs, np.array([4.0])).iterations > 3
+        monkeypatch.setattr(projection, "NEWTON_MAX_ITER", 3)
+        with pytest.raises(NewtonError, match="within 3 iterations"):
+            newton_maximize(derivs, np.array([4.0]))
 
     def test_start_outside_support(self, appendix_model, appendix_portfolio):
         li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,

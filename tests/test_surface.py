@@ -3,9 +3,10 @@ import pytest
 
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from basketproj.rng import derive_seed
-from basketproj.surface import (CoefficientSurface, build_surface, constant_surface,
-                                default_floor, estimate_envelope, fit_surface,
-                                rectangle_from_envelope)
+from basketproj.surface import (PILOT_STEPS, CoefficientSurface, build_surface,
+                                constant_surface, default_floor, estimate_envelope,
+                                fit_surface, rectangle_from_envelope)
+from support import load_surface
 
 
 class TestEnvelope:
@@ -13,30 +14,26 @@ class TestEnvelope:
         m = ModelSpec(kind=ModelKind.BACHELIER, r=0.05, sigma=np.zeros((2, 2)),
                       x0=[100.0, 100.0], T=1.0)
         p = Portfolio([1.0, 1.0])
-        env = estimate_envelope(m, p, m_pilot=10, n_t=32, seed=1)
+        env = estimate_envelope(m, p, seed=1)
         # forward Euler integrates the drift as (1 + r dt)^n
-        dt = 1.0 / 32
-        expected = 200.0 * (1 + 0.05 * dt) ** np.arange(33)
+        dt = 1.0 / PILOT_STEPS
+        expected = 200.0 * (1 + 0.05 * dt) ** np.arange(PILOT_STEPS + 1)
         assert np.allclose(env.s_lo, expected, rtol=1e-12)
         assert np.allclose(env.s_hi, expected, rtol=1e-12)
 
     def test_initial_point_pinned(self, appendix_model, appendix_portfolio):
-        env = estimate_envelope(appendix_model, appendix_portfolio, m_pilot=100,
-                                n_t=128, seed=4)
+        env = estimate_envelope(appendix_model, appendix_portfolio, seed=4)
         assert env.s_lo[0] == env.s_hi[0] == 200.0
         assert np.all(env.s_lo <= 200.0 + 1e-9) or np.all(env.s_hi >= 200.0 - 1e-9)
         # continuous paths cover the initial value at all times
         assert np.all((env.s_lo <= 200.0) & (env.s_hi >= 200.0))
 
     def test_3d_envelope_widens(self, bs3d_model, bs3d_portfolio):
-        env = estimate_envelope(bs3d_model, bs3d_portfolio, m_pilot=100, n_t=512, seed=9)
+        env = estimate_envelope(bs3d_model, bs3d_portfolio, seed=9)
         w = env.s_hi - env.s_lo
-        quarters = np.array([w[1:][i * 128:(i + 1) * 128].mean() for i in range(4)])
+        q = PILOT_STEPS // 4
+        quarters = np.array([w[1:][i * q:(i + 1) * q].mean() for i in range(4)])
         assert np.all(np.diff(quarters) > 0.0)
-
-    def test_needs_two_paths(self, appendix_model, appendix_portfolio):
-        with pytest.raises(ValueError):
-            estimate_envelope(appendix_model, appendix_portfolio, m_pilot=1, n_t=8, seed=0)
 
 
 class TestFit:
@@ -190,7 +187,7 @@ class TestRectangleAndFloor:
     def test_bs_rectangle_clamped_at_zero(self):
         m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.0, sigma=[[1.5]], x0=[10.0], T=1.0)
         p = Portfolio([1.0])
-        env = estimate_envelope(m, p, m_pilot=50, n_t=64, seed=3)
+        env = estimate_envelope(m, p, seed=3)
         s_min, s_max = rectangle_from_envelope(env, m)
         assert s_min >= 0.0
         assert s_max > env.s_hi[-1]
@@ -208,7 +205,7 @@ class TestSaveLoad:
         surf, _ = bs3d_surface
         path = tmp_path / "surf.txt"
         surf.save(path)
-        back = CoefficientSurface.load(path)
+        back = load_surface(path)
         assert np.array_equal(back.slice_times, surf.slice_times)
         assert np.array_equal(back.coeffs, surf.coeffs)
         assert back.floor == surf.floor

@@ -83,7 +83,6 @@ def test_hjb_counts_on_a_traced_run(tmp_path):
     cfg.m_paths = 256
     cfg.surface_slices = 4
     cfg.surface_abscissae = 8
-    cfg.appendix_check = False
     tracing = _load_tracing()
     tracer = _traced(tracing, lambda: pipeline.run_experiment(cfg, tmp_path, threads=1))
     assert {"hjb.solve", "hjb.boundary", "hjb.delta", "mc", "rng",

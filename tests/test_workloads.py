@@ -35,7 +35,7 @@ strikes = [200]
 """
 
 RETIRED = ("m_pilot", "pilot_steps", "surface_degree", "surface_floor", "expansion_coords",
-           "newton_tol", "newton_max_iter", "ci_level")
+           "newton_tol", "newton_max_iter", "ci_level", "appendix_check")
 
 
 def _load_workloads():
