@@ -6,6 +6,13 @@ projected value function's delta, and the European put estimate.  Both bounds
 see the same Brownian increments.  One kernel serves single-tier and coupled
 multi-tier runs: a single tier is the coupled run with one tier.
 
+The kernel steps only what it reads: the basket P x and the hedge's P b dW.
+For Bachelier both are functions of the basket alone and of
+dW @ (sigma^T w), so a Bachelier tier carries the (m,) basket, not the (m, d)
+state; this is exact because the projection is.  A Black-Scholes tier carries
+the (m, d) state and forms its diffusion increment x * (dW @ sigma^T) once per
+step, for both the hedge and the Euler update.
+
 The kernel is chunk-outer.  Increments are keyed by (seed, step, chunk of
 ``rng.CHUNK`` paths), so each chunk's rows run the whole time loop, every tier
 and every strike, on their own, and chunks run on a thread pool (numpy
@@ -79,17 +86,27 @@ class TierTask:
     tasks: list[BoundTask]
 
 
-def step(model: ModelSpec, x: np.ndarray, dt: float, dws: np.ndarray) -> np.ndarray:
-    """One forward-Euler step x + r x dt + b(t, x) dW for an (m, d) batch.
+def diffusion(model: ModelSpec, x: np.ndarray, dws: np.ndarray) -> np.ndarray:
+    """The diffusion increment b(t, x) dW of an (m, d) batch; dws is dW @ sigma^T.
 
-    dws is dW @ sigma^T, so the diffusion term is dws (Bachelier) or x * dws.
-    Black-Scholes states are floored at zero; drift and diffusion vanish there,
-    so the boundary is absorbing.
+    b = sigma for Bachelier, so the increment is dws itself; Black-Scholes
+    scales each asset's row by its level, x * dws.
     """
     if model.kind is ModelKind.BACHELIER:
-        return x + model.r * x * dt + dws
-    out = x + model.r * x * dt + x * dws
-    np.maximum(out, 0.0, out=out)
+        return dws
+    return x * dws
+
+
+def step(model: ModelSpec, x: np.ndarray, dt: float, bdw: np.ndarray) -> np.ndarray:
+    """One forward-Euler step x + r x dt + bdw, bdw being the diffusion increment b(t, x) dW.
+
+    Elementwise, so x is an (m, d) batch with bdw from `diffusion`, or a
+    Bachelier basket (m,) with bdw = P b dW.  Black-Scholes states are floored
+    at zero; drift and diffusion vanish there, so the boundary is absorbing.
+    """
+    out = x + model.r * x * dt + bdw
+    if model.kind is ModelKind.BLACK_SCHOLES:
+        np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -125,13 +142,6 @@ def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask]
 
 def _mean_se(v: np.ndarray) -> tuple[float, float]:
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
-
-
-def _pbdw(model: ModelSpec, p: Portfolio, x: np.ndarray, dws: np.ndarray) -> np.ndarray:
-    """P b(t, x) dW for every path; dws is dW @ sigma^T."""
-    if model.kind is ModelKind.BACHELIER:
-        return dws @ p.weights
-    return ((x * p.weights) * dws).sum(axis=1)
 
 
 class _Nodes:
@@ -266,40 +276,53 @@ class _StrikeChunk:
 
 
 class _TierChunk:
-    """One tier's paths and strikes on one chunk inside the shared fine loop."""
+    """One tier's paths and strikes on one chunk inside the shared fine loop.
 
-    def __init__(self, model: ModelSpec, tier: TierTask, nodes: _Nodes,
+    A Bachelier tier carries the basket S = P x alone, an (m,) array, and
+    steps it by S + r S dt + P b dW: b = sigma does not depend on the state,
+    so this is P applied to the d-asset Euler step.  A Black-Scholes tier
+    carries the (m, d) state.
+    """
+
+    def __init__(self, model: ModelSpec, p: Portfolio, tier: TierTask, nodes: _Nodes,
                  outs: list[_StrikeOutput], n_fine: int, lo: int, hi: int):
         self.n_t = tier.n_t
         self.stride = n_fine // tier.n_t
         self.dt = model.T / tier.n_t
         self.nodes = nodes
-        self.x = np.tile(model.x0, (hi - lo, 1))
-        # Brownian increment summed over the current coarse step (stride > 1)
-        self.dw = np.empty((hi - lo, model.k)) if self.stride > 1 else None
+        self.basket_only = model.kind is ModelKind.BACHELIER
+        if self.basket_only:
+            self.x = np.full(hi - lo, float(p.weights @ model.x0))
+        else:
+            self.x = np.tile(model.x0, (hi - lo, 1))
+        self.inc = None  # fine increment summed over the current coarse step (stride > 1)
         self.strikes = [_StrikeChunk(task, out, lo, hi) for task, out in zip(tier.tasks, outs)]
 
     def _evaluate(self, model: ModelSpec, p: Portfolio, n: int, sc: _WorkArrays):
         t = n * self.dt
         disc = np.exp(-model.r * t)
-        basket = self.x @ p.weights
+        basket = self.x if self.basket_only else self.x @ p.weights
         for st in self.strikes:
             st.evaluate(n, t, disc, basket, sc)
         return disc, basket
 
-    def advance(self, model: ModelSpec, p: Portfolio, n: int, dw: np.ndarray, sc: _WorkArrays):
-        """Evaluate coarse step n, hedge over its increment dw, step the paths.
+    def advance(self, model: ModelSpec, p: Portfolio, n: int, inc: np.ndarray, sc: _WorkArrays):
+        """Evaluate coarse step n, hedge over its increment, step the paths.
 
-        The state at step n is evaluated once that step's increment is drawn,
-        so the basket and its located interval are used within this one call.
+        inc is P b dW for a basket tier and dW for a state tier.  The state at
+        step n is evaluated once that step's increment is drawn, so the basket
+        and its located interval are used within this one call.
         """
         disc, basket = self._evaluate(model, p, n, sc)
-        dws = dw @ model.sigma.T
-        pb = _pbdw(model, p, self.x, dws)
+        if self.basket_only:
+            bdw = pb = inc
+        else:
+            bdw = diffusion(model, self.x, inc @ model.sigma.T)
+            pb = bdw @ p.weights
         _locate(self.nodes, basket, sc)
         for st in self.strikes:
             st.hedge(n, disc, pb, self.nodes, sc)
-        self.x = step(model, self.x, self.dt, dws)
+        self.x = step(model, self.x, self.dt, bdw)
 
     def finish(self, model: ModelSpec, p: Portfolio, sc: _WorkArrays):
         self._evaluate(model, p, self.n_t, sc)
@@ -311,20 +334,25 @@ def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[TierTask], nodes
                     outs: list, seed: int, n_fine: int, chunk: int, lo: int, hi: int) -> None:
     """Rows lo:hi (Philox chunk `chunk`) through every tier's time loop."""
     sq = np.sqrt(model.T / n_fine)
+    # Bachelier tiers read a fine draw only as P b dW = dW @ (sqrt(dt) sigma^T w)
+    proj = sq * (model.sigma.T @ p.weights) if model.kind is ModelKind.BACHELIER else None
     sc = _WorkArrays(hi - lo)
-    runs = [_TierChunk(model, tier, nd, touts, n_fine, lo, hi)
+    runs = [_TierChunk(model, p, tier, nd, touts, n_fine, lo, hi)
             for tier, nd, touts in zip(tiers, nodes, outs)]
     for nf in range(n_fine):
         dw = normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk)
-        np.multiply(dw, sq, out=dw)
+        if proj is None:
+            np.multiply(dw, sq, out=dw)
+        else:
+            dw = dw @ proj
         for run in runs:
             inc = dw
             if run.stride > 1:
                 if nf % run.stride == 0:
-                    np.copyto(run.dw, dw)
+                    run.inc = dw.copy()
                 else:
-                    np.add(run.dw, dw, out=run.dw)
-                inc = run.dw
+                    np.add(run.inc, dw, out=run.inc)
+                inc = run.inc
             if (nf + 1) % run.stride == 0:
                 run.advance(model, p, nf // run.stride, inc, sc)
     for run in runs:

@@ -49,7 +49,7 @@ def estimate_envelope(model: ModelSpec, p: Portfolio, seed: int) -> Envelope:
     sq = np.sqrt(dt)
     for n in range(PILOT_STEPS):
         dws = mc.normal_matrix(seed, n, PILOT_PATHS, model.k) * sq @ model.sigma.T
-        x = mc.step(model, x, dt, dws)
+        x = mc.step(model, x, dt, mc.diffusion(model, x, dws))
         basket = x @ p.weights
         s_lo[n + 1] = basket.min()
         s_hi[n + 1] = basket.max()

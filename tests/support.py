@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import norm
 
 from basketproj import hjb
-from basketproj.mc import BoundTask, step
+from basketproj.mc import BoundTask, diffusion, step
 from basketproj.rng import normal_matrix
 from basketproj.surface import CoefficientSurface
 
@@ -65,14 +65,32 @@ def solved_tasks(sol: hjb.Sweep, payoffs) -> list[BoundTask]:
                       s_nodes=sol.grid.s_nodes) for k, g in enumerate(payoffs)]
 
 
-def euler_states(model, seed: int, m: int, t_grid: np.ndarray):
-    """Yield the (m, d) forward-Euler state at every t_grid node, from the bound kernel's streams."""
+def euler_states(model, seed: int, m: int, t_grid: np.ndarray, stride: int = 1):
+    """Yield the (m, d) forward-Euler state at every t_grid node, from the bound kernel's streams.
+
+    Step n is driven by fine draws n * stride ... n * stride + stride - 1
+    summed, as a tier `stride` times coarser than the finest one of a coupled
+    run sees them.
+    """
     x = np.tile(model.x0, (m, 1))
     yield x
     for n in range(t_grid.size - 1):
         dt = t_grid[n + 1] - t_grid[n]
-        x = step(model, x, dt, normal_matrix(seed, n, m, model.k) * np.sqrt(dt) @ model.sigma.T)
+        dw = sum(normal_matrix(seed, n * stride + j, m, model.k) for j in range(stride))
+        dws = dw * np.sqrt(dt / stride) @ model.sigma.T
+        x = step(model, x, dt, diffusion(model, x, dws))
         yield x
+
+
+def basket_euler(model, p, seed: int, m: int, n_t: int) -> np.ndarray:
+    """Terminal Bachelier basket of one pass of S + r S dt + P b dW over all m
+    paths, with P b dW = dW @ (sqrt(dt) sigma^T w) from the bound kernel's streams."""
+    dt = model.T / n_t
+    proj = np.sqrt(dt) * (model.sigma.T @ p.weights)
+    s = np.full(m, float(p.weights @ model.x0))
+    for n in range(n_t):
+        s = step(model, s, dt, normal_matrix(seed, n, m, model.k) @ proj)
+    return s
 
 
 def load_surface(path) -> CoefficientSurface:

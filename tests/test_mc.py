@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from basketproj import hjb, mc
-from basketproj.mc import BoundTask, PriceBounds, bias_estimate, simulate_bounds, step
+from basketproj.mc import BoundTask, PriceBounds, bias_estimate, diffusion, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import CHUNK, normal_matrix
-from support import confidence_interval, euler_states, flat_task, solved_tasks
+from support import basket_euler, confidence_interval, euler_states, flat_task, solved_tasks
 
 
 def _flat_run(model, p, g, n_t, level, n_paths, seed):
@@ -17,18 +17,20 @@ class TestStep:
     def test_no_noise_no_rate(self):
         m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0, sigma=np.eye(2), x0=[1.0, 2.0], T=1.0)
         x = np.array([3.0, 4.0])
-        assert np.array_equal(step(m, x, 0.01, np.zeros(2) @ m.sigma.T), x)
+        assert np.array_equal(step(m, x, 0.01, diffusion(m, x, np.zeros(2) @ m.sigma.T)), x)
 
     def test_bs_single_step_arithmetic(self):
         m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.05, sigma=[[0.2]], x0=[100.0], T=1.0)
-        got = step(m, np.array([100.0]), 1e-3, np.array([0.01]) @ m.sigma.T)
+        x = np.array([100.0])
+        got = step(m, x, 1e-3, diffusion(m, x, np.array([0.01]) @ m.sigma.T))
         assert got[0] == pytest.approx(100.0 + 0.05 * 100.0 * 1e-3 + 20.0 * 0.01)
 
     def test_bs_floor_absorbing(self):
         m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.0, sigma=[[0.2]], x0=[100.0], T=1.0)
-        got = step(m, np.array([1.0]), 0.01, np.array([-200.0]) @ m.sigma.T)
+        x = np.array([1.0])
+        got = step(m, x, 0.01, diffusion(m, x, np.array([-200.0]) @ m.sigma.T))
         assert got[0] == 0.0
-        assert step(m, got, 0.01, np.array([5.0]) @ m.sigma.T)[0] == 0.0
+        assert step(m, got, 0.01, diffusion(m, got, np.array([5.0]) @ m.sigma.T))[0] == 0.0
 
     def test_bachelier_moments(self):
         sigma = np.array([[2.0, 0.0, 0.0], [0.5, 1.5, 0.0], [0.3, -0.2, 1.0]])
@@ -36,7 +38,7 @@ class TestStep:
         n, dt = 100_000, 0.04
         x0 = np.tile([10.0, 20.0, 30.0], (n, 1))
         dw = normal_matrix(123, 0, n, 3) * np.sqrt(dt)
-        x1 = step(m, x0, dt, dw @ sigma.T)
+        x1 = step(m, x0, dt, diffusion(m, x0, dw @ sigma.T))
         target_mean = np.array([10.0, 20.0, 30.0]) * (1 + 0.1 * dt)
         target_cov = sigma @ sigma.T * dt
         mean_se = np.sqrt(np.diag(target_cov) / n)
@@ -277,6 +279,20 @@ class TestCoupledTiers:
         for i in range(len(gaps) - 1):
             assert gaps[i + 1] <= gaps[i] + ses[i] + ses[i + 1]
 
+    def test_bachelier_basket_matches_d_asset_state(self, bachelier5_model, bachelier5_portfolio):
+        # a Bachelier tier carries the basket alone; on each tier's own grid and
+        # summed fine draws, the d-asset Euler state must give the same basket
+        m, p = bachelier5_model, bachelier5_portfolio
+        g = PutPayoff(500.0)
+        n_paths, seed = 3000, 31
+        tiers = [mc.TierTask(n_t=n, tasks=[flat_task(g, n)]) for n in (16, 32, 64)]
+        out = mc.simulate_tiers_coupled(m, p, tiers, n_paths, seed=seed)
+        for tier, (res,) in zip(tiers, out):
+            t_grid = np.linspace(0.0, m.T, tier.n_t + 1)
+            *_, x_t = euler_states(m, seed, n_paths, t_grid, stride=64 // tier.n_t)
+            euro = float((np.exp(-m.r * m.T) * g(x_t @ p.weights)).mean())
+            assert res.european == pytest.approx(euro, rel=1e-12, abs=0.0)
+
     def test_tier_must_divide(self, bachelier5_model, bachelier5_portfolio):
         g = PutPayoff(500.0)
         mk = lambda n: mc.TierTask(n_t=n, tasks=[flat_task(g, n)])
@@ -354,14 +370,25 @@ class TestChunkParallelKernel:
     def test_european_matches_path_by_path_reference(self, bachelier5_model,
                                                      bachelier5_portfolio):
         # each chunk must draw its own Philox chunk: the terminal payoffs equal
-        # those of one Euler pass over all paths at once (T / n_t is exact here)
+        # those of one pass of the basket recursion over all paths at once
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
+        res = simulate_bounds(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
+        z = np.exp(-m.r * m.T) * g(basket_euler(m, p, 23, self.M, 16))
+        assert res.european == float(z.mean())
+        assert res.bounds.a_minus == res.european  # nothing stops before maturity
+
+    def test_black_scholes_european_matches_path_by_path_reference(self, bs3d_model,
+                                                                   bs3d_portfolio):
+        # the same for the (m, d) state: one Euler pass over all paths at once
+        # (T / n_t is exact here)
+        m, p = bs3d_model, bs3d_portfolio
+        g = PutPayoff(300.0)
         res = simulate_bounds(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
         *_, x_t = euler_states(m, 23, self.M, np.linspace(0.0, m.T, 17))
         z = np.exp(-m.r * m.T) * g(x_t @ p.weights)
         assert res.european == float(z.mean())
-        assert res.bounds.a_minus == res.european  # nothing stops before maturity
+        assert res.bounds.a_minus == res.european
 
     def test_mismatched_s_nodes_in_a_tier_raise(self, bachelier5_model, bachelier5_portfolio,
                                                 bachelier5_surface):

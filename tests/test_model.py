@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basketproj.mc import step
+from basketproj.mc import diffusion, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
 from basketproj.surface import estimate_envelope
 
@@ -14,18 +14,24 @@ def black_scholes(sigma, x0, r=0.0, T=1.0):
     return ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=r, sigma=sigma, x0=x0, T=T)
 
 
-# The model's drift r x and loading b(t, x) are applied by the Euler step, the
-# only code that evaluates them; these tests read them back from mc.step.
+# The model's drift r x and loading b(t, x) are applied by the Euler step and
+# its diffusion increment, the only code that evaluates them; these tests read
+# them back from mc.step under mc.diffusion.
+
+def euler(m, x, dt, dw):
+    """One forward-Euler step of an (n, d) batch under Brownian increments dw (n, k)."""
+    return step(m, x, dt, diffusion(m, x, dw @ m.sigma.T))
+
 
 def drift(m, x, dt=1.0):
     """r x, as the noise-free step's increment over dt."""
-    return (step(m, x[None, :], dt, np.zeros((1, m.k))) - x)[0] / dt
+    return (euler(m, x[None, :], dt, np.zeros((1, m.k))) - x)[0] / dt
 
 
 def loading(m, x):
     """b(t, x) as a d x k matrix: column j is the dt = 0 step under dW = e_j."""
     xs = np.tile(x, (m.k, 1))
-    return (step(m, xs, 0.0, np.eye(m.k) @ m.sigma.T) - xs).T
+    return (euler(m, xs, 0.0, np.eye(m.k)) - xs).T
 
 
 class TestDrift:
@@ -53,7 +59,7 @@ class TestDrift:
     def test_dimension_mismatch(self):
         m = bachelier(np.eye(2), [1.0, 1.0])
         with pytest.raises(ValueError):
-            step(m, np.ones((1, 3)), 0.1, np.zeros((1, 2)))
+            euler(m, np.ones((1, 3)), 0.1, np.zeros((1, 2)))
 
 
 class TestDiffusion:

@@ -1,7 +1,9 @@
-"""Slow-tier preset gates (10- and 25-asset cases).
+"""Slow-tier preset gates (10-, 25- and 50-asset cases).
 
-Not part of the default run: enable with BASKETPROJ_RUN_SLOW=1.  Each checks
-the same invariants as the 3d acceptance gate with the looser 3% gap.
+Not part of the default run: enable with BASKETPROJ_RUN_SLOW=1.  The
+Black-Scholes cases check the same invariants as the 3d acceptance gate with
+the looser 3% gap; the 50-asset Bachelier case checks those of the Bachelier
+exactness gate.
 """
 
 import os
@@ -11,7 +13,7 @@ import pytest
 from scipy.stats import norm
 
 from basketproj.pipeline import run_experiment
-from basketproj.presets import bs10d, bs25d
+from basketproj.presets import bachelier50d, bs10d, bs25d
 
 slow = pytest.mark.skipif(not os.environ.get("BASKETPROJ_RUN_SLOW"),
                           reason="slow-tier preset; set BASKETPROJ_RUN_SLOW=1")
@@ -33,3 +35,21 @@ def test_slow_preset_gap_gate(tmp_path, preset, atm):
         assert r.hjb_american >= r.hjb_european - 1e-10
     a_minus = [r.a_minus for r in rep.rows]
     assert np.all(np.diff(a_minus) > 0)
+
+
+@slow
+def test_bachelier50d_exactness_gate(tmp_path):
+    # the paper's 50-asset case at reduced tiers (about two minutes): the
+    # projection is exact, so the top tier's gap is held to the 1% of the
+    # Bachelier exactness gate, with its noise term
+    cfg = bachelier50d()
+    cfg.nt_tiers = [512, 1024]
+    cfg.m_paths = 65_536
+    rep = run_experiment(cfg, tmp_path)
+    z = norm.ppf(0.975)
+    for r in rep.rows:
+        assert r.a_minus <= r.a_plus + z * (r.se_minus + r.se_plus)
+        assert r.hjb_american >= r.hjb_european - 1e-10
+    top = max(rep.rows, key=lambda r: r.n_t)
+    noise = z * (top.se_minus + top.se_plus) / (0.5 * (top.a_minus + top.a_plus))
+    assert top.rel_gap <= 0.01 + noise
