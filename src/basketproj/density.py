@@ -5,6 +5,15 @@ hyperplane {P x = s}.  This module supplies the closed-form log densities of
 the forward process, the affine chart that eliminates one coordinate, and the
 two log-integrands (density alone, density times the basket quadratic form)
 with exact gradients and Hessians in price or log-price coordinates.
+
+Shapes: one LogIntegrands serves one time t.  Its integrands take a stack of
+n basket levels s, shape (n,), and chart points z, shape (n, d-1), one row
+per level, and return values (n,), gradients (n, d-1) and Hessians
+(n, d-1, d-1).  A row where the integrand is undefined (outside the density
+support, a non-finite state or a non-positive quadratic form) has value -inf
+and zero derivatives; nothing raises.  Rows never mix: per-row dot products
+are (a[..., None, :] @ b[..., :, None]), one ddot each, and matrix products
+are stacked matmuls, so each row carries the arithmetic of a stack of one.
 """
 
 from __future__ import annotations
@@ -25,25 +34,39 @@ class ExpansionCoords(Enum):
     LOG_PRICE = "log-price"
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (b may be one shared vector), each summed
+    as a 1-D a @ b would.  Rows are made contiguous first: a strided row takes
+    another BLAS kernel with another summation order."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for each row of v, with a one matrix or a stack."""
+    return (a @ v[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class HyperplaneChart:
-    """Affine parametrization of {P x = s} eliminating the largest-weight coordinate.
+    """Affine parametrization of the hyperplanes {P x = s} eliminating the
+    largest-weight coordinate.
 
     z holds the free coordinates (original index order); the eliminated
-    coordinate is recovered from the basket constraint.
+    coordinate is recovered from the basket constraint at each level s.
     """
 
     portfolio: Portfolio
-    s: float
     pivot: int
     free: np.ndarray  # original indices of the free coordinates
 
-    def x_of(self, z: np.ndarray) -> np.ndarray:
+    def x_of(self, s, z: np.ndarray) -> np.ndarray:
+        """The points x with P x = s: s a float or (n,), z (d-1,) or (n, d-1)."""
         z = np.asarray(z, dtype=float)
         w = self.portfolio.weights
-        x = np.empty(self.portfolio.d)
-        x[self.free] = z
-        x[self.pivot] = (self.s - w[self.free] @ z) / w[self.pivot]
+        x = np.empty(z.shape[:-1] + (self.portfolio.d,))
+        x[..., self.free] = z
+        x[..., self.pivot] = (s - rowdot(z, w[self.free])) / w[self.pivot]
         return x
 
     @property
@@ -56,14 +79,14 @@ class HyperplaneChart:
         return b
 
 
-def chart(p: Portfolio, s: float) -> HyperplaneChart:
+def chart(p: Portfolio) -> HyperplaneChart:
     """Build the chart, eliminating the coordinate with the largest |weight|."""
     w = p.weights
     pivot = int(np.argmax(np.abs(w)))
     if abs(w[pivot]) < WEIGHT_FLOOR:
         raise ValueError("all portfolio weights are below the pivot threshold")
     free = np.array([i for i in range(p.d) if i != pivot], dtype=int)
-    return HyperplaneChart(portfolio=p, s=float(s), pivot=pivot, free=free)
+    return HyperplaneChart(portfolio=p, pivot=pivot, free=free)
 
 
 class _Gaussian:
@@ -85,11 +108,11 @@ class _Gaussian:
     def inv(self) -> np.ndarray:
         return cho_solve(self._cf, np.eye(self.dim))
 
-    def logpdf_alpha(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """(log pdf at y, cov^{-1} (y - mean)) from one solve."""
+    def logpdf_alpha(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log pdf, cov^{-1} (y - mean)) of each row of y (n, d), from one multi-RHS solve."""
         dev = y - self.mean
-        alpha = cho_solve(self._cf, dev)
-        val = float(-0.5 * dev @ alpha - 0.5 * (self.dim * np.log(2 * np.pi) + self.logdet))
+        alpha = cho_solve(self._cf, dev.T).T
+        val = rowdot(-0.5 * dev, alpha) - 0.5 * (self.dim * np.log(2 * np.pi) + self.logdet)
         return val, alpha
 
 
@@ -108,15 +131,17 @@ def transition_law(model: ModelSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LogIntegrands:
-    """f = log(density * PbbtP), ftilde = log(density), on the chart coordinates.
+    """f = log(density * PbbtP), ftilde = log(density), on the chart coordinates
+    of every hyperplane {P x = s} at one time t.
 
     Gradients and Hessians are exact for both model kinds.  In log-price
     coordinates the change-of-variables Jacobian is part of the integrand, so
     that integrals (and their Laplace approximations) refer to the same
-    underlying surface integral as in price coordinates.
+    underlying surface integral as in price coordinates.  Each method takes
+    basket levels s (n,) and chart points z (n, d-1); see the module docstring.
     """
 
-    def __init__(self, model: ModelSpec, p: Portfolio, t: float, s: float, coords=None):
+    def __init__(self, model: ModelSpec, p: Portfolio, t: float, coords=None):
         """coords: an ExpansionCoords or its value; None picks log-price for
         Black-Scholes and price for Bachelier."""
         if not t > 0:
@@ -129,9 +154,8 @@ class LogIntegrands:
         self.model = model
         self.portfolio = p
         self.t = float(t)
-        self.s = float(s)
         self.coords = coords
-        self.chart = chart(p, s)
+        self.chart = chart(p)
         self._omega = model.omega
         # the transition law of the state (Bachelier) or of its log-returns
         # (Black-Scholes); the Newton start conditions it on the basket
@@ -139,47 +163,62 @@ class LogIntegrands:
         if model.kind is ModelKind.BACHELIER:
             row = p.weights @ model.sigma
             self._const_q = float(row @ row)
+        else:
+            self._d2q = 2.0 * np.outer(p.weights, p.weights) * self._omega
         self._cinv = self.gauss.inv()
+        if coords is ExpansionCoords.LOG_PRICE:
+            self._log_x0_free = np.sum(np.log(model.x0[self.chart.free]))
 
     # -- state-space pieces -------------------------------------------------
 
-    def _x(self, z: np.ndarray) -> np.ndarray:
+    def _x(self, s: np.ndarray, z: np.ndarray) -> np.ndarray:
         if self.coords is ExpansionCoords.PRICE:
-            return self.chart.x_of(z)
-        zfree = self.model.x0[self.chart.free] * np.exp(np.asarray(z, dtype=float))
-        return self.chart.x_of(zfree)
+            return self.chart.x_of(s, z)
+        return self.chart.x_of(s, self.model.x0[self.chart.free] * np.exp(z))
 
-    def _in_support(self, x: np.ndarray) -> bool:
+    def _defined(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of x where the log density is defined, and the Gaussian's
+        argument there: x itself (Bachelier) or the log-returns."""
+        ok = np.all(np.isfinite(x), axis=1)
         if self.model.kind is ModelKind.BACHELIER:
-            return True
-        return bool(np.all(x > 0.0))
+            rows = np.flatnonzero(ok)
+            return rows, x[rows]
+        rows = np.flatnonzero(ok & np.all(x > 0.0, axis=1))
+        y = np.log(x[rows] / self.model.x0)
+        keep = np.all(np.isfinite(y), axis=1)
+        return rows[keep], y[keep]
 
-    def _logphi_parts(self, x: np.ndarray):
-        """Value, gradient and Hessian of log density in x."""
+    def _logphi_parts(self, x: np.ndarray, y: np.ndarray):
+        """Value, gradient and Hessian of log density in x, y as from _defined."""
+        val, a = self.gauss.logpdf_alpha(y)
+        n, d = x.shape
         if self.model.kind is ModelKind.BACHELIER:
-            val, a = self.gauss.logpdf_alpha(x)
-            return val, -a, -self._cinv
-        w = np.log(x / self.model.x0)
-        val, a = self.gauss.logpdf_alpha(w)
-        val -= float(np.sum(np.log(x)))
+            return val, -a, np.repeat(-self._cinv[None], n, axis=0)
+        val -= np.sum(np.log(x), axis=1)
         grad = -(a + 1.0) / x
-        hess = -self._cinv / np.outer(x, x) + np.diag((a + 1.0) / x**2)
+        hess = x[:, :, None] * x[:, None, :]  # stacks are formed in place to bound peak memory
+        np.divide(-self._cinv, hess, out=hess)
+        diag = np.arange(d)
+        hess[:, diag, diag] += (a + 1.0) / x**2
         return val, grad, hess
 
     def _logq_parts(self, x: np.ndarray):
-        """Value, gradient and Hessian of log(P b b^T P^T) in x."""
+        """Rows with a positive basket quadratic form q = P b b^T P^T, and the
+        value, gradient and Hessian of log q in x on those rows."""
         if self.model.kind is ModelKind.BACHELIER:
-            d = x.size
-            return np.log(self._const_q), np.zeros(d), np.zeros((d, d))
+            return np.ones(x.shape[0], dtype=bool), np.log(self._const_q), 0.0, 0.0
         pw = self.portfolio.weights
         v = pw * x
-        ov = self._omega @ v
-        q = float(v @ ov)
-        if q <= 0.0:
-            raise ValueError("degenerate basket quadratic form")
+        ov = matvec(self._omega, v)
+        q = rowdot(v, ov)
+        keep = q > 0.0
+        q, ov = q[keep], ov[keep]
         dq = 2.0 * pw * ov
-        d2q = 2.0 * np.outer(pw, pw) * self._omega
-        return np.log(q), dq / q, d2q / q - np.outer(dq, dq) / q**2
+        outer = dq[:, :, None] * dq[:, None, :]
+        outer /= (q**2)[:, None, None]
+        hess = self._d2q / q[:, None, None]
+        hess -= outer
+        return keep, np.log(q), dq / q[:, None], hess
 
     # -- chart chain rule ---------------------------------------------------
 
@@ -188,52 +227,70 @@ class LogIntegrands:
         ch = self.chart
         if self.coords is ExpansionCoords.PRICE:
             b = ch.basis
-            return val_x, b.T @ grad_x, b.T @ hess_x @ b
-        z = np.asarray(z, dtype=float)
+            return val_x, matvec(b.T, grad_x), b.T @ hess_x @ b
+        n, m = z.shape
         xfree = self.model.x0[ch.free] * np.exp(z)
         w = self.portfolio.weights
-        jac = np.zeros((self.model.d, ch.free.size))
-        jac[ch.free, np.arange(ch.free.size)] = xfree
-        jac[ch.pivot, :] = -w[ch.free] * xfree / w[ch.pivot]
-        grad = jac.T @ grad_x
-        hess = jac.T @ hess_x @ jac
+        jac = np.zeros((n, self.model.d, m))
+        jac[:, ch.free, np.arange(m)] = xfree
+        jac[:, ch.pivot, :] = -w[ch.free] * xfree / w[ch.pivot]
+        jac_t = jac.transpose(0, 2, 1)
+        grad = matvec(jac_t, grad_x)
+        hess = jac_t @ hess_x @ jac
         # second-derivative terms of the (non-affine) map, diagonal in the chart
-        hess += np.diag(grad_x[ch.free] * xfree - grad_x[ch.pivot] * w[ch.free] * xfree / w[ch.pivot])
+        diag = np.arange(m)
+        hess[:, diag, diag] += (grad_x[:, ch.free] * xfree
+                                - grad_x[:, ch.pivot, None] * w[ch.free] * xfree / w[ch.pivot])
         # measure Jacobian prod x0_j e^{z_j}
-        val = val_x + float(np.sum(z) + np.sum(np.log(self.model.x0[ch.free])))
-        grad = grad + 1.0
-        return val, grad, hess
+        val = val_x + (np.sum(z, axis=1) + self._log_x0_free)
+        return val, grad + 1.0, hess
 
     # -- public integrands ---------------------------------------------------
 
-    def ftilde(self, z: np.ndarray) -> float:
-        x = self._x(z)
-        if not self._in_support(x):
-            return -np.inf
-        val, _, _ = self._logphi_parts(x)
+    def _values(self, s, z, with_q: bool) -> np.ndarray:
+        z = np.ascontiguousarray(z, dtype=float)
+        out = np.full(z.shape[0], -np.inf)
+        x = self._x(s, z)
+        rows, y = self._defined(x)
+        if with_q:
+            keep, qv, _, _ = self._logq_parts(x[rows])
+            rows, y = rows[keep], y[keep]
+        val = self._logphi_parts(x[rows], y)[0]
         if self.coords is ExpansionCoords.LOG_PRICE:
-            z = np.asarray(z, dtype=float)
-            val += float(np.sum(z) + np.sum(np.log(self.model.x0[self.chart.free])))
-        return val
+            val = val + (np.sum(z[rows], axis=1) + self._log_x0_free)
+        out[rows] = val + qv if with_q else val
+        return out
 
-    def f(self, z: np.ndarray) -> float:
-        x = self._x(z)
-        if not self._in_support(x):
-            return -np.inf
-        return self.ftilde(z) + self._logq_parts(x)[0]
+    def _derivs(self, s, z, with_q: bool):
+        z = np.ascontiguousarray(z, dtype=float)
+        n, m = z.shape
+        x = self._x(s, z)
+        rows, y = self._defined(x)
+        if with_q:
+            keep, qv, qg, qh = self._logq_parts(x[rows])
+            rows, y = rows[keep], y[keep]
+        pv, pg, ph = self._logphi_parts(x[rows], y)
+        # each (n, d, d) stack is dropped once used: they set the stage's peak memory too
+        if with_q:
+            pv, pg = pv + qv, pg + qg
+            ph += qh
+            del qh
+        parts = self._chain(z[rows], pv, pg, ph)
+        del ph
+        val, grad, hess = np.full(n, -np.inf), np.zeros((n, m)), np.zeros((n, m, m))
+        val[rows], grad[rows], hess[rows] = parts
+        return val, grad, hess
 
-    def ftilde_derivs(self, z: np.ndarray):
-        """(value, gradient, Hessian) of ftilde at an interior point."""
-        x = self._x(z)
-        if not self._in_support(x):
-            raise ValueError("derivatives undefined outside the density support")
-        return self._chain(z, *self._logphi_parts(x))
+    def ftilde(self, s, z) -> np.ndarray:
+        return self._values(s, z, with_q=False)
 
-    def f_derivs(self, z: np.ndarray):
-        """(value, gradient, Hessian) of f at an interior point."""
-        x = self._x(z)
-        if not self._in_support(x):
-            raise ValueError("derivatives undefined outside the density support")
-        pv, pg, ph = self._logphi_parts(x)
-        qv, qg, qh = self._logq_parts(x)
-        return self._chain(z, pv + qv, pg + qg, ph + qh)
+    def f(self, s, z) -> np.ndarray:
+        return self._values(s, z, with_q=True)
+
+    def ftilde_derivs(self, s, z):
+        """(values, gradients, Hessians) of ftilde on the stack."""
+        return self._derivs(s, z, with_q=False)
+
+    def f_derivs(self, s, z):
+        """(values, gradients, Hessians) of f on the stack."""
+        return self._derivs(s, z, with_q=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .density import ExpansionCoords, LogIntegrands, transition_law
 from .model import ModelKind, ModelSpec, Portfolio
-from .projection import newton_maximize, newton_start
+from .projection import NewtonError, newton_maximize, newton_start
 from .rng import normal_matrix
 
 N_PANELS = 16
@@ -49,11 +49,13 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s: float,
     """Exact-integrand ratio for d = 2 by composite quadrature in the free coordinate."""
     if model.d != 2:
         raise ValueError("quadrature oracle is one-dimensional: d must be 2")
-    li = LogIntegrands(model, p, t, s, coords)
-    res = newton_maximize(li.ftilde_derivs, newton_start(li))
-    mode = float(res.z[0])
+    li = LogIntegrands(model, p, t, coords)
+    res = newton_maximize(li.ftilde_derivs, np.array([s]), newton_start(li, s)[None])
+    if res.failures:
+        raise NewtonError(res.failures[0])
+    mode = float(res.z[0, 0])
     if spec is None:
-        std = 1.0 / np.sqrt(-float(res.hess[0, 0]))
+        std = 1.0 / np.sqrt(-float(res.hess[0, 0, 0]))
         lo, hi = mode - INTERVAL_STDS * std, mode + INTERVAL_STDS * std
         # clip to the support of the chart (both assets positive for Black-Scholes)
         if model.kind is ModelKind.BLACK_SCHOLES:
@@ -67,8 +69,9 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s: float,
     elif not (spec.lo < mode < spec.hi):
         raise ValueError("quadrature interval does not contain the integrand mode")
     xs, ws = _gl_nodes(spec)
-    fvals = np.array([li.f(np.array([x])) for x in xs])
-    gvals = np.array([li.ftilde(np.array([x])) for x in xs])
+    level = np.full(xs.size, float(s))
+    fvals = li.f(level, xs[:, None])
+    gvals = li.ftilde(level, xs[:, None])
     ref = np.max(gvals[np.isfinite(gvals)])
     num = float(ws @ np.where(np.isfinite(fvals), np.exp(fvals - ref), 0.0))
     den = float(ws @ np.where(np.isfinite(gvals), np.exp(gvals - ref), 0.0))

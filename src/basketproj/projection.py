@@ -1,10 +1,20 @@
-"""Pointwise Laplace evaluation of the projected SDE coefficients.
+"""Laplace evaluation of the projected SDE coefficients, one time slice at a time.
 
 The surrogate basket SDE has drift r*s exactly; its squared volatility is the
 conditional expectation of the basket quadratic form, approximated here by the
 ratio of two Laplace-approximated hyperplane integrals.  The Bachelier model
 bypasses the approximation: the conditional expectation is the constant
 quadratic form itself.
+
+Shapes and failures: newton_start, laplace_point and projected_vol_sq take
+the basket level s as a float or a 1-D array of levels, all at one time t.
+An array is one stack: each Newton iteration makes one stacked derivative
+evaluation and one stacked solve, and a converged row leaves the stack.  A
+failed point comes back NaN, with its reason in a dict {index: reason};
+nothing raises.  A float is a stack of one: the result is a float (a 1-D
+start, a record of floats) and a failure raises NewtonError with its reason.
+Each row carries the arithmetic of a stack of one, so both forms agree to
+the bit.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ExpansionCoords, LogIntegrands
+from .density import ExpansionCoords, LogIntegrands, rowdot
 from .model import ModelKind, ModelSpec, Portfolio
 
 NEWTON_TOL = 1e-10
@@ -26,138 +36,220 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonResult:
-    z: np.ndarray
-    value: float
-    hess: np.ndarray
-    logdet: float             # log det(-hess), from the Cholesky factor that proves -hess > 0
-    iterations: int
+    """Maximizers of a stack; a failed row is NaN and named in failures."""
+
+    z: np.ndarray             # (n, m)
+    value: np.ndarray         # (n,)
+    hess: np.ndarray          # (n, m, m)
+    logdet: np.ndarray        # (n,) log det(-hess), from the Cholesky factor that proves -hess > 0
+    iterations: np.ndarray    # (n,) Newton steps per row
+    failures: dict            # row -> reason
 
 
 @dataclass(frozen=True)
 class LaplacePoint:
-    """Record of one Laplace evaluation: both maximizers and their Hessian log-determinants."""
+    """Record of the Laplace evaluations at one level or a stack of levels:
+    both maximizers and their Hessian log-determinants (NaN where failed)."""
 
     z_star: np.ndarray        # maximizer of f (numerator)
     z_dagger: np.ndarray      # maximizer of ftilde (denominator)
-    f_star: float
-    ftilde_dagger: float
-    logdet_hf: float          # log det of -H f at z_star
-    logdet_hftilde: float
-    iterations: int
+    f_star: float | np.ndarray
+    ftilde_dagger: float | np.ndarray
+    logdet_hf: float | np.ndarray       # log det of -H f at z_star
+    logdet_hftilde: float | np.ndarray
+    iterations: int           # Newton iterations of both maximizations, most over the stack
+    failures: dict            # level index -> reason; empty for a float level
 
     @property
-    def value(self) -> float:
-        return float(np.exp(self.f_star - self.ftilde_dagger
-                            + 0.5 * (self.logdet_hftilde - self.logdet_hf)))
+    def value(self) -> float | np.ndarray:
+        v = np.exp(self.f_star - self.ftilde_dagger
+                   + 0.5 * (self.logdet_hftilde - self.logdet_hf))
+        return v if np.ndim(v) else float(v)
 
 
-def newton_maximize(derivs, z0: np.ndarray) -> NewtonResult:
-    """Damped Newton ascent on a concave log-integrand.
+def newton_maximize(derivs, s: np.ndarray, z0: np.ndarray) -> NewtonResult:
+    """Damped Newton ascent on a stack of concave log-integrands, one per level.
 
-    derivs(z) must return (value, gradient, Hessian); z0 must be interior.
-    The step is z <- z - H^{-1} grad with halving while the value decreases.
-    A terminal Hessian that is not negative definite raises NewtonError.
+    derivs(s, z) takes levels (k,) and points (k, m) and returns values (k,),
+    gradients (k, m) and Hessians (k, m, m), value -inf outside the support.
+    Each row steps z <- z - H^{-1} grad, halving the step while its value
+    decreases, and leaves the stack once its gradient is below tolerance.  A
+    row fails when it starts outside the support, meets a singular Hessian,
+    finds no ascent in 40 halvings, does not converge in NEWTON_MAX_ITER
+    iterations or ends at a Hessian that is not negative definite.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    try:
-        val, grad, hess = derivs(z)
-    except ValueError as exc:
-        raise NewtonError(f"Newton start outside the support: {exc}") from exc
-    if not np.isfinite(val):
-        raise NewtonError("Newton start outside the support")
+    s = np.asarray(s, dtype=float)
+    z = np.array(z0, dtype=float, order="C")  # rows contiguous, as derivs sees them
+    val, grad, hess = derivs(s, z)
+    iterations = np.zeros(s.size, dtype=int)
+    failures = {}
+
+    def fail(rows, reason):
+        failures.update(dict.fromkeys(rows.tolist(), reason))
+
+    fail(np.flatnonzero(~np.isfinite(val)), "Newton start outside the support")
+    active = np.flatnonzero(np.isfinite(val))
+    converged = []
     for it in range(1, NEWTON_MAX_ITER + 1):
-        scale = max(1.0, float(np.max(np.abs(hess))))
-        if float(np.linalg.norm(grad)) <= NEWTON_TOL * scale:
-            return NewtonResult(z=z, value=val, hess=hess, logdet=_logdet_neg(hess),
-                                iterations=it - 1)
-        try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError("singular Hessian in Newton iteration") from exc
-        if float(grad @ step) <= 0.0:
-            # indefinite Hessian; fall back to a scaled gradient ascent step
-            step = grad / scale
+        g = grad[active]
+        peak = np.max(np.abs(hess[active]), axis=(1, 2))
+        scale = np.where(peak > 1.0, peak, 1.0)
+        done = np.sqrt(rowdot(g, g)) <= NEWTON_TOL * scale
+        iterations[active[done]] = it - 1
+        converged.append(active[done])
+        active, g, scale = active[~done], g[~done], scale[~done]
+        if not active.size:
+            break
+        step, singular = _newton_steps(hess[active], g)
+        fail(active[singular], "singular Hessian in Newton iteration")
+        active, g, step, scale = active[~singular], g[~singular], step[~singular], scale[~singular]
+        # an indefinite Hessian falls back to a scaled gradient ascent step
+        downhill = rowdot(g, step) <= 0.0
+        step[downhill] = g[downhill] / scale[downhill, None]
         lam = 1.0
+        search = np.arange(active.size)
         for _ in range(40):
-            cand = z + lam * step
-            try:
-                nval, ngrad, nhess = derivs(cand)
-            except ValueError:
-                nval = -np.inf
-            if np.isfinite(nval) and nval >= val - 1e-14 * max(1.0, abs(val)):
+            rows = active[search]
+            cand = z[rows] + lam * step[search]
+            nval, ngrad, nhess = derivs(s[rows], cand)
+            ok = np.isfinite(nval) & (nval >= val[rows] - 1e-14 * np.maximum(1.0, np.abs(val[rows])))
+            z[rows[ok]], val[rows[ok]], grad[rows[ok]], hess[rows[ok]] = \
+                cand[ok], nval[ok], ngrad[ok], nhess[ok]
+            search = search[~ok]
+            if not search.size:
                 break
             lam *= 0.5
-        else:
-            raise NewtonError("line search failed (iterate left the support)")
-        z, val, grad, hess = cand, nval, ngrad, nhess
-    raise NewtonError(f"Newton did not converge within {NEWTON_MAX_ITER} iterations")
+        fail(active[search], "line search failed (iterate left the support)")
+        active = np.delete(active, search)
+    fail(active, f"Newton did not converge within {NEWTON_MAX_ITER} iterations")
+    done = np.sort(np.concatenate(converged))
+    logdet = np.full(s.size, np.nan)
+    logdet[done], indefinite = _logdet_neg(hess[done])
+    fail(done[indefinite], "Hessian not negative definite at the terminal point")
+    bad = list(failures)
+    z[bad], val[bad], hess[bad], logdet[bad] = np.nan, np.nan, np.nan, np.nan
+    return NewtonResult(z=z, value=val, hess=hess, logdet=logdet, iterations=iterations,
+                        failures=dict(sorted(failures.items())))
 
 
-def _logdet_neg(hess: np.ndarray) -> float:
-    """log det(-H) by symmetric factorization; H must be negative definite."""
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-hess)^{-1} grad per row, and which rows have a singular Hessian
+    (their steps are NaN).  hess is negated in place."""
+    a = np.negative(hess, out=hess)
+    singular = np.zeros(grad.shape[0], dtype=bool)
     try:
-        chol = np.linalg.cholesky(-hess)
-    except np.linalg.LinAlgError as exc:
-        raise NewtonError("Hessian not negative definite at the terminal point") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return np.linalg.solve(a, grad[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        step = np.full_like(grad, np.nan)
+        for i in range(grad.shape[0]):
+            try:
+                step[i] = np.linalg.solve(a[i], grad[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
 
 
-def newton_start(li: LogIntegrands) -> np.ndarray:
-    """Interior Newton start: conditional-mean point of the integrands' Gaussian.
+def _logdet_neg(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log det(-H) per row by symmetric factorization, and which rows are not
+    negative definite (their log-determinant is NaN).  hess is negated in place."""
+    a = np.negative(hess, out=hess)
+    indefinite = np.zeros(a.shape[0], dtype=bool)
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        chol = np.full_like(a, np.nan)
+        for i in range(a.shape[0]):
+            try:
+                chol[i] = np.linalg.cholesky(a[i])
+            except np.linalg.LinAlgError:
+                indefinite[i] = True
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1), indefinite
+
+
+def newton_start(li: LogIntegrands, s):
+    """Interior Newton starts: conditional-mean points of the integrands' Gaussian.
 
     Bachelier conditions the exact Gaussian on the basket; Black-Scholes
     conditions the Gaussian log-returns on the linearized basket constraint.
+    A float s gives one start (d-1,); an array gives (starts (n, d-1),
+    {index: reason}), NaN at the levels with no interior start.
     """
-    model, ch, g, s = li.model, li.chart, li.gauss, li.s
+    model, ch, g = li.model, li.chart, li.gauss
+    levels = np.atleast_1d(np.asarray(s, dtype=float))
     w = li.portfolio.weights
+    failed = np.zeros(levels.size, dtype=bool)
     if model.kind is ModelKind.BACHELIER:
         cp = g.cov @ w
-        point = g.mean + cp * (s - float(w @ g.mean)) / float(w @ cp)
-        return point[ch.free]
-    a = w * model.x0
-    ca = g.cov @ a
-    target = s - float(w @ model.x0)
-    what = g.mean + ca * (target - float(a @ g.mean)) / float(a @ ca)
-    x = model.x0 * np.exp(what)
-    # the eliminated coordinate implied by the constraint must stay positive
-    x_piv = (s - float(w[ch.free] @ x[ch.free])) / w[ch.pivot]
-    if x_piv <= 0.0:
-        if s <= 0.0 or float(w @ model.x0) <= 0.0:
-            raise NewtonError("no interior Newton start exists for this (t, s)")
-        x = model.x0 * (s / float(w @ model.x0))  # proportional point, always on the hyperplane
-    if li.coords is ExpansionCoords.LOG_PRICE:
-        return np.log(x[ch.free] / model.x0[ch.free])
-    return x[ch.free]
+        point = g.mean + cp * (levels - float(w @ g.mean))[:, None] / float(w @ cp)
+        z0 = point[:, ch.free]
+    else:
+        a = w * model.x0
+        ca = g.cov @ a
+        target = levels - float(w @ model.x0)
+        what = g.mean + ca * (target - float(a @ g.mean))[:, None] / float(a @ ca)
+        x = model.x0 * np.exp(what)
+        # the eliminated coordinate implied by the constraint must stay positive
+        x_piv = (levels - rowdot(x[:, ch.free], w[ch.free])) / w[ch.pivot]
+        wx0 = float(w @ model.x0)
+        off = x_piv <= 0.0
+        failed = off & ((levels <= 0.0) | (wx0 <= 0.0))
+        prop = off & ~failed  # the proportional point, always on the hyperplane
+        x[prop] = model.x0 * (levels[prop] / wx0)[:, None]
+        z0 = x[:, ch.free]
+        if li.coords is ExpansionCoords.LOG_PRICE:
+            z0 = np.log(z0 / model.x0[ch.free])
+    z0[failed] = np.nan
+    failures = dict.fromkeys(np.flatnonzero(failed).tolist(),
+                             "no interior Newton start exists for this (t, s)")
+    if np.ndim(s):
+        return z0, failures
+    if failures:
+        raise NewtonError(failures[0])
+    return z0[0]
 
 
-def laplace_point(model: ModelSpec, p: Portfolio, t: float, s: float,
+def laplace_point(model: ModelSpec, p: Portfolio, t: float, s,
                   coords=None) -> LaplacePoint:
-    """Run both Newton maximizations and package the Laplace data.
+    """Run both Newton maximizations on the levels s and package the Laplace data.
 
-    coords is as in LogIntegrands.
+    coords is as in LogIntegrands.  iterations is the most Newton iterations
+    (both maximizations) any level took.
     """
-    li = LogIntegrands(model, p, t, s, coords)
-    res_den = newton_maximize(li.ftilde_derivs, newton_start(li))
-    res_num = newton_maximize(li.f_derivs, res_den.z)
+    li = LogIntegrands(model, p, t, coords)
+    levels = np.atleast_1d(np.asarray(s, dtype=float))
+    z0, start_failures = newton_start(li, levels)
+    # a level that failed is NaN from there on, so it fails the next stage at its start
+    den = newton_maximize(li.ftilde_derivs, levels, z0)
+    num = newton_maximize(li.f_derivs, levels, den.z)
+    # each level keeps the reason of its first failure
+    failures = dict(sorted({**num.failures, **den.failures, **start_failures}.items()))
+    if not np.ndim(s) and failures:
+        raise NewtonError(failures[0])
+    ok = [i for i in range(levels.size) if i not in failures]
+    row = slice(None) if np.ndim(s) else 0
     return LaplacePoint(
-        z_star=res_num.z,
-        z_dagger=res_den.z,
-        f_star=res_num.value,
-        ftilde_dagger=res_den.value,
-        logdet_hf=res_num.logdet,
-        logdet_hftilde=res_den.logdet,
-        iterations=res_num.iterations + res_den.iterations,
+        z_star=num.z[row],
+        z_dagger=den.z[row],
+        f_star=num.value[row],
+        ftilde_dagger=den.value[row],
+        logdet_hf=num.logdet[row],
+        logdet_hftilde=den.logdet[row],
+        iterations=int(np.max((num.iterations + den.iterations)[ok], initial=0)),
+        failures=failures,
     )
 
 
-def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float, s: float,
-                     coords=None) -> float:
-    """Projected squared volatility of the basket at (t, s).
+def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float, s, coords=None):
+    """Projected squared volatility of the basket at time t and level(s) s.
 
     Bachelier: the exact constant P Sigma Sigma^T P^T.  Black-Scholes: the
     Laplace-approximated ratio exp(f* - ftilde*) sqrt(det|H ftilde| / det|H f|).
+    A float s gives a float; an array gives (values, {index: reason}), the
+    values NaN at the failed levels.
     """
     if model.kind is ModelKind.BACHELIER:
         row = p.weights @ model.sigma
-        return float(row @ row)
-    return laplace_point(model, p, t, s, coords=coords).value
+        const = float(row @ row)
+        return (np.full(np.shape(s), const), {}) if np.ndim(s) else const
+    lp = laplace_point(model, p, t, s, coords=coords)
+    return (lp.value, lp.failures) if np.ndim(s) else lp.value

@@ -1,9 +1,14 @@
 """Globally defined coefficient surface (t, s) -> (drift, squared volatility).
 
-Pointwise Laplace evaluations are taken on a pilot-simulation envelope of the
-basket, fitted per time slice with low-order polynomials in s, interpolated
-linearly in t, extrapolated as-is outside the fitted range and clamped below
-by a positivity floor so the backward solve stays parabolic.
+Laplace evaluations are taken on a pilot-simulation envelope of the basket,
+fitted per time slice with low-order polynomials in s, interpolated linearly
+in t, extrapolated as-is outside the fitted range and clamped below by a
+positivity floor so the backward solve stays parabolic.  Each time slice is
+one batch: its n_abscissae levels go to projected_vol_sq as one (n,) array.
+A level whose Newton maximization fails is logged at INFO with its reason and
+left out of the fit; one WARNING then counts the failed levels of the whole
+surface ("Laplace evaluation failed at %d of %d points", failed, slices x
+abscissae).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from . import mc
 from .model import ModelKind, ModelSpec, Portfolio
-from .projection import NewtonError, projected_vol_sq
+from .projection import projected_vol_sq
 
 log = logging.getLogger(__name__)
 
@@ -222,14 +227,13 @@ def build_surface(model: ModelSpec, p: Portfolio, seed: int = 0,
     n_failed = 0
     for i in idx:
         t = env.times[i]
-        for s in np.linspace(env.s_lo[i], env.s_hi[i], n_abscissae):
-            try:
-                v = projected_vol_sq(model, p, t, float(s))
-            except NewtonError as exc:
-                n_failed += 1
-                log.info("skipping Laplace point (t=%.4g, s=%.6g): %s", t, s, exc)
-                continue
-            evaluations.append((t, float(s), v))
+        levels = np.linspace(env.s_lo[i], env.s_hi[i], n_abscissae)
+        values, failures = projected_vol_sq(model, p, t, levels)
+        for j, reason in failures.items():
+            log.info("skipping Laplace point (t=%.4g, s=%.6g): %s", t, levels[j], reason)
+        n_failed += len(failures)
+        evaluations += [(t, float(levels[j]), float(values[j]))
+                        for j in range(n_abscissae) if j not in failures]
     if n_failed:
         log.warning("Laplace evaluation failed at %d of %d points", n_failed,
                     idx.size * n_abscissae)

@@ -1,5 +1,6 @@
-"""Reference helpers for the tests: finite differences, intervals, bound tasks
-and a reader for the surface table.
+"""Reference helpers for the tests: finite differences, one-level views of the
+stacked log-integrands, intervals, bound tasks and a reader for the surface
+table.
 
 Nothing here is part of the package.  The finite-difference derivatives are
 the reference the analytic Laplace derivatives are checked against; the task
@@ -11,6 +12,7 @@ import numpy as np
 from scipy.stats import norm
 
 from basketproj import hjb
+from basketproj.density import LogIntegrands
 from basketproj.mc import BoundTask, diffusion, step
 from basketproj.rng import normal_matrix
 from basketproj.surface import CoefficientSurface
@@ -45,6 +47,30 @@ def fd_hessian(fun, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
             mixed = (fun(z + ei + ej) - fun(z + ei - ej) - fun(z - ei + ej) + fun(z - ei - ej)) / (4 * h**2)
             out[i, j] = out[j, i] = mixed
     return out
+
+
+class AtLevel:
+    """The log-integrands of one time slice at a single basket level s, as
+    scalar functions of a 1-D chart point z: a stack of one row each call."""
+
+    def __init__(self, model, p, t: float, s: float, coords=None):
+        self.stack = LogIntegrands(model, p, t, coords)
+        self.chart, self.coords = self.stack.chart, self.stack.coords
+        self.s = np.array([float(s)])
+
+    def f(self, z) -> float:
+        return float(self.stack.f(self.s, np.atleast_2d(z))[0])
+
+    def ftilde(self, z) -> float:
+        return float(self.stack.ftilde(self.s, np.atleast_2d(z))[0])
+
+    def f_derivs(self, z):
+        val, grad, hess = self.stack.f_derivs(self.s, np.atleast_2d(z))
+        return float(val[0]), grad[0], hess[0]
+
+    def ftilde_derivs(self, z):
+        val, grad, hess = self.stack.ftilde_derivs(self.s, np.atleast_2d(z))
+        return float(val[0]), grad[0], hess[0]
 
 
 def confidence_interval(mean: float, se: float, level: float) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import norm
 
 from basketproj import hjb
-from basketproj.density import ExpansionCoords, LogIntegrands, chart
+from basketproj.density import ExpansionCoords, chart
 from basketproj.mc import BoundTask, simulate_bounds
 from basketproj.model import Portfolio, PutPayoff
 from basketproj.oracle import binomial_american_put_1d, quadrature_projected_vol
@@ -20,7 +20,7 @@ from basketproj.presets import bachelier5d, bs3d
 from basketproj.projection import projected_vol_sq
 from basketproj.rng import derive_seed
 from basketproj.surface import CoefficientSurface, build_surface
-from support import fd_gradient, fd_hessian, flat_task
+from support import AtLevel, fd_gradient, fd_hessian, flat_task
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -184,8 +184,7 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     details.append("payoff 1-Lipschitz")
 
     # gradient/Hessian finite-difference agreement
-    li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                       ExpansionCoords.LOG_PRICE)
+    li = AtLevel(appendix_model, appendix_portfolio, 1.0, 200.0, ExpansionCoords.LOG_PRICE)
     worst = 0.0
     for _ in range(20):
         zpt = rng.uniform(-0.2, 0.2, 1)
@@ -204,9 +203,9 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
         d = int(rng.integers(2, 7))
         w = rng.uniform(0.2, 2.0, d)
         s = float(rng.uniform(10.0, 500.0))
-        ch = chart(Portfolio(w), s)
+        ch = chart(Portfolio(w))
         zv = rng.uniform(-100.0, 300.0, d - 1)
-        worst_rt = max(worst_rt, abs(float(w @ ch.x_of(zv)) - s) / max(1.0, abs(s)))
+        worst_rt = max(worst_rt, abs(float(w @ ch.x_of(s, zv)) - s) / max(1.0, abs(s)))
     details.append(f"chart roundtrip rel err={worst_rt:.1e}")
     assert worst_rt < 1e-10
 

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from basketproj.density import ExpansionCoords, LogIntegrands, chart
 from basketproj.model import ModelKind, ModelSpec, Portfolio
-from support import fd_gradient, fd_hessian
+from support import AtLevel, fd_gradient, fd_hessian
 
 PRICE = ExpansionCoords.PRICE
 
@@ -13,12 +13,12 @@ def log_density(m, t, y):
     """Log transition density at y: ftilde in price coordinates on the hyperplane
     through y (the empty chart when d = 1)."""
     p = Portfolio(np.ones(m.d))
-    return LogIntegrands(m, p, t, float(np.sum(y)), PRICE).ftilde(np.delete(y, 0))
+    return AtLevel(m, p, t, float(np.sum(y)), PRICE).ftilde(np.delete(y, 0))
 
 
 def pbbt(m, p, t, x):
     """P b b^T P^T at x: f - ftilde in price coordinates at x."""
-    li = LogIntegrands(m, p, t, float(p.weights @ x), PRICE)
+    li = AtLevel(m, p, t, float(p.weights @ x), PRICE)
     z = np.delete(x, li.chart.pivot)
     return float(np.exp(li.f(z) - li.ftilde(z)))
 
@@ -77,17 +77,17 @@ class TestLogDensity:
 
 class TestChart:
     def test_examples(self):
-        c = chart(Portfolio([1.0, 1.0]), 200.0)
-        assert np.allclose(c.x_of(np.array([100.0])), [100.0, 100.0])
-        c = chart(Portfolio([2.0, 1.0, 1.0]), 400.0)
-        assert np.allclose(c.x_of(np.array([100.0, 100.0])), [100.0, 100.0, 100.0])
-        c = chart(Portfolio([1.0, 1.0]), 200.0)
-        x = c.x_of(np.array([150.0]))
+        c = chart(Portfolio([1.0, 1.0]))
+        assert np.allclose(c.x_of(200.0, np.array([100.0])), [100.0, 100.0])
+        c = chart(Portfolio([2.0, 1.0, 1.0]))
+        assert np.allclose(c.x_of(400.0, np.array([100.0, 100.0])), [100.0, 100.0, 100.0])
+        c = chart(Portfolio([1.0, 1.0]))
+        x = c.x_of(200.0, np.array([150.0]))
         assert np.allclose(x, [50.0, 150.0])
         assert float(np.array([1.0, 1.0]) @ x) == pytest.approx(200.0, abs=1e-10)
 
     def test_pivot_takes_largest_weight(self):
-        c = chart(Portfolio([0.01, -5.0, 1.0]), 10.0)
+        c = chart(Portfolio([0.01, -5.0, 1.0]))
         assert c.pivot == 1
         assert list(c.free) == [0, 2]
 
@@ -99,9 +99,9 @@ class TestChart:
             w[rng.integers(0, d)] = abs(w[0]) + 1.0  # guarantee one positive
             p = Portfolio(w)
             s = rng.uniform(-50.0, 400.0)
-            c = chart(p, s)
+            c = chart(p)
             z = rng.uniform(-100.0, 300.0, d - 1)
-            assert abs(float(p.weights @ c.x_of(z)) - s) <= 1e-10 * max(1.0, abs(s))
+            assert abs(float(p.weights @ c.x_of(s, z)) - s) <= 1e-10 * max(1.0, abs(s))
 
 
 class TestPbbt:
@@ -130,21 +130,19 @@ class TestLogIntegrands:
         # coordinates: 3 - 2/sig^2 for the density integrand, 5 - 2/sig^2 once
         # the quadratic-form factor is included.
         sig = 0.1
-        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                           ExpansionCoords.LOG_PRICE)
+        li = AtLevel(appendix_model, appendix_portfolio, 1.0, 200.0, ExpansionCoords.LOG_PRICE)
         z0 = np.zeros(1)
         assert li.ftilde_derivs(z0)[2][0, 0] == pytest.approx(3.0 - 2.0 / sig**2, rel=1e-9)
         assert li.f_derivs(z0)[2][0, 0] == pytest.approx(5.0 - 2.0 / sig**2, rel=1e-9)
 
     def test_symmetric_point_is_critical_in_price_coords(self, appendix_model, appendix_portfolio):
-        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                           ExpansionCoords.PRICE)
+        li = AtLevel(appendix_model, appendix_portfolio, 1.0, 200.0, ExpansionCoords.PRICE)
         _, grad, hess = li.ftilde_derivs(np.array([100.0]))
         assert abs(grad[0]) < 1e-12 * abs(hess[0, 0])
 
     @pytest.mark.parametrize("coords", [ExpansionCoords.PRICE, ExpansionCoords.LOG_PRICE])
     def test_derivatives_match_finite_differences_bs(self, bs3d_model, bs3d_portfolio, coords):
-        li = LogIntegrands(bs3d_model, bs3d_portfolio, 0.5, 300.0, coords)
+        li = AtLevel(bs3d_model, bs3d_portfolio, 0.5, 300.0, coords)
         rng = np.random.default_rng(5)
         scale = 1.0 if coords is ExpansionCoords.LOG_PRICE else 100.0
         n_checked = 0
@@ -165,7 +163,7 @@ class TestLogIntegrands:
         assert n_checked >= 90
 
     def test_derivatives_match_finite_differences_bachelier(self, bachelier5_model, bachelier5_portfolio):
-        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0)
+        li = AtLevel(bachelier5_model, bachelier5_portfolio, 0.25, 500.0)
         rng = np.random.default_rng(6)
         for _ in range(100):
             z = rng.uniform(60.0, 140.0, 4)
@@ -174,19 +172,37 @@ class TestLogIntegrands:
             assert np.linalg.norm(grad - fd_g) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
     def test_bachelier_f_minus_ftilde_constant(self, bachelier5_model, bachelier5_portfolio):
-        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 480.0)
+        li = AtLevel(bachelier5_model, bachelier5_portfolio, 0.25, 480.0)
         rng = np.random.default_rng(8)
         diffs = [li.f(z) - li.ftilde(z) for z in rng.uniform(50.0, 150.0, (20, 4))]
         assert max(diffs) - min(diffs) < 1e-12
 
     def test_outside_support(self, appendix_model, appendix_portfolio):
-        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                           ExpansionCoords.PRICE)
-        assert li.f(np.array([250.0])) == -np.inf  # first asset would be negative
-        with pytest.raises(ValueError):
-            li.f_derivs(np.array([250.0]))
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, ExpansionCoords.PRICE)
+        s = np.array([200.0, 200.0])
+        z = np.array([[250.0], [100.0]])  # the first asset of row 0 would be negative
+        assert li.f(s, z)[0] == -np.inf
+        for derivs in (li.f_derivs, li.ftilde_derivs):
+            val, grad, hess = derivs(s, z)  # a row outside the support does not raise
+            assert val[0] == -np.inf and not grad[0].any() and not hess[0].any()
+            assert np.isfinite(val[1])
+
+    def test_stack_rows_equal_stacks_of_one(self, bs3d_model, bs3d_portfolio):
+        # rows never mix: each row of a stack is the stack of one, to the bit,
+        # also when the points arrive as a strided (column-sliced) array
+        li = LogIntegrands(bs3d_model, bs3d_portfolio, 0.5)
+        rng = np.random.default_rng(9)
+        s = rng.uniform(250.0, 350.0, 7)
+        z = np.asfortranarray(rng.uniform(-0.1, 0.1, (7, 2)))
+        for fun in (li.f, li.ftilde, li.f_derivs, li.ftilde_derivs):
+            stacked = fun(s, z)
+            for i in range(s.size):
+                one = fun(s[i:i + 1], z[i:i + 1])
+                if isinstance(stacked, tuple):
+                    assert all(np.array_equal(a[i], b[0]) for a, b in zip(stacked, one))
+                else:
+                    assert stacked[i] == one[0]
 
     def test_log_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
         with pytest.raises(ValueError):
-            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0,
-                          ExpansionCoords.LOG_PRICE)
+            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, ExpansionCoords.LOG_PRICE)

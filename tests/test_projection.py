@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basketproj import density, projection
+from basketproj import density, projection, surface
 from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from basketproj.oracle import binned_conditional_vol, quadrature_projected_vol
@@ -11,38 +11,44 @@ from basketproj.presets import get_preset
 from basketproj.rng import derive_seed
 
 
+def _stacked(fun):
+    """derivs(s, z) for a stack from a one-point (value, gradient, Hessian) function."""
+    def derivs(s, z):
+        rows = [fun(row) for row in z]
+        return tuple(np.array([r[k] for r in rows]) for k in range(3))
+    return derivs
+
+
 class TestNewton:
     def test_quadratic_converges_in_one_iteration(self):
         a = np.array([1.5, -2.0])
         h = -np.array([[3.0, 0.4], [0.4, 2.0]])
 
-        def derivs(z):
+        def point(z):
             dev = z - a
             return float(0.5 * dev @ h @ dev), h @ dev, h
 
-        res = newton_maximize(derivs, np.array([40.0, -13.0]))
-        assert res.iterations == 1
-        assert np.allclose(res.z, a, atol=1e-12)
+        res = newton_maximize(_stacked(point), np.zeros(1), np.array([[40.0, -13.0]]))
+        assert res.iterations[0] == 1
+        assert np.allclose(res.z[0], a, atol=1e-12)
 
     def test_appendix_maximizer_log_price(self, appendix_model, appendix_portfolio):
         # the symmetric point up to the lognormal drift correction O(sig^2/2)
-        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                           ExpansionCoords.LOG_PRICE)
-        res = newton_maximize(li.f_derivs, np.array([0.3]))
-        assert abs(res.z[0]) < 0.01
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, ExpansionCoords.LOG_PRICE)
+        res = newton_maximize(li.f_derivs, np.array([200.0]), np.array([[0.3]]))
+        assert abs(res.z[0, 0]) < 0.01
 
     def test_appendix_maximizer_price_exactly_symmetric(self, appendix_model, appendix_portfolio):
-        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                           ExpansionCoords.PRICE)
-        res = newton_maximize(li.ftilde_derivs, np.array([130.0]))
-        assert res.z[0] == pytest.approx(100.0, abs=1e-8)
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, ExpansionCoords.PRICE)
+        res = newton_maximize(li.ftilde_derivs, np.array([200.0]), np.array([[130.0]]))
+        assert res.z[0, 0] == pytest.approx(100.0, abs=1e-8)
 
     def test_bachelier_maximizer_is_conditional_mean(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
         t, s = 0.25, 460.0
-        li = LogIntegrands(m, p, t, s, ExpansionCoords.PRICE)
-        z0 = newton_start(li)
-        res = newton_maximize(li.ftilde_derivs, z0 + 30.0)
+        li = LogIntegrands(m, p, t, ExpansionCoords.PRICE)
+        z0 = newton_start(li, s)
+        res = newton_maximize(li.ftilde_derivs, np.array([s]), (z0 + 30.0)[None])
         # closed-form Gaussian conditioning
         scale = np.expm1(2 * m.r * t) / (2 * m.r)
         cov = m.omega * scale
@@ -50,32 +56,56 @@ class TestNewton:
         w = p.weights
         cp = cov @ w
         cond = mean + cp * (s - w @ mean) / (w @ cp)
-        assert np.allclose(res.z, cond[li.chart.free], atol=1e-8)
+        assert np.allclose(res.z[0], cond[li.chart.free], atol=1e-8)
 
     def test_terminal_minimum_rejected(self):
         # a stationary start with positive curvature: converged, but not a maximum
-        def derivs(z):
+        def point(z):
             return float(z @ z), 2.0 * z, 2.0 * np.eye(2)
 
-        with pytest.raises(NewtonError, match="not negative definite"):
-            newton_maximize(derivs, np.zeros(2))
+        res = newton_maximize(_stacked(point), np.zeros(1), np.zeros((1, 2)))
+        assert "not negative definite" in res.failures[0]
+        assert np.isnan(res.logdet[0]) and np.isnan(res.z[0]).all()
 
     def test_max_iter_exceeded(self, monkeypatch):
         # -z^4: each Newton step only shrinks z by a third, so convergence
         # takes a couple dozen iterations
-        def derivs(z):
+        def point(z):
             return float(-z[0] ** 4), np.array([-4.0 * z[0] ** 3]), np.array([[-12.0 * z[0] ** 2]])
 
-        assert newton_maximize(derivs, np.array([4.0])).iterations > 3
+        derivs = _stacked(point)
+        assert newton_maximize(derivs, np.zeros(1), np.array([[4.0]])).iterations[0] > 3
         monkeypatch.setattr(projection, "NEWTON_MAX_ITER", 3)
-        with pytest.raises(NewtonError, match="within 3 iterations"):
-            newton_maximize(derivs, np.array([4.0]))
+        res = newton_maximize(derivs, np.zeros(1), np.array([[4.0]]))
+        assert res.failures == {0: "Newton did not converge within 3 iterations"}
 
     def test_start_outside_support(self, appendix_model, appendix_portfolio):
-        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, 200.0,
-                           ExpansionCoords.PRICE)
-        with pytest.raises(NewtonError):
-            newton_maximize(li.f_derivs, np.array([260.0]))
+        li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, ExpansionCoords.PRICE)
+        res = newton_maximize(li.f_derivs, np.array([200.0]), np.array([[260.0]]))
+        assert "outside the support" in res.failures[0]
+
+    def test_failures_are_per_row(self):
+        # rows of one stack converge, fail and stop independently: a failed row
+        # neither raises nor changes its neighbours' iterates or counts
+        a = np.array([1.5, -2.0])
+        h = -np.array([[3.0, 0.4], [0.4, 2.0]])
+
+        def point(z):
+            if z[0] > 100.0:  # outside the "support"
+                return -np.inf, np.zeros(2), np.zeros((2, 2))
+            dev = z - a
+            return float(0.5 * dev @ h @ dev - (dev @ dev) ** 2), h @ dev - 4 * (dev @ dev) * dev, \
+                h - 8 * np.outer(dev, dev) - 4 * (dev @ dev) * np.eye(2)
+
+        z0 = np.array([[3.0, 1.0], [200.0, 0.0], [1.5, -2.0], [-1.0, 2.0]])
+        stack = newton_maximize(_stacked(point), np.zeros(4), z0)
+        assert list(stack.failures) == [1]
+        for i in (0, 2, 3):
+            one = newton_maximize(_stacked(point), np.zeros(1), z0[i:i + 1])
+            assert np.array_equal(one.z[0], stack.z[i])
+            assert one.iterations[0] == stack.iterations[i]
+            assert one.logdet[0] == stack.logdet[i]
+        assert stack.iterations[2] == 0 and stack.iterations[0] > stack.iterations[2]
 
 
 class TestProjectedVolSq:
@@ -163,16 +193,16 @@ class TestProjectedVolSq:
 
 class TestCoords:
     def test_default_log_price_for_bs(self, bs3d_model, bs3d_portfolio):
-        li = LogIntegrands(bs3d_model, bs3d_portfolio, 0.5, 300.0)
+        li = LogIntegrands(bs3d_model, bs3d_portfolio, 0.5)
         assert li.coords is ExpansionCoords.LOG_PRICE
 
     def test_default_price_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
-        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0)
+        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25)
         assert li.coords is ExpansionCoords.PRICE
 
     def test_log_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
         with pytest.raises(ValueError):
-            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, 500.0, "log-price")
+            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, "log-price")
 
 
 class TestOneSetUpPerPoint:
@@ -224,3 +254,94 @@ class TestOneSetUpPerPoint:
                 assert calls["cholesky"] == 2             # one per Newton maximization
                 # one solve per derivative evaluation, one for the inverse covariance
                 assert calls["cho_solve"] == calls["derivs"] + 1
+
+    def test_one_factorization_per_slice(self, models, monkeypatch):
+        # a 48-level bs25d slice shares one set-up; each derivative call is one
+        # multi-right-hand-side solve for the whole stack, not one per level
+        calls = {"cho_factor": 0, "cho_solve": 0, "cholesky": 0, "derivs": 0}
+
+        def counted(name, fun):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fun(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(density, "cho_factor", counted("cho_factor", density.cho_factor))
+        monkeypatch.setattr(density, "cho_solve", counted("cho_solve", density.cho_solve))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        for attr in ("f_derivs", "ftilde_derivs"):
+            monkeypatch.setattr(LogIntegrands, attr,
+                                counted("derivs", getattr(LogIntegrands, attr)))
+        m, p = models["bs25d"]
+        values, failures = projected_vol_sq(m, p, 0.25, np.linspace(2300.0, 2700.0, 48))
+        assert not failures and np.all(np.isfinite(values))
+        assert calls["cho_factor"] == 1
+        assert calls["cholesky"] == 2
+        assert calls["cho_solve"] == calls["derivs"] + 1
+        # a stack iterates as long as its slowest level, far fewer calls than levels
+        assert calls["derivs"] < 48
+
+
+class TestBatch:
+    """An array of levels is one stack; it must equal per-level float calls to the bit."""
+
+    @staticmethod
+    def _assert_matches_scalar_calls(m, p, t, levels):
+        values, failures = projected_vol_sq(m, p, t, levels)
+        assert values.shape == levels.shape
+        for j, s in enumerate(levels):
+            if j in failures:
+                with pytest.raises(NewtonError) as exc:
+                    projected_vol_sq(m, p, t, float(s))
+                assert str(exc.value) == failures[j]
+                assert np.isnan(values[j])
+            else:
+                assert projected_vol_sq(m, p, t, float(s)) == values[j]
+        return failures
+
+    def test_bs3d_slice(self, bs3d_model, bs3d_portfolio):
+        levels = np.linspace(250.0, 350.0, 24)
+        assert not self._assert_matches_scalar_calls(bs3d_model, bs3d_portfolio, 0.25, levels)
+
+    def test_bs25d_slice(self):
+        cfg = get_preset("bs25d")
+        levels = np.linspace(2300.0, 2700.0, 48)
+        assert not self._assert_matches_scalar_calls(cfg.build_model(), cfg.build_portfolio(),
+                                                     0.25, levels)
+
+    @pytest.mark.parametrize("vols, maturity, any_failed", [
+        ([0.6, 0.4, 0.2], 2.0, False),
+        # 30 of the 384 levels of this surface reach the Newton iteration cap
+        ([0.9, 0.1, 0.5], 3.0, True),
+    ])
+    def test_stress_surface(self, vols, maturity, any_failed):
+        cfg = get_preset("bs3d")
+        cfg.vols, cfg.T = vols, maturity
+        m, p = cfg.build_model(), cfg.build_portfolio()
+        env = surface.estimate_envelope(m, p, seed=derive_seed(cfg.seed, "pilot"))
+        idx = np.unique(np.round(np.linspace(1, surface.PILOT_STEPS, cfg.surface_slices)).astype(int))
+        n_failed = 0
+        for i in idx:
+            levels = np.linspace(env.s_lo[i], env.s_hi[i], cfg.surface_abscissae)
+            n_failed += len(self._assert_matches_scalar_calls(m, p, env.times[i], levels))
+        assert (n_failed > 0) == any_failed
+
+    def test_float_raises_array_reports(self, appendix_model, appendix_portfolio):
+        # no interior start below zero: a float raises, an array names the level
+        levels = np.array([-5.0, 200.0])
+        with pytest.raises(NewtonError, match="no interior Newton start"):
+            projected_vol_sq(appendix_model, appendix_portfolio, 1.0, -5.0)
+        values, failures = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, levels)
+        assert list(failures) == [0] and "no interior Newton start" in failures[0]
+        assert np.isnan(values[0])
+        assert values[1] == projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0)
+        lp = laplace_point(appendix_model, appendix_portfolio, 1.0, levels)
+        assert isinstance(lp.iterations, int) and lp.iterations > 0
+        assert lp.failures == failures
+
+    def test_bachelier_array(self, bachelier5_model, bachelier5_portfolio):
+        values, failures = projected_vol_sq(bachelier5_model, bachelier5_portfolio, 0.25,
+                                            np.linspace(420.0, 580.0, 5))
+        assert not failures
+        assert np.all(values == projected_vol_sq(bachelier5_model, bachelier5_portfolio,
+                                                 0.25, 500.0))

@@ -5,6 +5,7 @@ is gone; these tests make a rename or removal fail here as well.
 """
 
 import importlib.util
+import logging
 import sys
 from pathlib import Path
 
@@ -12,10 +13,11 @@ import numpy as np
 
 from basketproj import hjb, mc, pipeline, projection, surface
 from basketproj.model import PutPayoff
-from basketproj.presets import appendix2d
+from basketproj.presets import appendix2d, bs3d
 from support import flat_task
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = (hjb, mc, projection, surface)
 
 
@@ -99,3 +101,56 @@ def test_hjb_counts_on_a_traced_run(tmp_path):
     assert metrics["hjb.node_steps"] == sum(grid.n_t * grid.n_s for grid in grids)
     assert empty > 0
     assert metrics["hjb.empty_region_steps"] == empty
+
+
+def test_surface_failure_warning_is_what_the_benchmark_parses(monkeypatch):
+    # perfbench/worker.py counts failed Laplace points from the one WARNING
+    # the surface stage logs: msg prefix, failed count, points attempted
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    cfg = bs3d()
+    cfg.vols, cfg.T = [0.9, 0.1, 0.5], 3.0  # about 30 of 384 points fail
+    model, p = cfg.build_model(), cfg.build_portfolio()
+    records = []
+    catcher = logging.Handler(logging.INFO)
+    catcher.emit = records.append
+    counter = worker.LaplaceFailures()
+    log = logging.getLogger("basketproj.surface")
+    level = log.level
+    log.setLevel(logging.INFO)
+    log.addHandler(catcher)
+    log.addHandler(counter)
+    try:
+        pipeline.build_surface_from_config(cfg, model, p)
+    finally:
+        log.removeHandler(catcher)
+        log.removeHandler(counter)
+        log.setLevel(level)
+    warnings = [r for r in records if r.levelno >= logging.WARNING]
+    skipped = [r for r in records if r.levelno == logging.INFO
+               and r.getMessage().startswith("skipping Laplace point")]
+    assert len(warnings) == 1
+    assert str(warnings[0].msg).startswith("Laplace evaluation failed")
+    assert warnings[0].args[0] == len(skipped) > 0
+    assert warnings[0].args[1] == cfg.surface_slices * cfg.surface_abscissae
+    assert counter.failed == len(skipped)
+
+
+def test_surface_counts_on_a_traced_run():
+    # one surface.laplace span per slice (the slice is one batch); the Newton
+    # count of each projection.laplace_point span is a plain int the median
+    # and max of layer_metrics read
+    cfg = bs3d()
+    cfg.surface_slices, cfg.surface_abscissae = 4, 8
+    model, p = cfg.build_model(), cfg.build_portfolio()
+    tracing = _load_tracing()
+    tracer = _traced(tracing, lambda: pipeline.build_surface_from_config(cfg, model, p))
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["surface.laplace_points"] == cfg.surface_slices
+    assert metrics["surface.laplace_failed"] == 0
+    assert metrics["projection.newton_iters_max"] > 0
+    assert metrics["projection.newton_iters_median"] > 0
+    counts = [s.count for s in tracer.spans if s.name == "projection.laplace_point"]
+    assert len(counts) == cfg.surface_slices and all(type(c) is int for c in counts)
