@@ -124,8 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output directory (default: config, then ${OUT_DIR_ENV}, then ./out)")
         if simulates:
             sp.add_argument("--threads", type=_thread_count, default=None,
-                            help="Monte Carlo worker threads over 65536-path chunks "
-                                 "(default: every available CPU; results do not depend on it)")
+                            help="cap on Monte Carlo threads: workers over 65536-path chunks, "
+                                 "or for exactly 65536 paths one worker and a fill thread "
+                                 "drawing its next step (default: every available CPU; "
+                                 "results do not depend on it)")
 
     add_common(sub.add_parser("run", help="full pipeline: project, solve, simulate, report"),
                simulates=True)

@@ -17,17 +17,21 @@ The kernel is chunk-outer.  Increments are keyed by (seed, step, chunk of
 ``rng.CHUNK`` paths), so each chunk's rows run the whole time loop, every tier
 and every strike, on their own, and chunks run on a thread pool (numpy
 releases the interpreter lock in the elementwise ufuncs, the gathers and the
-Philox fill).  Each chunk writes its slice of full-length per-path arrays, and
-the statistics reduce the whole arrays once at the end, so results do not
-depend on the number of workers.  The delta is read off each strike's grid
-row through one interval lookup per tier step, shared by the strikes, which
-gives ``np.interp``'s bits on the uniform ``make_grid`` nodes.
+Philox fill).  A run of exactly one ``rng.CHUNK`` of paths, with a second CPU
+under the thread cap, draws step n + 1 on a fill thread while step n runs; the
+cap counts that thread too, so one thread starts none.  Each chunk writes its
+slice of full-length per-path arrays, and the statistics reduce the whole
+arrays once at the end, so results do not depend on the number of workers or
+on whether the fill runs ahead.  The delta is read off each strike's grid row
+through one interval lookup per tier step, shared by the strikes, which gives
+``np.interp``'s bits on the uniform ``make_grid`` nodes.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +125,9 @@ def simulate_bounds(model: ModelSpec, p: Portfolio, tasks: list[BoundTask],
                     threads: int | None = None) -> list[BoundsResult]:
     """One forward-Euler batch evaluating all strikes' bounds on shared paths.
 
-    threads caps the workers over path chunks (None: every CPU this process
-    may run on); the results do not depend on it.
+    threads caps the threads started, chunk workers and the fill thread
+    together (None: every CPU this process may run on); the results do not
+    depend on it.
     """
     return _simulate(model, p, [TierTask(n_t=n_t, tasks=tasks)], m, seed, threads)[0]
 
@@ -331,37 +336,54 @@ class _TierChunk:
 
 
 def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[TierTask], nodes: list,
-                    outs: list, seed: int, n_fine: int, chunk: int, lo: int, hi: int) -> None:
-    """Rows lo:hi (Philox chunk `chunk`) through every tier's time loop."""
+                    outs: list, seed: int, n_fine: int, chunk: int, lo: int, hi: int,
+                    run_ahead: bool) -> None:
+    """Rows lo:hi (Philox chunk `chunk`) through every tier's time loop.
+
+    With run_ahead, a fill thread draws step nf + 1 while step nf runs.
+    """
     sq = np.sqrt(model.T / n_fine)
     # Bachelier tiers read a fine draw only as P b dW = dW @ (sqrt(dt) sigma^T w)
     proj = sq * (model.sigma.T @ p.weights) if model.kind is ModelKind.BACHELIER else None
     sc = _WorkArrays(hi - lo)
     runs = [_TierChunk(model, p, tier, nd, touts, n_fine, lo, hi)
             for tier, nd, touts in zip(tiers, nodes, outs)]
-    for nf in range(n_fine):
-        dw = normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk)
-        if proj is None:
-            np.multiply(dw, sq, out=dw)
-        else:
-            dw = dw @ proj
-        for run in runs:
-            inc = dw
-            if run.stride > 1:
-                if nf % run.stride == 0:
-                    run.inc = dw.copy()
-                else:
-                    np.add(run.inc, dw, out=run.inc)
-                inc = run.inc
-            if (nf + 1) % run.stride == 0:
-                run.advance(model, p, nf // run.stride, inc, sc)
+
+    def fill(nf: int) -> np.ndarray:
+        return normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk)
+
+    with ThreadPoolExecutor(max_workers=1) if run_ahead else nullcontext() as fills:
+        ahead = fills.submit(fill, 0) if fills else None
+        for nf in range(n_fine):
+            # dw is the block's only holder, so projecting frees it
+            dw, ahead = (ahead.result() if fills else fill(nf)), None
+            # scaled or projected here, not on the fill thread: the fill is the longer
+            if proj is None:
+                np.multiply(dw, sq, out=dw)
+            else:
+                dw = dw @ proj
+            # submitted only now, so a Bachelier run holds one raw block at a time
+            if fills and nf + 1 < n_fine:
+                ahead = fills.submit(fill, nf + 1)
+            for run in runs:
+                inc = dw
+                if run.stride > 1:
+                    if nf % run.stride == 0:
+                        run.inc = dw.copy()
+                    else:
+                        np.add(run.inc, dw, out=run.inc)
+                    inc = run.inc
+                if (nf + 1) % run.stride == 0:
+                    run.advance(model, p, nf // run.stride, inc, sc)
     for run in runs:
         run.finish(model, p, sc)
 
 
 def _worker_count(threads: int | None) -> int:
     if threads is None:
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1  # None when the count cannot be found
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     return threads
@@ -385,10 +407,17 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     outs = [[_StrikeOutput(m) for _ in t.tasks] for t in tiers]
     spans = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 
-    def run(c: int) -> None:
-        _simulate_chunk(model, p, tiers, nodes, outs, seed, n_fine, c, *spans[c])
+    # One whole chunk with a second CPU under the cap draws ahead on a fill
+    # thread: the one case measured as a gain.  A 1024-row chunk ran slower
+    # that way (its kernel holds the interpreter lock through short ufuncs,
+    # so each hand-off stalls), and several chunk workers were not measured.
+    cpus = _worker_count(threads)
+    run_ahead = m == CHUNK and cpus >= 2
 
-    workers = min(len(spans), _worker_count(threads))
+    def run(c: int) -> None:
+        _simulate_chunk(model, p, tiers, nodes, outs, seed, n_fine, c, *spans[c], run_ahead)
+
+    workers = min(len(spans), cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(len(spans))))  # re-raises a chunk's error

@@ -160,8 +160,9 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> RunReport:
     """Full pipeline for one configuration; writes CSVs incrementally.
 
-    threads caps the Monte Carlo workers over path chunks (None: every CPU
-    this process may run on); the outputs do not depend on it.
+    threads caps the Monte Carlo threads, chunk workers and the fill thread
+    together (None: every CPU this process may run on); the outputs do not
+    depend on it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -337,20 +340,21 @@ class TestGridLookup:
             mc._Nodes(np.array([0.0, 1.0, 1.5, 3.0]))
 
 
+def _tasks(m, surf, n_t, strikes=(480.0, 500.0)):
+    grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
+    payoffs = [PutPayoff(k) for k in strikes]
+    return solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
+
+
 class TestChunkParallelKernel:
     """Paths past one Philox chunk: the worker count must not change any output."""
 
     M = CHUNK + 1000
 
-    def _tasks(self, m, surf, n_t, strikes=(480.0, 500.0)):
-        grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
-        payoffs = [PutPayoff(k) for k in strikes]
-        return solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
-
     def test_simulate_bounds_workers_agree(self, bachelier5_model, bachelier5_portfolio,
                                            bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
-        tasks = self._tasks(m, bachelier5_surface[0], 16)
+        tasks = _tasks(m, bachelier5_surface[0], 16)
         assert np.isfinite(tasks[1].boundary_levels).any()
         one = simulate_bounds(m, p, tasks, 16, self.M, seed=21, threads=1)
         two = simulate_bounds(m, p, tasks, 16, self.M, seed=21, threads=2)
@@ -361,7 +365,7 @@ class TestChunkParallelKernel:
                                          bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
         surf, _ = bachelier5_surface
-        tiers = [mc.TierTask(n_t=n, tasks=self._tasks(m, surf, n, (500.0,))) for n in (8, 16)]
+        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, (500.0,))) for n in (8, 16)]
         one = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=22, threads=1)
         two = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=22, threads=2)
         assert one == two
@@ -394,8 +398,99 @@ class TestChunkParallelKernel:
                                                 bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
         surf, _ = bachelier5_surface
-        task = self._tasks(m, surf, 16, (500.0,))[0]
+        task = _tasks(m, surf, 16, (500.0,))[0]
         other = BoundTask(payoff=task.payoff, boundary_levels=task.boundary_levels,
                           delta_rows=task.delta_rows, s_nodes=task.s_nodes + 1.0)
         with pytest.raises(ValueError, match="n_t=16"):
             simulate_bounds(m, p, [task, other], 16, 100, seed=1)
+
+
+class _CountingExecutor(mc.ThreadPoolExecutor):
+    """The kernel's thread pools, with each pool's max_workers recorded."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+class TestRunAheadFill:
+    """One whole chunk with a spare CPU draws step n + 1 on a fill thread while step n runs."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(mc, "ThreadPoolExecutor",
+                            lambda max_workers: _CountingExecutor(sizes, max_workers))
+        return sizes
+
+    def test_coupled_bachelier_tiers_match_inline(self, bachelier5_model, bachelier5_portfolio,
+                                                  bachelier5_surface, pools):
+        m, p = bachelier5_model, bachelier5_portfolio
+        surf, _ = bachelier5_surface
+        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n)) for n in (8, 16, 32)]
+        ahead = mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=31, threads=2)
+        assert pools == [1]  # one chunk on this thread, one fill thread
+        inline = mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=31, threads=1)
+        assert pools == [1]
+        assert ahead == inline  # every BoundsResult field of every tier
+
+    def test_black_scholes_bounds_match_inline(self, bs3d_model, bs3d_portfolio, bs3d_surface,
+                                               pools):
+        # the step reads its scaled block to the end, while the next fill runs
+        m, p = bs3d_model, bs3d_portfolio
+        tasks = _tasks(m, bs3d_surface[0], 16, (290.0, 300.0))
+        assert np.isfinite(tasks[1].boundary_levels).any()
+        ahead = simulate_bounds(m, p, tasks, 16, CHUNK, seed=32, threads=2)
+        inline = simulate_bounds(m, p, tasks, 16, CHUNK, seed=32, threads=1)
+        assert pools == [1]
+        assert ahead == inline
+
+    @pytest.mark.parametrize("paths, made", [(CHUNK + 1000, [2]), (CHUNK - 1, [])])
+    def test_other_runs_draw_inline(self, bachelier5_model, bachelier5_portfolio,
+                                    bachelier5_surface, pools, paths, made):
+        # a whole chunk beside a tail, or a part chunk alone: no fill thread
+        m, p = bachelier5_model, bachelier5_portfolio
+        tasks = _tasks(m, bachelier5_surface[0], 16)
+        four = simulate_bounds(m, p, tasks, 16, paths, seed=33, threads=4)
+        assert pools == made  # the chunk workers' pool, if two chunks
+        one = simulate_bounds(m, p, tasks, 16, paths, seed=33, threads=1)
+        assert four == one
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fill_error_surfaces_and_threads_end(self, bachelier5_model, bachelier5_portfolio,
+                                                 monkeypatch, threads):
+        draw = mc.normal_matrix
+
+        def failing(seed, step, *args, **kwargs):
+            if step == 3:
+                raise RuntimeError("fill failed at step 3")
+            return draw(seed, step, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "normal_matrix", failing)
+        before = threading.active_count()
+        tasks = [flat_task(PutPayoff(500.0), 16, 450.0)]
+        with pytest.raises(RuntimeError, match="fill failed at step 3"):
+            simulate_bounds(bachelier5_model, bachelier5_portfolio, tasks, 16, CHUNK, seed=34,
+                            threads=threads)
+        assert threading.active_count() == before
+
+    def test_one_thread_starts_no_pool(self, bachelier5_model, bachelier5_portfolio,
+                                       monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("threads=1 must start no thread")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        tasks = [flat_task(PutPayoff(500.0), 8, 450.0)]
+        res = simulate_bounds(bachelier5_model, bachelier5_portfolio, tasks, 8, CHUNK + 1000,
+                              seed=35, threads=1)
+        assert res[0].bounds.m == CHUNK + 1000
+
+    def test_worker_count_without_affinity_or_cpu_count(self, bachelier5_model,
+                                                        bachelier5_portfolio, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mc._worker_count(None) == 1
+        assert mc._worker_count(3) == 3
+        res = simulate_bounds(bachelier5_model, bachelier5_portfolio,
+                              [flat_task(PutPayoff(500.0), 8)], 8, 100, seed=36)
+        assert res[0].bounds.m == 100
