@@ -2,7 +2,10 @@
 
 Projected backward Euler: each time level solves one implicit tridiagonal
 system, then the American flavor projects onto the obstacle.  The system does
-not depend on the payoff, so one sweep serves every strike and both flavors.
+not depend on the payoff, so one sweep serves every strike and both flavors
+with one LAPACK ``?gtsv`` call per level (``solve_banded``'s routine, minus its
+checks).  Each surface slice is evaluated at the interior nodes once per
+sweep; a level blends two cached rows (``CoefficientSurface.blend``).
 Dirichlet rows carry the payoff at both ends of the rectangle.  The exercise
 boundary and the finite-difference delta extracted here drive the Monte Carlo
 bounds.
@@ -14,7 +17,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv as gtsv
 
 from .model import PutPayoff
 from .surface import CoefficientSurface
@@ -114,29 +117,32 @@ def solve(surf: CoefficientSurface, payoffs: list[PutPayoff], grid: Grid,
     if values:
         full[:, grid.n_t] = u
     interior = s[1:-1]
-    ab = np.zeros((3, grid.n_s - 2))
+    conv = r * interior / (2.0 * ds)
+    # every slice's polynomial at the interior nodes, once per sweep
+    slices = [surf.slice_b2(i, interior) for i in range(surf.slice_times.size)]
     warned = False
     for n in range(grid.n_t - 1, -1, -1):
-        dt = grid.t_grid[n + 1] - grid.t_grid[n]
-        b2 = surf.eval_b2(grid.t_grid[n], interior)
-        conv = r * interior / (2.0 * ds)
-        diff = b2 / (2.0 * ds**2)
+        t = grid.t_grid[n]
+        dt = grid.t_grid[n + 1] - t
+        diff = surf.blend(t, slices.__getitem__) / (2.0 * ds**2)
         sub = -dt * (diff - conv)       # couples to u_{m-1}
         dia = 1.0 + dt * (r + 2.0 * diff)
         sup = -dt * (diff + conv)       # couples to u_{m+1}
         if not warned and np.any(np.abs(sub) + np.abs(sup) > np.abs(dia)):
             log.warning("tridiagonal system not diagonally dominant at t=%.6g "
-                        "(coarse space step relative to the drift)", grid.t_grid[n])
+                        "(coarse space step relative to the drift)", t)
             warned = True
         rhs = u[:, 1:-1].copy()
         rhs[:, 0] -= sub[0] * u[:, 0]
         rhs[:, -1] -= sup[-1] * u[:, -1]
-        ab[0, 1:] = sup[:-1]
-        ab[1] = dia
-        ab[2, :-1] = sub[1:]
-        inner = solve_banded((1, 1), ab, rhs.T, overwrite_b=True)
+        # every strike and flavor is one column of the (n_s - 2, 2K) right-hand
+        # side; f2py takes an empty band as length 1, which gtsv never reads at n = 1
+        dl, du = (sub[1:], sup[:-1]) if dia.size > 1 else (sub, sup)
+        *_, inner, info = gtsv(dl, dia, du, rhs.T, True, True, True, True)
+        if info != 0:
+            raise RuntimeError(f"backward solve failed at t={t}: LAPACK gtsv info={info}")
         if not np.all(np.isfinite(inner)):
-            raise RuntimeError(f"backward solve produced non-finite values at t={grid.t_grid[n]}")
+            raise RuntimeError(f"backward solve produced non-finite values at t={t}")
         u[:, 1:-1] = inner.T
         np.maximum(u[:k], g, out=u[:k])
         delta[:, n] = u[:k]

@@ -22,9 +22,14 @@ under the thread cap, draws step n + 1 on a fill thread while step n runs; the
 cap counts that thread too, so one thread starts none.  Each chunk writes its
 slice of full-length per-path arrays, and the statistics reduce the whole
 arrays once at the end, so results do not depend on the number of workers or
-on whether the fill runs ahead.  The delta is read off each strike's grid row
-through one interval lookup per tier step, shared by the strikes, which gives
-``np.interp``'s bits on the uniform ``make_grid`` nodes.
+on whether the fill runs ahead.
+
+A tier's K strikes are stacked as (K, rows) arrays, updated by one ufunc
+call per operation over row blocks of ``BLOCK_ROWS`` (which bound the
+temporaries); the delta is read off the (K, n_s) stack of the step's rows
+through one interval lookup, with ``np.interp``'s bits on the uniform
+``make_grid`` nodes.  Every operation is elementwise and each strike's
+statistics reduce its own contiguous row, so K strikes equal K one-strike runs.
 """
 
 from __future__ import annotations
@@ -36,8 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelKind, ModelSpec, Portfolio, PutPayoff
+from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, put_value
 from .rng import CHUNK, normal_matrix
+
+# rows per block of the stacked strike update: few enough blocks that their
+# calls stay cheap, few enough rows that the (K, rows) temporaries stay small
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -166,118 +175,78 @@ class _Nodes:
             raise ValueError("s_nodes must be uniformly spaced")
 
 
-class _WorkArrays:
-    """Work arrays of one chunk, shared by every tier and strike in it.
-
-    xc, j and dx hold the located interval of the current tier step; they are
-    rewritten by the next locate and never outlive one step.  mask, a and b
-    are per-strike temporaries.
-    """
-
-    def __init__(self, b: int):
-        self.xc = np.empty(b)
-        self.j = np.empty(b, dtype=np.intp)
-        self.dx = np.empty(b)
-        self.mask = np.empty(b, dtype=bool)
-        self.a = np.empty(b)
-        self.b = np.empty(b)
-
-
-def _locate(nodes: _Nodes, x: np.ndarray, sc: _WorkArrays) -> None:
+def _locate(nodes: _Nodes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interval of every x among the nodes, as np.interp finds it.
 
-    Sets sc.j with s[j] <= xc < s[j + 1] (j = n - 1 at the last node) and
-    sc.dx = xc - s[j], where xc is x clamped to [s[0], s[-1]].  Clamping puts
+    Returns j with s[j] <= xc < s[j + 1] (j = n - 1 at the last node) and
+    dx = xc - s[j], where xc is x clamped to [s[0], s[-1]].  Clamping puts
     out-of-range points on an end node with offset zero, where _interp returns
     that node's value, as np.interp does.
     """
-    s, j, pos, below = nodes.s, sc.j, sc.dx, sc.mask
-    np.clip(x, s[0], s[-1], out=sc.xc)
-    np.subtract(sc.xc, s[0], out=pos)
-    np.multiply(pos, nodes.inv_ds, out=pos)
-    np.floor(pos, out=pos)
-    np.copyto(j, pos, casting="unsafe")
-    np.clip(j, 0, s.size - 1, out=j)
+    s = nodes.s
+    xc = np.minimum(np.maximum(x, s[0]), s[-1])
+    j = np.floor((xc - s[0]) * nodes.inv_ds).astype(np.intp)
+    np.minimum(np.maximum(j, 0, out=j), s.size - 1, out=j)
     # one comparison each way against the nodes themselves makes the index exact
-    np.take(s, j, out=pos, mode="clip")
-    np.less(sc.xc, pos, out=below)
-    np.subtract(j, below, out=j)
-    np.take(nodes.upper, j, out=pos, mode="clip")
-    np.greater_equal(sc.xc, pos, out=below)
-    np.add(j, below, out=j)
-    np.take(s, j, out=pos, mode="clip")
-    np.subtract(sc.xc, pos, out=sc.dx)
+    j -= xc < np.take(s, j, mode="clip")
+    j += xc >= np.take(nodes.upper, j, mode="clip")
+    return j, xc - np.take(s, j, mode="clip")
 
 
-def _interp(nodes: _Nodes, row: np.ndarray, sc: _WorkArrays, out: np.ndarray) -> None:
-    """np.interp(x, nodes.s, row) at the x last located, bit for bit for finite rows."""
-    slope = np.zeros(row.size)  # zero past the last node, where dx is zero
-    slope[:-1] = np.diff(row) / nodes.gaps
-    np.take(slope, sc.j, out=out, mode="clip")
-    np.multiply(out, sc.dx, out=out)
-    np.take(row, sc.j, out=sc.b, mode="clip")
-    np.add(out, sc.b, out=out)
+def _slopes(nodes: _Nodes, rows: np.ndarray) -> np.ndarray:
+    """np.interp's slope on each interval of every (K, n_s) row; zero past the
+    last node, where dx is zero."""
+    slope = np.zeros(rows.shape)
+    slope[:, :-1] = np.diff(rows, axis=1) / nodes.gaps
+    return slope
 
 
-class _StrikeOutput:
-    """Full-length per-path values of one strike; chunks write disjoint slices."""
-
-    def __init__(self, m: int):
-        self.lowval = np.zeros(m)           # payoff at the stopping time
-        self.umax = np.full(m, -np.inf)     # running max of payoff minus martingale
-        self.z = np.zeros(m)                # discounted payoff now; at the end, the European
-        self.tau = np.zeros(m)              # stopping time
-        self.zmax = np.full(m, -np.inf)     # running max of the payoff
-
-    def result(self) -> BoundsResult:
-        low, se_low = _mean_se(self.lowval)
-        up, se_up = _mean_se(self.umax)
-        euro, se_euro = _mean_se(self.z)
-        bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up,
-                             m=self.z.size)
-        return BoundsResult(bounds=bounds, european=euro, se_european=se_euro,
-                            mean_hit_time=float(self.tau.mean()),
-                            mean_running_max=float(self.zmax.mean()))
+def _interp(rows: np.ndarray, slope: np.ndarray, j: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """np.interp(x, s, rows[k]) of every row k at x located as (j, dx), a
+    (K, x.size) array, bit for bit for finite rows."""
+    out = np.take(slope, j, axis=1, mode="clip")
+    out *= dx
+    out += np.take(rows, j, axis=1, mode="clip")
+    return out
 
 
-class _StrikeChunk:
-    """One strike on one chunk: views of its output slices plus running state."""
+class _Tier:
+    """One tier's strikes, stacked, with their full-length (K, m) per-path values.
 
-    def __init__(self, task: BoundTask, out: _StrikeOutput, lo: int, hi: int):
-        self.task = task
-        self.lowval = out.lowval[lo:hi]
-        self.umax = out.umax[lo:hi]
-        self.z = out.z[lo:hi]
-        self.tau = out.tau[lo:hi]
-        self.zmax = out.zmax[lo:hi]
-        self.mart = np.zeros(hi - lo)
-        self.open = np.ones(hi - lo, dtype=bool)  # not yet stopped
+    Chunks write disjoint column slices, and each strike's statistics reduce
+    its contiguous row.
+    """
 
-    def evaluate(self, n: int, t: float, disc: float, basket: np.ndarray, sc: _WorkArrays):
-        z = self.z
-        np.multiply(disc, self.task.payoff(basket), out=z)
-        np.subtract(z, self.mart, out=sc.a)
-        np.maximum(self.umax, sc.a, out=self.umax)
-        np.maximum(self.zmax, z, out=self.zmax)
-        newly = sc.mask
-        np.less_equal(basket, self.task.boundary_levels[n], out=newly)
-        np.logical_and(newly, self.open, out=newly)
-        np.copyto(self.lowval, z, where=newly)
-        np.copyto(self.tau, t, where=newly)
-        np.logical_xor(self.open, newly, out=self.open)
+    def __init__(self, tier: TierTask, m: int):
+        tasks = tier.tasks
+        if not tasks:
+            raise ValueError(f"tier n_t={tier.n_t} has no strikes")
+        if any(not np.array_equal(task.s_nodes, tasks[0].s_nodes) for task in tasks):
+            raise ValueError(f"tier n_t={tier.n_t}: every strike must share the tier's s_nodes")
+        self.n_t = tier.n_t
+        self.nodes = _Nodes(tasks[0].s_nodes)
+        self.strikes = np.array([[task.payoff.strike] for task in tasks])  # (K, 1)
+        self.levels = np.array([task.boundary_levels for task in tasks])   # (K, n_t + 1)
+        self.deltas = [task.delta_rows for task in tasks]
+        k = len(tasks)
+        self.lowval = np.zeros((k, m))          # payoff at the stopping time
+        self.umax = np.full((k, m), -np.inf)    # running max of payoff minus martingale
+        self.z = np.zeros((k, m))               # discounted payoff now; at the end, the European
+        self.tau = np.zeros((k, m))             # stopping time
+        self.zmax = np.full((k, m), -np.inf)    # running max of the payoff
 
-    def hedge(self, n: int, disc: float, pbdw: np.ndarray, nodes: _Nodes, sc: _WorkArrays):
-        """Martingale increment disc * delta * P b dW with the delta at the located basket."""
-        delta = sc.a
-        _interp(nodes, self.task.delta_rows[n], sc, delta)
-        np.multiply(disc, delta, out=delta)
-        np.multiply(delta, pbdw, out=delta)
-        np.add(self.mart, delta, out=self.mart)
-
-    def finish(self, t_final: float):
-        # open paths exercise at maturity
-        np.copyto(self.lowval, self.z, where=self.open)
-        np.copyto(self.tau, t_final, where=self.open)
+    def results(self) -> list[BoundsResult]:
+        out = []
+        for k in range(self.z.shape[0]):
+            low, se_low = _mean_se(self.lowval[k])
+            up, se_up = _mean_se(self.umax[k])
+            euro, se_euro = _mean_se(self.z[k])
+            bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up,
+                                 m=self.z.shape[1])
+            out.append(BoundsResult(bounds=bounds, european=euro, se_european=se_euro,
+                                    mean_hit_time=float(self.tau[k].mean()),
+                                    mean_running_max=float(self.zmax[k].mean())))
+        return out
 
 
 class _TierChunk:
@@ -286,57 +255,75 @@ class _TierChunk:
     A Bachelier tier carries the basket S = P x alone, an (m,) array, and
     steps it by S + r S dt + P b dW: b = sigma does not depend on the state,
     so this is P applied to the d-asset Euler step.  A Black-Scholes tier
-    carries the (m, d) state.
+    carries the (m, d) state.  Per-strike state is (K, rows).
     """
 
-    def __init__(self, model: ModelSpec, p: Portfolio, tier: TierTask, nodes: _Nodes,
-                 outs: list[_StrikeOutput], n_fine: int, lo: int, hi: int):
-        self.n_t = tier.n_t
+    def __init__(self, model: ModelSpec, p: Portfolio, tier: _Tier, n_fine: int,
+                 lo: int, hi: int):
+        self.tier = tier
         self.stride = n_fine // tier.n_t
         self.dt = model.T / tier.n_t
-        self.nodes = nodes
         self.basket_only = model.kind is ModelKind.BACHELIER
         if self.basket_only:
             self.x = np.full(hi - lo, float(p.weights @ model.x0))
         else:
             self.x = np.tile(model.x0, (hi - lo, 1))
         self.inc = None  # fine increment summed over the current coarse step (stride > 1)
-        self.strikes = [_StrikeChunk(task, out, lo, hi) for task, out in zip(tier.tasks, outs)]
+        self.lowval, self.umax, self.z, self.tau, self.zmax = (
+            a[:, lo:hi] for a in (tier.lowval, tier.umax, tier.z, tier.tau, tier.zmax))
+        self.mart = np.zeros(self.z.shape)
+        self.open = np.ones(self.z.shape, dtype=bool)  # not yet stopped
+        self.blocks = [slice(b, b + BLOCK_ROWS) for b in range(0, hi - lo, BLOCK_ROWS)]
 
-    def _evaluate(self, model: ModelSpec, p: Portfolio, n: int, sc: _WorkArrays):
+    def _evaluate(self, model: ModelSpec, p: Portfolio, n: int):
+        """Payoff, running maxima and first stop of every strike at step n."""
         t = n * self.dt
         disc = np.exp(-model.r * t)
         basket = self.x if self.basket_only else self.x @ p.weights
-        for st in self.strikes:
-            st.evaluate(n, t, disc, basket, sc)
+        for c in self.blocks:
+            z, opened = self.z[:, c], self.open[:, c]
+            np.multiply(disc, put_value(self.tier.strikes, basket[c], out=z), out=z)
+            np.maximum(self.umax[:, c], z - self.mart[:, c], out=self.umax[:, c])
+            np.maximum(self.zmax[:, c], z, out=self.zmax[:, c])
+            newly = (basket[c] <= self.tier.levels[:, n:n + 1]) & opened
+            np.copyto(self.lowval[:, c], z, where=newly)
+            np.copyto(self.tau[:, c], t, where=newly)
+            opened ^= newly
         return disc, basket
 
-    def advance(self, model: ModelSpec, p: Portfolio, n: int, inc: np.ndarray, sc: _WorkArrays):
+    def advance(self, model: ModelSpec, p: Portfolio, n: int, inc: np.ndarray):
         """Evaluate coarse step n, hedge over its increment, step the paths.
 
-        inc is P b dW for a basket tier and dW for a state tier.  The state at
-        step n is evaluated once that step's increment is drawn, so the basket
-        and its located interval are used within this one call.
+        inc is P b dW for a basket tier and dW for a state tier.  The
+        martingale increment is disc * delta * P b dW, the delta read at the
+        located basket off the (K, n_s) stack of the strikes' step-n rows.
         """
-        disc, basket = self._evaluate(model, p, n, sc)
+        disc, basket = self._evaluate(model, p, n)
         if self.basket_only:
             bdw = pb = inc
         else:
             bdw = diffusion(model, self.x, inc @ model.sigma.T)
             pb = bdw @ p.weights
-        _locate(self.nodes, basket, sc)
-        for st in self.strikes:
-            st.hedge(n, disc, pb, self.nodes, sc)
+        j, dx = _locate(self.tier.nodes, basket)
+        rows = np.stack([d[n] for d in self.tier.deltas])
+        slope = _slopes(self.tier.nodes, rows)
+        for c in self.blocks:
+            delta = _interp(rows, slope, j[c], dx[c])
+            delta *= disc
+            delta *= pb[c]
+            mart = self.mart[:, c]
+            mart += delta
         self.x = step(model, self.x, self.dt, bdw)
 
-    def finish(self, model: ModelSpec, p: Portfolio, sc: _WorkArrays):
-        self._evaluate(model, p, self.n_t, sc)
-        for st in self.strikes:
-            st.finish(model.T)
+    def finish(self, model: ModelSpec, p: Portfolio):
+        self._evaluate(model, p, self.tier.n_t)
+        # open paths exercise at maturity
+        np.copyto(self.lowval, self.z, where=self.open)
+        np.copyto(self.tau, model.T, where=self.open)
 
 
-def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[TierTask], nodes: list,
-                    outs: list, seed: int, n_fine: int, chunk: int, lo: int, hi: int,
+def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[_Tier],
+                    seed: int, n_fine: int, chunk: int, lo: int, hi: int,
                     run_ahead: bool) -> None:
     """Rows lo:hi (Philox chunk `chunk`) through every tier's time loop.
 
@@ -345,9 +332,7 @@ def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[TierTask], nodes
     sq = np.sqrt(model.T / n_fine)
     # Bachelier tiers read a fine draw only as P b dW = dW @ (sqrt(dt) sigma^T w)
     proj = sq * (model.sigma.T @ p.weights) if model.kind is ModelKind.BACHELIER else None
-    sc = _WorkArrays(hi - lo)
-    runs = [_TierChunk(model, p, tier, nd, touts, n_fine, lo, hi)
-            for tier, nd, touts in zip(tiers, nodes, outs)]
+    runs = [_TierChunk(model, p, tier, n_fine, lo, hi) for tier in tiers]
 
     def fill(nf: int) -> np.ndarray:
         return normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk)
@@ -374,9 +359,9 @@ def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[TierTask], nodes
                         np.add(run.inc, dw, out=run.inc)
                     inc = run.inc
                 if (nf + 1) % run.stride == 0:
-                    run.advance(model, p, nf // run.stride, inc, sc)
+                    run.advance(model, p, nf // run.stride, inc)
     for run in runs:
-        run.finish(model, p, sc)
+        run.finish(model, p)
 
 
 def _worker_count(threads: int | None) -> int:
@@ -395,16 +380,10 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     if m < 1:
         raise ValueError(f"need at least one path, got m={m}")
     n_fine = max(t.n_t for t in tiers)
-    nodes = []
     for t in tiers:
         if n_fine % t.n_t != 0:
             raise ValueError(f"tier n_t={t.n_t} does not divide the finest tier {n_fine}")
-        if not t.tasks:
-            raise ValueError(f"tier n_t={t.n_t} has no strikes")
-        if any(not np.array_equal(task.s_nodes, t.tasks[0].s_nodes) for task in t.tasks):
-            raise ValueError(f"tier n_t={t.n_t}: every strike must share the tier's s_nodes")
-        nodes.append(_Nodes(t.tasks[0].s_nodes))
-    outs = [[_StrikeOutput(m) for _ in t.tasks] for t in tiers]
+    stacked = [_Tier(t, m) for t in tiers]
     spans = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 
     # One whole chunk with a second CPU under the cap draws ahead on a fill
@@ -415,7 +394,7 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     run_ahead = m == CHUNK and cpus >= 2
 
     def run(c: int) -> None:
-        _simulate_chunk(model, p, tiers, nodes, outs, seed, n_fine, c, *spans[c], run_ahead)
+        _simulate_chunk(model, p, stacked, seed, n_fine, c, *spans[c], run_ahead)
 
     workers = min(len(spans), cpus)
     if workers > 1:
@@ -424,4 +403,4 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     else:
         for c in range(len(spans)):
             run(c)
-    return [[o.result() for o in touts] for touts in outs]
+    return [tier.results() for tier in stacked]

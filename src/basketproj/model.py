@@ -116,7 +116,13 @@ class PutPayoff:
 
     def __call__(self, s):
         """Put payoff max(K - s, 0); accepts scalars or arrays."""
-        return np.maximum(self.strike - np.asarray(s, dtype=float), 0.0)
+        return put_value(self.strike, np.asarray(s, dtype=float))
+
+
+def put_value(strike, s, out=None):
+    """max(K - s, 0) elementwise: a (K, 1) column of strikes against (m,) levels
+    gives every strike's payoff at once, written into out when given."""
+    return np.maximum(np.subtract(strike, s, out=out), 0.0, out=out)
 
 
 def correlation_to_sigma(vols, corr, tol: float = PIVOT_TOL) -> np.ndarray:

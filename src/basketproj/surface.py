@@ -122,7 +122,7 @@ class CoefficientSurface:
         if self.residual_rms is None:
             object.__setattr__(self, "residual_rms", np.zeros(st.size))
 
-    def _slice_b2(self, i: int, s: np.ndarray) -> np.ndarray:
+    def slice_b2(self, i: int, s: np.ndarray) -> np.ndarray:
         """Raw (unfloored) polynomial value of slice i, by Horner in u."""
         u = (s - self.centers[i]) / self.halfwidths[i]
         out = np.zeros_like(u)
@@ -130,21 +130,26 @@ class CoefficientSurface:
             out = out * u + c
         return out
 
+    def blend(self, t: float, slice_b2) -> np.ndarray:
+        """Floored squared volatility at time t from slice_b2(i), slice i's raw
+        values: eval_b2 computes them, the backward sweep caches them."""
+        st = self.slice_times
+        if t <= st[0]:
+            out = slice_b2(0)
+        elif t >= st[-1]:
+            out = slice_b2(-1)
+        else:
+            j = int(np.searchsorted(st, t, side="right")) - 1
+            w = (t - st[j]) / (st[j + 1] - st[j])
+            out = (1.0 - w) * slice_b2(j) + w * slice_b2(j + 1)
+        return np.maximum(out, self.floor)
+
     def eval_b2(self, t: float, s) -> np.ndarray:
         """Floored squared volatility at time t, vectorized over s."""
         if t < -1e-12 or t > self.t_max * (1 + 1e-12):
             raise ValueError(f"t={t} outside [0, {self.t_max}]")
         s = np.asarray(s, dtype=float)
-        st = self.slice_times
-        if t <= st[0]:
-            out = self._slice_b2(0, s)
-        elif t >= st[-1]:
-            out = self._slice_b2(-1, s)
-        else:
-            j = int(np.searchsorted(st, t, side="right")) - 1
-            w = (t - st[j]) / (st[j + 1] - st[j])
-            out = (1.0 - w) * self._slice_b2(j, s) + w * self._slice_b2(j + 1, s)
-        return np.maximum(out, self.floor)
+        return self.blend(t, lambda i: self.slice_b2(i, s))
 
     def save(self, path) -> None:
         """Plain-text table: header, then one row per slice

@@ -1,14 +1,16 @@
 """Reference helpers for the tests: finite differences, one-level views of the
-stacked log-integrands, intervals, bound tasks and a reader for the surface
-table.
+stacked log-integrands, intervals, bound tasks, the level-by-level backward
+sweep and a reader for the surface table.
 
 Nothing here is part of the package.  The finite-difference derivatives are
-the reference the analytic Laplace derivatives are checked against; the task
-builders feed ``simulate_bounds`` the way the pipeline does, or with a flat
-stopping level and a zero martingale to isolate one estimator.
+the reference the analytic Laplace derivatives are checked against, and the
+level-by-level sweep the one ``hjb.solve`` is held to; the task builders feed
+``simulate_bounds`` the way the pipeline does, or with a flat stopping level
+and a zero martingale to isolate one estimator.
 """
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.stats import norm
 
 from basketproj import hjb
@@ -79,16 +81,49 @@ def confidence_interval(mean: float, se: float, level: float) -> tuple[float, fl
     return mean - z * se, mean + z * se
 
 
-def flat_task(payoff, n_t: int, level: float = -np.inf) -> BoundTask:
+def flat_task(payoff, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> BoundTask:
     """Stop below a constant level; zero delta, so the upper bound is the running max."""
+    s_nodes = np.asarray(s_nodes, dtype=float)
     return BoundTask(payoff=payoff, boundary_levels=np.full(n_t + 1, level),
-                     delta_rows=np.zeros((n_t + 1, 2)), s_nodes=np.array([0.0, 1.0]))
+                     delta_rows=np.zeros((n_t + 1, s_nodes.size)), s_nodes=s_nodes)
 
 
 def solved_tasks(sol: hjb.Sweep, payoffs) -> list[BoundTask]:
     """The pipeline's tasks for one tier's sweep: each strike's boundary and delta."""
     return [BoundTask(payoff=g, boundary_levels=sol.levels[k], delta_rows=sol.delta[k],
                       s_nodes=sol.grid.s_nodes) for k, g in enumerate(payoffs)]
+
+
+def reference_sweep(surf: CoefficientSurface, payoffs, grid: hjb.Grid) -> np.ndarray:
+    """The backward sweep level by level, as first written: eval_b2 and
+    solve_banded at every time level.  Returns the (2K, n_t + 1, n_s) value
+    grids, every strike's American rows, then its European ones."""
+    s, ds, r = grid.s_nodes, grid.ds, surf.r
+    interior = s[1:-1]
+    k = len(payoffs)
+    g = np.array([p(s) for p in payoffs])
+    u = np.concatenate((g, g))
+    out = np.empty((2 * k, grid.n_t + 1, grid.n_s))
+    out[:, grid.n_t] = u
+    for n in range(grid.n_t - 1, -1, -1):
+        dt = grid.t_grid[n + 1] - grid.t_grid[n]
+        b2 = surf.eval_b2(grid.t_grid[n], interior)
+        conv = r * interior / (2.0 * ds)
+        diff = b2 / (2.0 * ds**2)
+        sub = -dt * (diff - conv)
+        dia = 1.0 + dt * (r + 2.0 * diff)
+        sup = -dt * (diff + conv)
+        rhs = u[:, 1:-1].copy()
+        rhs[:, 0] -= sub[0] * u[:, 0]
+        rhs[:, -1] -= sup[-1] * u[:, -1]
+        ab = np.zeros((3, grid.n_s - 2))
+        ab[0, 1:] = sup[:-1]
+        ab[1] = dia
+        ab[2, :-1] = sub[1:]
+        u[:, 1:-1] = solve_banded((1, 1), ab, rhs.T).T
+        np.maximum(u[:k], g, out=u[:k])
+        out[:, n] = u
+    return out
 
 
 def euler_states(model, seed: int, m: int, t_grid: np.ndarray, stride: int = 1):

@@ -8,6 +8,7 @@ from basketproj import hjb
 from basketproj.hjb import exercise_boundary, make_grid, solve, value_at
 from basketproj.model import PutPayoff
 from basketproj.surface import CoefficientSurface
+from support import reference_sweep
 
 BS3D_STRIKES = (240.0, 260.0, 280.0, 300.0, 320.0, 340.0)
 
@@ -182,6 +183,45 @@ class TestOneSweep:
         american, european = value_at(solve(surf, [PutPayoff(k) for k in pinned], grid), 300.0)
         got = {k: (a.hex(), e.hex()) for k, a, e in zip(pinned, american, european)}
         assert got == pinned
+
+
+class TestAgainstLevelLoop:
+    """The sweep's cached slices and direct gtsv call against eval_b2 and
+    solve_banded at every level, bit for bit."""
+
+    def _surface(self):
+        # three slices strictly inside [0, t_max]: the grid starts before the
+        # first and ends past the last, so every blend branch runs
+        rng = np.random.default_rng(11)
+        return CoefficientSurface(slice_times=np.array([0.1, 0.2, 0.35]),
+                                  coeffs=rng.normal(40.0, 10.0, (3, 4)), floor=5.0,
+                                  s_min=60.0, s_max=140.0, t_max=0.5, r=0.05,
+                                  centers=np.array([99.0, 100.0, 101.0]),
+                                  halfwidths=np.array([15.0, 18.0, 21.0]))
+
+    @pytest.mark.parametrize("n_s", [61, 3])  # 3: a 1 x 1 system, which f2py bands oddly
+    def test_equals_reference_loop(self, n_s):
+        surf = self._surface()
+        grid = make_grid(60.0, 140.0, 0.5, 96, n_s=n_s)
+        payoffs = [PutPayoff(k) for k in (90.0, 100.0, 110.0)]
+        sol = solve(surf, payoffs, grid, values=True)
+        ref = reference_sweep(surf, payoffs, grid)
+        s = grid.s_nodes
+        g = np.array([p(s) for p in payoffs])
+        assert np.array_equal(sol.american, ref[:3])
+        assert np.array_equal(sol.european, ref[3:])
+        assert np.array_equal(sol.levels, exercise_boundary(ref[:3], g, np.array(
+            [p.strike for p in payoffs]), s).levels)
+        assert np.array_equal(sol.delta, hjb.delta_array(ref[:3], s))
+
+    def test_lapack_failure_names_t(self, monkeypatch):
+        def singular(dl, d, du, b, *overwrite):
+            return dl, d, du, b, 1
+
+        monkeypatch.setattr(hjb, "gtsv", singular)
+        grid = make_grid(60.0, 140.0, 0.5, 64, n_s=41)
+        with pytest.raises(RuntimeError, match=rf"t={grid.t_grid[-2]}\b.*info=1"):
+            solve(self._surface(), [PutPayoff(100.0)], grid)
 
 
 class TestExerciseBoundary:

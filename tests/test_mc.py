@@ -307,13 +307,10 @@ class TestCoupledTiers:
 class TestGridLookup:
     """The kernel's shared interval lookup against np.interp, bit for bit."""
 
-    def _lookup(self, s_nodes, x, row):
+    def _lookup(self, s_nodes, x, rows):
+        # every row of the (K, n_s) stack at once, as the kernel reads its strikes
         nodes = mc._Nodes(s_nodes)
-        sc = mc._WorkArrays(x.size)
-        mc._locate(nodes, x, sc)
-        out = np.empty(x.size)
-        mc._interp(nodes, row, sc, out)
-        return out
+        return mc._interp(rows, mc._slopes(nodes, rows), *mc._locate(nodes, x))
 
     def test_equals_np_interp_on_make_grid_nodes(self):
         grid = hjb.make_grid(37.123, 512.77, 1.0, 64)
@@ -331,9 +328,10 @@ class TestGridLookup:
             [s[-1]],                                        # at the last node
             [s[-1] + 1e-9, s[-1] + 50.0, 1e300],            # above it
         ])
-        for row in (rng.normal(size=s.size), -np.cumsum(rng.uniform(size=s.size)),
-                    np.zeros(s.size)):
-            assert np.array_equal(self._lookup(s, x, row), np.interp(x, s, row))
+        rows = np.stack([rng.normal(size=s.size), -np.cumsum(rng.uniform(size=s.size)),
+                         np.zeros(s.size)])
+        for row, got in zip(rows, self._lookup(s, x, rows)):
+            assert np.array_equal(got, np.interp(x, s, row))
 
     def test_rejects_nonuniform_nodes(self):
         with pytest.raises(ValueError, match="uniform"):
@@ -403,6 +401,39 @@ class TestChunkParallelKernel:
                           delta_rows=task.delta_rows, s_nodes=task.s_nodes + 1.0)
         with pytest.raises(ValueError, match="n_t=16"):
             simulate_bounds(m, p, [task, other], 16, 100, seed=1)
+
+
+class TestStackedStrikes:
+    """A tier's strikes share every ufunc call of a step; each must still see
+    only its own row, exactly as when it runs alone."""
+
+    M = CHUNK + 1000  # a whole chunk of mc.BLOCK_ROWS blocks, then a part chunk
+
+    def _tasks(self, model, p, surf, strikes):
+        grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, 16, c=16)
+        payoffs = [PutPayoff(k) for k in strikes]
+        solved = solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
+        # an always-empty region that keeps its delta, and a flat stop level
+        empty = BoundTask(payoff=PutPayoff(strikes[0] + 5.0),
+                          boundary_levels=np.full(17, -np.inf),
+                          delta_rows=solved[0].delta_rows, s_nodes=grid.s_nodes)
+        flat = flat_task(PutPayoff(strikes[-1]), 16, strikes[-1] - 20.0, grid.s_nodes)
+        return solved + [empty, flat]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
+    def test_tier_equals_one_strike_runs(self, request, kind, threads):
+        name, strikes = {"bachelier": ("bachelier5", (480.0, 500.0)),
+                         "black-scholes": ("bs3d", (290.0, 300.0))}[kind]
+        m, p, (surf, _) = (request.getfixturevalue(f"{name}_{part}")
+                           for part in ("model", "portfolio", "surface"))
+        tasks = self._tasks(m, p, surf, strikes)
+        assert np.isfinite(tasks[1].boundary_levels).any()
+        together = simulate_bounds(m, p, tasks, 16, self.M, seed=41, threads=threads)
+        assert mc.BLOCK_ROWS < CHUNK and len(together) == len(tasks)
+        for task, res in zip(tasks, together):
+            alone, = simulate_bounds(m, p, [task], 16, self.M, seed=41, threads=threads)
+            assert res == alone  # every BoundsResult field
 
 
 class _CountingExecutor(mc.ThreadPoolExecutor):
