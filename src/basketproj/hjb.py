@@ -28,7 +28,7 @@ DEFAULT_COUPLING = 16.0  # N_s = round(sqrt(c * N_t))
 REGION_TOL = 1e-9
 # time levels per boundary/delta extraction: few enough calls that their
 # overhead vanishes, few enough rows that their temporaries stay small
-BLOCK_LEVELS = 64
+BLOCK_LEVELS = 32
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,25 @@ and every strike, on their own, and chunks run on a thread pool (numpy
 releases the interpreter lock in the elementwise ufuncs, the gathers and the
 Philox fill).  A run of exactly one ``rng.CHUNK`` of paths, with a second CPU
 under the thread cap, draws step n + 1 on a fill thread while step n runs; the
-cap counts that thread too, so one thread starts none.  Each chunk writes its
-slice of full-length per-path arrays, and the statistics reduce the whole
-arrays once at the end, so results do not depend on the number of workers or
-on whether the fill runs ahead.
+cap counts that thread too, so one thread starts none.
 
-A tier's K strikes are stacked as (K, rows) arrays, updated by one ufunc
-call per operation over row blocks of ``BLOCK_ROWS`` (which bound the
-temporaries); the delta is read off the (K, n_s) stack of the step's rows
-through one interval lookup, with ``np.interp``'s bits on the uniform
-``make_grid`` nodes.  Every operation is elementwise and each strike's
-statistics reduce its own contiguous row, so K strikes equal K one-strike runs.
+Per chunk, each fine step takes its normals, scales them (Black-Scholes) or
+projects them (Bachelier), adds them to every coarser tier's running sum, and
+advances each tier whose coarse step ends there.  A tier advances one row
+block of ``BLOCK_ROWS`` at a time: basket, payoffs and stop test, delta
+lookup, hedge, Euler step, before the next block starts, so its temporaries
+are block-sized.  At maturity each tier evaluates once more and the European
+payoff takes the place of the martingale, which nothing reads after that.
+
+A tier's K strikes are stacked: each chunk writes its column slice of the
+tier's full-length (K, m) per-path values (lower bound, upper bound,
+martingale then European, and the stopping time and payoff maximum only for a
+tier with functionals), and the statistics reduce each strike's contiguous
+row once at the end, so results do not depend on the number of workers or on
+whether the fill runs ahead.  The delta is read off the (K, n_s) stack of the
+step's rows through one interval lookup, with ``np.interp``'s bits on the
+uniform ``make_grid`` nodes.  Every operation is elementwise, so K strikes
+equal K one-strike runs.
 """
 
 from __future__ import annotations
@@ -66,13 +74,16 @@ class PriceBounds:
 
 @dataclass(frozen=True)
 class BoundsResult:
-    """Full per-strike output of one batch: bounds plus auxiliary functionals."""
+    """Full per-strike output of one batch: bounds plus auxiliary functionals.
+
+    The functionals are None for a tier run without them (TierTask.functionals).
+    """
 
     bounds: PriceBounds
     european: float
     se_european: float
-    mean_hit_time: float
-    mean_running_max: float
+    mean_hit_time: float | None
+    mean_running_max: float | None
 
 
 @dataclass
@@ -93,10 +104,15 @@ class BoundTask:
 
 @dataclass
 class TierTask:
-    """One refinement level of a coupled convergence run."""
+    """One refinement level of a coupled run.
+
+    functionals asks for the mean stopping time and the mean running maximum
+    of the payoff; a tier without them keeps no per-path arrays for them.
+    """
 
     n_t: int
     tasks: list[BoundTask]
+    functionals: bool = True
 
 
 def diffusion(model: ModelSpec, x: np.ndarray, dws: np.ndarray) -> np.ndarray:
@@ -148,8 +164,9 @@ def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask]
 
     Coarser tiers consume sums of the fine increments, so tier differences
     estimate pure discretization bias with far lower variance than independent
-    batches.  Tier step counts must divide the finest count.  threads is as in
-    simulate_bounds.
+    batches.  Tier step counts must divide the finest count.  The finest tier
+    steps on the fine draws themselves, so its results equal a one-tier run at
+    the same seed.  threads is as in simulate_bounds.
     """
     return _simulate(model, p, tiers, m, seed, threads)
 
@@ -231,21 +248,24 @@ class _Tier:
         k = len(tasks)
         self.lowval = np.zeros((k, m))          # payoff at the stopping time
         self.umax = np.full((k, m), -np.inf)    # running max of payoff minus martingale
-        self.z = np.zeros((k, m))               # discounted payoff now; at the end, the European
-        self.tau = np.zeros((k, m))             # stopping time
-        self.zmax = np.full((k, m), -np.inf)    # running max of the payoff
+        self.mart = np.zeros((k, m))            # the martingale; at maturity, the European payoff
+        on = tier.functionals
+        self.tau = np.zeros((k, m)) if on else None            # stopping time
+        self.zmax = np.full((k, m), -np.inf) if on else None   # running max of the payoff
 
     def results(self) -> list[BoundsResult]:
         out = []
-        for k in range(self.z.shape[0]):
+        m = self.mart.shape[1]
+        for k in range(len(self.mart)):
             low, se_low = _mean_se(self.lowval[k])
             up, se_up = _mean_se(self.umax[k])
-            euro, se_euro = _mean_se(self.z[k])
-            bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up,
-                                 m=self.z.shape[1])
+            euro, se_euro = _mean_se(self.mart[k])
+            bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up, m=m)
+            hit = run_max = None
+            if self.tau is not None:
+                hit, run_max = float(self.tau[k].mean()), float(self.zmax[k].mean())
             out.append(BoundsResult(bounds=bounds, european=euro, se_european=se_euro,
-                                    mean_hit_time=float(self.tau[k].mean()),
-                                    mean_running_max=float(self.zmax[k].mean())))
+                                    mean_hit_time=hit, mean_running_max=run_max))
         return out
 
 
@@ -255,7 +275,8 @@ class _TierChunk:
     A Bachelier tier carries the basket S = P x alone, an (m,) array, and
     steps it by S + r S dt + P b dW: b = sigma does not depend on the state,
     so this is P applied to the d-asset Euler step.  A Black-Scholes tier
-    carries the (m, d) state.  Per-strike state is (K, rows).
+    carries the (m, d) state.  Per-strike state is (K, rows); the payoff is a
+    (K, BLOCK_ROWS) scratch, rewritten by every row block.
     """
 
     def __init__(self, model: ModelSpec, p: Portfolio, tier: _Tier, n_fine: int,
@@ -269,57 +290,72 @@ class _TierChunk:
         else:
             self.x = np.tile(model.x0, (hi - lo, 1))
         self.inc = None  # fine increment summed over the current coarse step (stride > 1)
-        self.lowval, self.umax, self.z, self.tau, self.zmax = (
-            a[:, lo:hi] for a in (tier.lowval, tier.umax, tier.z, tier.tau, tier.zmax))
-        self.mart = np.zeros(self.z.shape)
-        self.open = np.ones(self.z.shape, dtype=bool)  # not yet stopped
+        self.lowval, self.umax, self.mart, self.tau, self.zmax = (
+            None if a is None else a[:, lo:hi]
+            for a in (tier.lowval, tier.umax, tier.mart, tier.tau, tier.zmax))
+        self.open = np.ones(self.mart.shape, dtype=bool)  # not yet stopped
+        self.z = np.empty((len(tier.strikes), min(hi - lo, BLOCK_ROWS)))
         self.blocks = [slice(b, b + BLOCK_ROWS) for b in range(0, hi - lo, BLOCK_ROWS)]
 
-    def _evaluate(self, model: ModelSpec, p: Portfolio, n: int):
-        """Payoff, running maxima and first stop of every strike at step n."""
-        t = n * self.dt
-        disc = np.exp(-model.r * t)
-        basket = self.x if self.basket_only else self.x @ p.weights
-        for c in self.blocks:
-            z, opened = self.z[:, c], self.open[:, c]
-            np.multiply(disc, put_value(self.tier.strikes, basket[c], out=z), out=z)
-            np.maximum(self.umax[:, c], z - self.mart[:, c], out=self.umax[:, c])
-            np.maximum(self.zmax[:, c], z, out=self.zmax[:, c])
-            newly = (basket[c] <= self.tier.levels[:, n:n + 1]) & opened
-            np.copyto(self.lowval[:, c], z, where=newly)
+    def _evaluate(self, p: Portfolio, n: int, t: float, disc: float, c: slice):
+        """Payoff, running maxima and first stop of every strike at step n, on rows c.
+
+        Returns the block's basket and its discounted payoffs (the scratch).
+        """
+        basket = self.x[c] if self.basket_only else self.x[c] @ p.weights
+        z = self.z[:, :basket.size]
+        np.multiply(disc, put_value(self.tier.strikes, basket, out=z), out=z)
+        umax, opened = self.umax[:, c], self.open[:, c]
+        np.maximum(umax, z - self.mart[:, c], out=umax)
+        newly = (basket <= self.tier.levels[:, n:n + 1]) & opened
+        np.copyto(self.lowval[:, c], z, where=newly)
+        opened ^= newly
+        if self.tau is not None:
+            zmax = self.zmax[:, c]
+            np.maximum(zmax, z, out=zmax)
             np.copyto(self.tau[:, c], t, where=newly)
-            opened ^= newly
-        return disc, basket
+        return basket, z
 
     def advance(self, model: ModelSpec, p: Portfolio, n: int, inc: np.ndarray):
-        """Evaluate coarse step n, hedge over its increment, step the paths.
+        """Coarse step n, one row block at a time: evaluate, hedge, step.
 
-        inc is P b dW for a basket tier and dW for a state tier.  The
-        martingale increment is disc * delta * P b dW, the delta read at the
-        located basket off the (K, n_s) stack of the strikes' step-n rows.
+        inc is P b dW for a basket tier and dW for a state tier.  Each block
+        forms its basket, payoffs and stops, reads the delta at the located
+        basket off the (K, n_s) stack of the strikes' step-n rows, adds the
+        martingale increment disc * delta * P b dW, and takes its Euler step
+        before the next block starts.
         """
-        disc, basket = self._evaluate(model, p, n)
-        if self.basket_only:
-            bdw = pb = inc
-        else:
-            bdw = diffusion(model, self.x, inc @ model.sigma.T)
-            pb = bdw @ p.weights
-        j, dx = _locate(self.tier.nodes, basket)
+        t = n * self.dt
+        disc = np.exp(-model.r * t)
         rows = np.stack([d[n] for d in self.tier.deltas])
         slope = _slopes(self.tier.nodes, rows)
         for c in self.blocks:
-            delta = _interp(rows, slope, j[c], dx[c])
+            basket, _ = self._evaluate(p, n, t, disc, c)
+            if self.basket_only:
+                bdw = pb = inc[c]
+            else:
+                bdw = diffusion(model, self.x[c], inc[c] @ model.sigma.T)
+                pb = bdw @ p.weights
+            delta = _interp(rows, slope, *_locate(self.tier.nodes, basket))
             delta *= disc
-            delta *= pb[c]
+            delta *= pb
             mart = self.mart[:, c]
             mart += delta
-        self.x = step(model, self.x, self.dt, bdw)
+            self.x[c] = step(model, self.x[c], self.dt, bdw)
 
     def finish(self, model: ModelSpec, p: Portfolio):
-        self._evaluate(model, p, self.tier.n_t)
-        # open paths exercise at maturity
-        np.copyto(self.lowval, self.z, where=self.open)
-        np.copyto(self.tau, model.T, where=self.open)
+        """Evaluate maturity: open paths exercise there, and each strike's
+        martingale row takes the European payoff."""
+        n = self.tier.n_t
+        t = n * self.dt
+        disc = np.exp(-model.r * t)
+        for c in self.blocks:
+            _, z = self._evaluate(p, n, t, disc, c)
+            opened = self.open[:, c]
+            np.copyto(self.lowval[:, c], z, where=opened)
+            if self.tau is not None:
+                np.copyto(self.tau[:, c], model.T, where=opened)
+            self.mart[:, c] = z
 
 
 def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[_Tier],

@@ -2,8 +2,9 @@
 
 Wires the stages together for the CLI: envelope -> Laplace surface -> one HJB
 sweep per time-step tier (every strike, American and European, with the
-boundary and delta extracted as it goes) -> Monte Carlo bounds per strike per
-tier, with machine-readable CSV output.
+boundary and delta extracted as it goes) -> one coupled Monte Carlo pass that
+bounds every strike on every tier, the coarse tiers stepping on sums of the
+top tier's fine increments -> machine-readable CSV output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, hjb, mc, oracle, surface as surface_mod
-from .config import ExperimentConfig, config_hash, serialize_config
+from .config import ConfigError, ExperimentConfig, config_hash, serialize_config
 from .density import ExpansionCoords
 from .model import ModelSpec, Portfolio, PutPayoff
 from .projection import projected_vol_sq
@@ -94,9 +95,8 @@ class RunReport:
 
 
 @dataclass
-class _TierOutput:
-    n_t: int
-    results: list          # mc.BoundsResult per strike
+class _TierSweep:
+    task: mc.TierTask      # every strike's boundary and delta, without functionals
     hjb_american: list
     hjb_european: list
 
@@ -115,12 +115,13 @@ def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
             for k, g in enumerate(payoffs)]
 
 
-def _run_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig,
-              export_dir: Path | None, threads: int | None) -> _TierOutput:
-    """One sweep for every strike and flavor, then the bounds.
+def _solve_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig,
+                export_dir: Path | None) -> _TierSweep:
+    """One sweep for every strike and flavor; keeps what the bounds and the report read.
 
     When export_dir is given, each strike's American boundary (and, with
-    export_value_grids, its value grid) is written there from the sweep.
+    export_value_grids, its value grid) is written there from the sweep, and
+    the value grids are dropped with the sweep.
     """
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
     export_values = export_dir is not None and cfg.export_value_grids
@@ -132,10 +133,16 @@ def _run_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig,
             if export_values:
                 hjb.export_values(grid, sol.american[k], export_dir / f"values_K{g.strike:g}.txt")
     hjb_a, hjb_e = hjb.value_at(sol, float(p.weights @ model.x0))
-    seed = derive_seed(cfg.seed, "bounds", n_t)
-    results = mc.simulate_bounds(model, p, _bound_tasks(sol, payoffs), n_t, cfg.m_paths, seed,
-                                 threads=threads)
-    return _TierOutput(n_t=n_t, results=results, hjb_american=hjb_a, hjb_european=hjb_e)
+    task = mc.TierTask(n_t=n_t, tasks=_bound_tasks(sol, payoffs), functionals=False)
+    return _TierSweep(task=task, hjb_american=hjb_a, hjb_european=hjb_e)
+
+
+def _check_tiers_divide(tiers, finest: int) -> None:
+    """ConfigError naming the tiers unless each divides finest, the coupled pass's step count."""
+    bad = [n_t for n_t in tiers if finest % n_t]
+    if bad:
+        raise ConfigError(f"nt_tiers {list(tiers)}: {bad} do not divide {finest}, "
+                          "the step count of the coupled Monte Carlo pass")
 
 
 def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
@@ -158,12 +165,17 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> RunReport:
-    """Full pipeline for one configuration; writes CSVs incrementally.
+    """Full pipeline for one configuration.
 
-    threads caps the Monte Carlo threads, chunk workers and the fill thread
-    together (None: every CPU this process may run on); the outputs do not
-    depend on it.
+    Writes config.cfg, then surface.txt and the top tier's plotting files as
+    their stages finish, and results.csv once the coupled Monte Carlo pass is
+    done.  Every tier must divide the top tier, which is checked before any
+    work.  threads caps the Monte Carlo threads, chunk workers and the fill
+    thread together (None: every CPU this process may run on); the outputs do
+    not depend on it.
     """
+    top = max(cfg.nt_tiers)  # the top tier also writes the files for plotting
+    _check_tiers_divide(cfg.nt_tiers, top)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -175,48 +187,50 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -
 
     t0 = time.time()
     try:
-        surf, env = build_surface_from_config(cfg, model, p)
+        surf, _ = build_surface_from_config(cfg, model, p)
     except Exception as exc:
         raise StageError("surface", exc) from exc
     surf.save(out / "surface.txt")
     log.info("surface fitted on [%.4g, %.4g] in %.1fs", surf.s_min, surf.s_max, time.time() - t0)
 
+    sweeps = []
+    for n_t in cfg.nt_tiers:
+        try:
+            sweeps.append(_solve_tier(model, p, surf, payoffs, n_t, cfg,
+                                      out if n_t == top else None))
+        except Exception as exc:
+            raise StageError(f"tier-{n_t}", exc) from exc
+    # seeded by the top tier, which is then the pass's stride-1 tier
+    try:
+        per_tier = mc.simulate_tiers_coupled(model, p, [sw.task for sw in sweeps], cfg.m_paths,
+                                             derive_seed(cfg.seed, "bounds", top),
+                                             threads=threads)
+    except Exception as exc:
+        raise StageError("bounds", RuntimeError(
+            f"coupled pass over tiers {list(cfg.nt_tiers)}: {exc}")) from exc
+
     rows: list[ReportRow] = []
-    results_path = out / "results.csv"
-    with open(results_path, "w", newline="", encoding="utf-8") as fh:
+    by_nt = dict(zip(cfg.nt_tiers, per_tier))
+    for sw, results in zip(sweeps, per_tier):
+        n_t = sw.task.n_t
+        doubled = by_nt.get(2 * n_t)
+        for j, g in enumerate(payoffs):
+            b = results[j].bounds
+            bias_minus = bias_plus = None
+            if doubled is not None:
+                bias_minus, bias_plus = mc.bias_estimate(b, doubled[j].bounds)
+            rows.append(ReportRow(strike=g.strike, n_t=n_t, m=b.m,
+                                  euro_mc=results[j].european, se_euro=results[j].se_european,
+                                  a_minus=b.a_minus, se_minus=b.se_minus,
+                                  a_plus=b.a_plus, se_plus=b.se_plus,
+                                  bias_minus=bias_minus, bias_plus=bias_plus,
+                                  hjb_american=sw.hjb_american[j],
+                                  hjb_european=sw.hjb_european[j]))
+    with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# basketproj results v1 config={chash} seed={cfg.seed} version={__version__}\n")
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
-        fh.flush()
-
-        top = max(cfg.nt_tiers)  # the top tier also writes the files for plotting
-        tier_outputs = []
-        for n_t in cfg.nt_tiers:
-            try:
-                tier_outputs.append(_run_tier(model, p, surf, payoffs, n_t, cfg,
-                                              out if n_t == top else None, threads))
-            except Exception as exc:
-                raise StageError(f"tier-{n_t}", exc) from exc
-
-        by_nt = {o.n_t: o for o in tier_outputs}
-        for o in tier_outputs:
-            doubled = by_nt.get(2 * o.n_t)
-            for j, g in enumerate(payoffs):
-                res = o.results[j]
-                b = res.bounds
-                bias_minus = bias_plus = None
-                if doubled is not None:
-                    bias_minus, bias_plus = mc.bias_estimate(b, doubled.results[j].bounds)
-                row = ReportRow(strike=g.strike, n_t=o.n_t, m=b.m,
-                                euro_mc=res.european, se_euro=res.se_european,
-                                a_minus=b.a_minus, se_minus=b.se_minus,
-                                a_plus=b.a_plus, se_plus=b.se_plus,
-                                bias_minus=bias_minus, bias_plus=bias_plus,
-                                hjb_american=o.hjb_american[j],
-                                hjb_european=o.hjb_european[j])
-                rows.append(row)
-                writer.writerow(row.as_list())
-                fh.flush()
+        writer.writerows(row.as_list() for row in rows)
 
     ordering_ok = all(r.a_minus <= r.a_plus + BOUND_ORDERING_Z * (r.se_minus + r.se_plus)
                       for r in rows)
@@ -247,9 +261,10 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
     if len(cfg.nt_tiers) < 3:
         raise StageError("convergence", ValueError("need at least 3 tiers"))
     finest = 2 * max(cfg.nt_tiers)
-    if any(finest % n_t for n_t in cfg.nt_tiers):
-        raise StageError("convergence", ValueError(
-            f"every tier must divide the doubled top tier {finest}, got {cfg.nt_tiers}"))
+    try:
+        _check_tiers_divide(cfg.nt_tiers, finest)
+    except ConfigError as exc:
+        raise StageError("convergence", exc) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()

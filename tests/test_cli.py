@@ -86,11 +86,48 @@ class TestRunCommand:
     def test_threads_give_identical_results(self, tmp_path):
         cfg = appendix2d()
         cfg.nt_tiers = [64, 128]
-        cfg.m_paths = CHUNK + 4000  # two path chunks, so the workers have work to split
+        cfg.m_paths = CHUNK + 1000  # two path chunks, so the workers have work to split
         run_experiment(cfg, tmp_path / "one", threads=1)
         run_experiment(cfg, tmp_path / "two", threads=3)
-        assert (tmp_path / "one" / "results.csv").read_bytes() == \
-               (tmp_path / "two" / "results.csv").read_bytes()
+        names = sorted(f.name for f in (tmp_path / "one").iterdir())
+        assert "results.csv" in names and "boundary_K200.txt" in names
+        assert names == sorted(f.name for f in (tmp_path / "two").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == \
+                   (tmp_path / "two" / name).read_bytes(), name
+
+    def test_coupled_tiers_report_bias_not_noise(self, tmp_path):
+        # one coupled pass: the step-doubling difference of the lower bound
+        # sits far below the noise two independent batches would show
+        cfg = get_preset("bachelier-exact")
+        cfg.nt_tiers = [256, 512]
+        cfg.m_paths = 16_384
+        cfg.seed = 1
+        coarse, fine = run_experiment(cfg, tmp_path).rows
+        assert coarse.n_t == 256 and fine.bias_minus is None
+        independent_noise = np.hypot(coarse.se_minus, fine.se_minus)
+        assert coarse.bias_minus < 0.25 * independent_noise
+
+    def test_tiers_must_divide_the_top_tier(self, tmp_path, capsys):
+        path = tmp_path / "uneven.cfg"
+        path.write_text(TINY_BACHELIER.replace("nt_tiers = [32, 64, 128]", "nt_tiers = [24, 64]"),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "[24]" in err and "64" in err
+        assert not out.exists()  # nothing was written
+
+    def test_bounds_failure_names_stage_and_tiers(self, tmp_path, monkeypatch, capsys):
+        def broken_pass(*args, **kwargs):
+            raise RuntimeError("injected kernel fault")
+
+        monkeypatch.setattr(pipeline.mc, "simulate_tiers_coupled", broken_pass)
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY_BACHELIER, encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "[bounds]" in err and "[32, 64, 128]" in err and "injected kernel fault" in err
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_exports_come_from_top_tier(self, tmp_path, threads):

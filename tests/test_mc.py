@@ -1,5 +1,8 @@
+import dataclasses
 import os
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from basketproj import hjb, mc
 from basketproj.mc import BoundTask, PriceBounds, bias_estimate, diffusion, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
-from basketproj.rng import CHUNK, normal_matrix
+from basketproj.rng import CHUNK, derive_seed, normal_matrix
 from support import basket_euler, confidence_interval, euler_states, flat_task, solved_tasks
 
 
@@ -193,6 +196,36 @@ class TestReproducibility:
         assert not np.array_equal(a, normal_matrix(7, 4, 10, 2))
         assert not np.array_equal(a, normal_matrix(8, 3, 10, 2))
 
+    def test_reused_generator_matches_a_fresh_one(self):
+        # each call resets its thread's generator, wherever the last call left
+        # its buffer: odd counts stop mid-buffer, and threads draw at once
+        def fresh(seed, step, n_rows, n_cols, first_chunk=0):
+            out = np.empty((n_rows, n_cols))
+            for lo in range(0, n_rows, CHUNK):
+                key = (seed << 64) | (step << 32) | (first_chunk + lo // CHUNK)
+                gen = np.random.Generator(np.random.Philox(key=key))
+                gen.standard_normal(out=out[lo:lo + CHUNK])
+            return out
+
+        calls = [(2**63 + 11, step, n_rows, n_cols, first)
+                 for step, (n_rows, n_cols, first) in enumerate(
+                     [(1, 1, 0), (3, 5, 0), (1001, 3, 0), (CHUNK + 7, 3, 0),
+                      (2 * CHUNK + 5, 1, 0), (333, 7, 4), (CHUNK - 1, 2, 1)] * 3)]
+
+        def check(args):
+            return np.array_equal(normal_matrix(*args), fresh(*args))
+
+        assert all(map(check, calls))
+        # more threads than cores, switching often: a shared generator would mix streams
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                done = list(pool.map(check, calls + calls[::-1], timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(done) == 2 * len(calls) and all(done)
+
 
 class TestOrderingAndConsistency:
     def _bachelier_run(self, m, p, n_t, n_paths, seed, bachelier5_surface):
@@ -296,6 +329,35 @@ class TestCoupledTiers:
             euro = float((np.exp(-m.r * m.T) * g(x_t @ p.weights)).mean())
             assert res.european == pytest.approx(euro, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
+    def test_top_tier_equals_its_own_run(self, request, kind, threads):
+        # the pipeline seeds its coupled pass by the top tier, whose rows must
+        # then equal a one-tier run at that seed, bit for bit
+        m, p, surf, strikes = _case(request, kind)
+        n_paths, seed = CHUNK + 1000, derive_seed(13, "bounds", 64)
+        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes)) for n in (16, 32, 64)]
+        assert np.isfinite(tiers[-1].tasks[1].boundary_levels).any()
+        coupled = mc.simulate_tiers_coupled(m, p, tiers, n_paths, seed, threads=threads)
+        alone = simulate_bounds(m, p, tiers[-1].tasks, 64, n_paths, seed, threads=threads)
+        assert coupled[-1] == alone  # every BoundsResult field of every strike
+        assert coupled[0] != alone
+
+    @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
+    def test_tier_without_functionals(self, request, kind):
+        m, p, surf, strikes = _case(request, kind)
+        with_them = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes)) for n in (8, 16)]
+        without = [dataclasses.replace(t, functionals=False) for t in with_them]
+        n_paths = 2 * mc.BLOCK_ROWS + 100
+        full = mc.simulate_tiers_coupled(m, p, with_them, n_paths, seed=14)
+        bare = mc.simulate_tiers_coupled(m, p, without, n_paths, seed=14)
+        for full_tier, bare_tier in zip(full, bare):
+            for res, res_bare in zip(full_tier, bare_tier):
+                assert res.mean_hit_time is not None and res.mean_running_max is not None
+                assert res_bare.mean_hit_time is None and res_bare.mean_running_max is None
+                assert res_bare == dataclasses.replace(res, mean_hit_time=None,
+                                                       mean_running_max=None)
+
     def test_tier_must_divide(self, bachelier5_model, bachelier5_portfolio):
         g = PutPayoff(500.0)
         mk = lambda n: mc.TierTask(n_t=n, tasks=[flat_task(g, n)])
@@ -336,6 +398,15 @@ class TestGridLookup:
     def test_rejects_nonuniform_nodes(self):
         with pytest.raises(ValueError, match="uniform"):
             mc._Nodes(np.array([0.0, 1.0, 1.5, 3.0]))
+
+
+def _case(request, kind):
+    """Model, portfolio, surface and two strikes of the Bachelier or Black-Scholes fixtures."""
+    name, strikes = {"bachelier": ("bachelier5", (480.0, 500.0)),
+                     "black-scholes": ("bs3d", (290.0, 300.0))}[kind]
+    m, p, (surf, _) = (request.getfixturevalue(f"{name}_{part}")
+                       for part in ("model", "portfolio", "surface"))
+    return m, p, surf, strikes
 
 
 def _tasks(m, surf, n_t, strikes=(480.0, 500.0)):
@@ -423,10 +494,7 @@ class TestStackedStrikes:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
     def test_tier_equals_one_strike_runs(self, request, kind, threads):
-        name, strikes = {"bachelier": ("bachelier5", (480.0, 500.0)),
-                         "black-scholes": ("bs3d", (290.0, 300.0))}[kind]
-        m, p, (surf, _) = (request.getfixturevalue(f"{name}_{part}")
-                           for part in ("model", "portfolio", "surface"))
+        m, p, surf, strikes = _case(request, kind)
         tasks = self._tasks(m, p, surf, strikes)
         assert np.isfinite(tasks[1].boundary_levels).any()
         together = simulate_bounds(m, p, tasks, 16, self.M, seed=41, threads=threads)
