@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         if simulates:
             sp.add_argument("--threads", type=_thread_count, default=None,
                             help="cap on Monte Carlo threads: workers over 65536-path chunks, "
-                                 "or for exactly 65536 paths one worker and a fill thread "
-                                 "drawing its next step (default: every available CPU; "
+                                 "or for exactly 65536 paths one worker and a fill thread, "
+                                 "both drawing its next steps (default: every available CPU; "
                                  "results do not depend on it)")
 
     add_common(sub.add_parser("run", help="full pipeline: project, solve, simulate, report"),

@@ -18,16 +18,20 @@ The kernel is chunk-outer.  Increments are keyed by (seed, step, chunk of
 and every strike, on their own, and chunks run on a thread pool (numpy
 releases the interpreter lock in the elementwise ufuncs, the gathers and the
 Philox fill).  A run of exactly one ``rng.CHUNK`` of paths, with a second CPU
-under the thread cap, draws step n + 1 on a fill thread while step n runs; the
-cap counts that thread too, so one thread starts none.
+under the thread cap, queues the next ``FILL_AHEAD`` steps' draws on a fill
+thread while step n runs.  When step n's draw is not ready, the kernel thread
+draws a queued step the fill thread has not started instead of waiting, so
+both CPUs draw.  The cap counts the fill thread too, so one thread starts none.
 
-Per chunk, each fine step takes its normals, scales them (Black-Scholes) or
-projects them (Bachelier), adds them to every coarser tier's running sum, and
-advances each tier whose coarse step ends there.  A tier advances one row
-block of ``BLOCK_ROWS`` at a time: basket, payoffs and stop test, delta
-lookup, hedge, Euler step, before the next block starts, so its temporaries
-are block-sized.  At maturity each tier evaluates once more and the European
-payoff takes the place of the martingale, which nothing reads after that.
+Per chunk, each fine step takes its increment, normals scaled by sqrt(dt)
+(Black-Scholes) or projected to P b dW (Bachelier, drawn ``BLOCK_ROWS`` rows
+at a time by ``normal_matrix(project=...)``, so no thread holds a whole raw
+block), adds it to every coarser tier's running sum, and advances each tier
+whose coarse step ends there.  A tier advances one row block of
+``BLOCK_ROWS`` at a time: basket, payoffs and stop test, delta lookup, hedge,
+Euler step, before the next block starts, so its temporaries are block-sized.
+At maturity each tier evaluates once more and the European payoff takes the
+place of the martingale, which nothing reads after that.
 
 A tier's K strikes are stacked: each chunk writes its column slice of the
 tier's full-length (K, m) per-path values (lower bound, upper bound,
@@ -43,18 +47,16 @@ equal K one-strike runs.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, put_value
-from .rng import CHUNK, normal_matrix
+from .rng import BLOCK_ROWS, CHUNK, normal_matrix
 
-# rows per block of the stacked strike update: few enough blocks that their
-# calls stay cheap, few enough rows that the (K, rows) temporaries stay small
-BLOCK_ROWS = 8192
+# steps queued on the fill thread beyond the one the kernel takes next
+FILL_AHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -358,12 +360,28 @@ class _TierChunk:
             self.mart[:, c] = z
 
 
+def _take(queued: dict[int, Future], nf: int, fill) -> np.ndarray:
+    """Step nf's increment, the first of the queued steps.
+
+    While the fill thread has not finished it, this thread draws the queued
+    steps the fill thread has not started, earliest first, rather than wait.
+    """
+    for s in list(queued):
+        if queued[nf].done():
+            break
+        if queued[s].cancel():
+            queued[s] = Future()
+            queued[s].set_result(fill(s))
+    return queued.pop(nf).result()
+
+
 def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[_Tier],
                     seed: int, n_fine: int, chunk: int, lo: int, hi: int,
                     run_ahead: bool) -> None:
     """Rows lo:hi (Philox chunk `chunk`) through every tier's time loop.
 
-    With run_ahead, a fill thread draws step nf + 1 while step nf runs.
+    With run_ahead, FILL_AHEAD steps past step nf are queued on a fill thread
+    while step nf runs, and this thread draws those it would otherwise wait on.
     """
     sq = np.sqrt(model.T / n_fine)
     # Bachelier tiers read a fine draw only as P b dW = dW @ (sqrt(dt) sigma^T w)
@@ -371,21 +389,22 @@ def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[_Tier],
     runs = [_TierChunk(model, p, tier, n_fine, lo, hi) for tier in tiers]
 
     def fill(nf: int) -> np.ndarray:
-        return normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk)
+        """Step nf's increment: dW scaled by sqrt(dt), or projected to P b dW."""
+        if proj is not None:
+            return normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk, project=proj)
+        dw = normal_matrix(seed, nf, hi - lo, model.k, first_chunk=chunk)
+        return np.multiply(dw, sq, out=dw)
 
-    with ThreadPoolExecutor(max_workers=1) if run_ahead else nullcontext() as fills:
-        ahead = fills.submit(fill, 0) if fills else None
+    fills = ThreadPoolExecutor(max_workers=1) if run_ahead else None
+    queued: dict[int, Future] = {}  # steps nf, nf + 1, ... in order
+    try:
         for nf in range(n_fine):
-            # dw is the block's only holder, so projecting frees it
-            dw, ahead = (ahead.result() if fills else fill(nf)), None
-            # scaled or projected here, not on the fill thread: the fill is the longer
-            if proj is None:
-                np.multiply(dw, sq, out=dw)
+            if fills is None:
+                dw = fill(nf)
             else:
-                dw = dw @ proj
-            # submitted only now, so a Bachelier run holds one raw block at a time
-            if fills and nf + 1 < n_fine:
-                ahead = fills.submit(fill, nf + 1)
+                for s in range(nf + len(queued), min(nf + 1 + FILL_AHEAD, n_fine)):
+                    queued[s] = fills.submit(fill, s)
+                dw = _take(queued, nf, fill)
             for run in runs:
                 inc = dw
                 if run.stride > 1:
@@ -396,6 +415,10 @@ def _simulate_chunk(model: ModelSpec, p: Portfolio, tiers: list[_Tier],
                     inc = run.inc
                 if (nf + 1) % run.stride == 0:
                     run.advance(model, p, nf // run.stride, inc)
+    finally:
+        if fills is not None:
+            # on an error anywhere, drop the steps not started; always join the thread
+            fills.shutdown(cancel_futures=True)
     for run in runs:
         run.finish(model, p)
 
@@ -422,10 +445,11 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     stacked = [_Tier(t, m) for t in tiers]
     spans = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 
-    # One whole chunk with a second CPU under the cap draws ahead on a fill
-    # thread: the one case measured as a gain.  A 1024-row chunk ran slower
-    # that way (its kernel holds the interpreter lock through short ufuncs,
-    # so each hand-off stalls), and several chunk workers were not measured.
+    # One whole chunk with a second CPU under the cap queues its draws on a
+    # fill thread and draws those the fill thread has not started itself: the
+    # one case measured as a gain.  A 1024-row chunk ran slower with a fill
+    # thread (its kernel holds the interpreter lock through short ufuncs, so
+    # each hand-off stalls), and several chunk workers were not measured.
     cpus = _worker_count(threads)
     run_ahead = m == CHUNK and cpus >= 2
 

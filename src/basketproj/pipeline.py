@@ -256,15 +256,13 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
 
     All tiers consume the same fine Brownian increments so the step-doubling
     differences measure discretization bias, not statistical noise.  threads
-    is as in run_experiment.
+    is as in run_experiment.  Fewer than 3 tiers, or a tier that does not
+    divide twice the top tier, is a ConfigError before any work.
     """
     if len(cfg.nt_tiers) < 3:
-        raise StageError("convergence", ValueError("need at least 3 tiers"))
+        raise ConfigError(f"nt_tiers {list(cfg.nt_tiers)}: convergence needs at least 3 tiers")
     finest = 2 * max(cfg.nt_tiers)
-    try:
-        _check_tiers_divide(cfg.nt_tiers, finest)
-    except ConfigError as exc:
-        raise StageError("convergence", exc) from exc
+    _check_tiers_divide(cfg.nt_tiers, finest)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()

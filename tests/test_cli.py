@@ -9,6 +9,7 @@ import pytest
 import basketproj
 from basketproj import hjb, pipeline
 from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from basketproj.config import ConfigError
 from basketproj.pipeline import (BOUND_ORDERING_Z, StageError, appendix_checks,
                                  build_surface_from_config, check_solver_1d,
                                  convergence_study, run_experiment)
@@ -320,10 +321,15 @@ class TestConvergenceCommand:
 
         monkeypatch.setattr(pipeline, "build_surface_from_config", no_surface)
         cfg = get_preset("bachelier-exact")
-        cfg.nt_tiers = [6, 8, 10]  # 6 does not divide the doubled top tier 20
-        with pytest.raises(StageError) as exc:
+        cfg.nt_tiers = [6, 8, 10]  # 6 and 8 do not divide the doubled top tier 20
+        with pytest.raises(ConfigError, match=r"nt_tiers \[6, 8, 10\]: \[6, 8\] do not divide 20"):
             convergence_study(cfg, tmp_path / "out")
-        assert exc.value.stage == "convergence"
+        assert not (tmp_path / "out").exists()
+        # the command exits as run does on the same mistake
+        path = tmp_path / "uncoupled.cfg"
+        path.write_text(DETERMINISTIC.replace("16, 32, 64", "24, 64, 128"), encoding="utf-8")
+        rc = main(["convergence", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     def test_surface_failure_names_its_stage(self, tmp_path, monkeypatch, capsys):
@@ -335,9 +341,11 @@ class TestConvergenceCommand:
         assert rc == EXIT_INVARIANT
         assert "stage failure: [surface] injected surface fault" in capsys.readouterr().err
 
-    def test_needs_three_tiers(self, tmp_path):
-        rc = main(["convergence", "--preset", "appendix2d", "--out-dir", str(tmp_path)])
-        assert rc == EXIT_INVARIANT
+    def test_needs_three_tiers(self, tmp_path, capsys):
+        rc = main(["convergence", "--preset", "appendix2d", "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "needs at least 3 tiers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["validate", "--threads", "2"],

@@ -2,6 +2,8 @@ import dataclasses
 import os
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -191,6 +193,15 @@ class TestReproducibility:
         full = normal_matrix(7, 3, CHUNK + 40, 2)
         assert np.array_equal(normal_matrix(7, 3, 40, 2, first_chunk=1), full[CHUNK:])
 
+    @pytest.mark.parametrize("n_rows", [1, 2, mc.BLOCK_ROWS + 1, CHUNK, CHUNK + mc.BLOCK_ROWS + 1])
+    def test_projected_draw_equals_the_product(self, n_rows):
+        # drawn a block at a time, with a last row of its own joined to the
+        # block before it; the last case spans two chunks
+        v = np.linspace(-1.5, 2.0, 5)
+        projected = normal_matrix(7, 3, n_rows, 5, first_chunk=2, project=v)
+        assert projected.shape == (n_rows,)
+        assert np.array_equal(projected, normal_matrix(7, 3, n_rows, 5, first_chunk=2) @ v)
+
     def test_streams_differ_by_step_and_seed(self):
         a = normal_matrix(7, 3, 10, 2)
         assert not np.array_equal(a, normal_matrix(7, 4, 10, 2))
@@ -213,7 +224,11 @@ class TestReproducibility:
                       (2 * CHUNK + 5, 1, 0), (333, 7, 4), (CHUNK - 1, 2, 1)] * 3)]
 
         def check(args):
-            return np.array_equal(normal_matrix(*args), fresh(*args))
+            # the projected draw reuses its thread's buffer as well as its generator
+            v = np.linspace(-1.0, 2.0, args[3])
+            raw = fresh(*args)
+            return (np.array_equal(normal_matrix(*args), raw)
+                    and np.array_equal(normal_matrix(*args, project=v), raw @ v))
 
         assert all(map(check, calls))
         # more threads than cores, switching often: a shared generator would mix streams
@@ -555,6 +570,37 @@ class TestRunAheadFill:
         one = simulate_bounds(m, p, tasks, 16, paths, seed=33, threads=1)
         assert four == one
 
+    @staticmethod
+    def _slow_fill_thread(monkeypatch, drawers, delay=0.005):
+        """Let the fill thread take delay seconds longer per step, so the kernel
+        thread draws the steps it would wait on; drawers maps each step to its
+        thread.  Returns the kernel thread's ident."""
+        draw, kernel = mc.normal_matrix, threading.get_ident()
+
+        def slow(seed, step, *args, **kwargs):
+            drawers[step] = threading.get_ident()
+            if drawers[step] != kernel:
+                time.sleep(delay)
+            return draw(seed, step, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "normal_matrix", slow)
+        return kernel
+
+    @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
+    def test_kernel_thread_draws_what_the_fill_thread_has_not_started(self, request, kind,
+                                                                     monkeypatch, pools):
+        m, p, surf, strikes = _case(request, kind)
+        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes))
+                 for n in ((8, 16, 32) if kind == "bachelier" else (32,))]
+        inline = mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=37, threads=1)
+        drawers = {}
+        kernel = self._slow_fill_thread(monkeypatch, drawers)
+        both = mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=37, threads=2)
+        assert pools == [1]
+        assert sorted(drawers) == list(range(32))
+        assert kernel in drawers.values() and len(set(drawers.values())) == 2
+        assert both == inline  # every BoundsResult field of every tier
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_fill_error_surfaces_and_threads_end(self, bachelier5_model, bachelier5_portfolio,
                                                  monkeypatch, threads):
@@ -572,6 +618,64 @@ class TestRunAheadFill:
             simulate_bounds(bachelier5_model, bachelier5_portfolio, tasks, 16, CHUNK, seed=34,
                             threads=threads)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["own draw", "advance"])
+    def test_kernel_thread_error_cancels_the_queue_and_ends_the_fill_thread(
+            self, bachelier5_model, bachelier5_portfolio, monkeypatch, where):
+        # the fill thread is slow enough that a queued step waits at the failure
+        drawers, failed, late = {}, threading.Event(), []
+        kernel = self._slow_fill_thread(monkeypatch, drawers, delay=0.02)
+        slow, advance = mc.normal_matrix, mc._TierChunk.advance
+
+        def fail(msg):
+            failed.set()
+            raise RuntimeError(msg)
+
+        def watched(seed, step, *args, **kwargs):
+            if failed.is_set():
+                late.append(step)
+            if where == "own draw" and threading.get_ident() == kernel and step >= 4:
+                fail(f"own draw failed at step {step}")
+            return slow(seed, step, *args, **kwargs)
+
+        def failing_advance(self, model, p, n, inc):
+            if where == "advance" and n == 5:
+                fail("advance failed at step 5")
+            return advance(self, model, p, n, inc)
+
+        monkeypatch.setattr(mc, "normal_matrix", watched)
+        monkeypatch.setattr(mc._TierChunk, "advance", failing_advance)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            simulate_bounds(bachelier5_model, bachelier5_portfolio,
+                            [flat_task(PutPayoff(500.0), 16, 450.0)], 16, CHUNK, seed=34,
+                            threads=2)
+        assert threading.active_count() == before
+        assert late == []  # no queued step started after the failure
+
+    def test_no_thread_holds_a_whole_raw_block(self, bachelier5_model, bachelier5_portfolio):
+        # a Bachelier draw is projected BLOCK_ROWS rows at a time, so the run
+        # stays below what its tiers hold plus one (CHUNK, k) raw block, which
+        # drawing each step's raw block whole went over (10.9 MiB against 9.9).
+        # This thread's projection buffer, kept like its generator from draw
+        # to draw, is made first; the fill thread's is counted.
+        m, p = bachelier5_model, bachelier5_portfolio
+        normal_matrix(1, 0, 2, m.k, project=np.ones(m.k))
+        n_ts, k = (8, 16, 32), 1
+        tiers = [mc.TierTask(n_t=n, tasks=[flat_task(PutPayoff(500.0), n, 450.0)],
+                             functionals=False) for n in n_ts]
+        per_tier = (3 * k * CHUNK * 8          # lower, upper and martingale values
+                    + CHUNK * 8 + k * CHUNK    # the basket and the open flags
+                    + k * mc.BLOCK_ROWS * 8)   # the payoff scratch
+        coarse_sums = (len(n_ts) - 1) * CHUNK * 8
+        bound = len(n_ts) * per_tier + coarse_sums + CHUNK * m.k * 8
+        tracemalloc.start()
+        try:
+            mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=38, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_one_thread_starts_no_pool(self, bachelier5_model, bachelier5_portfolio,
                                        monkeypatch):
