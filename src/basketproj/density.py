@@ -247,20 +247,6 @@ class LogIntegrands:
 
     # -- public integrands ---------------------------------------------------
 
-    def _values(self, s, z, with_q: bool) -> np.ndarray:
-        z = np.ascontiguousarray(z, dtype=float)
-        out = np.full(z.shape[0], -np.inf)
-        x = self._x(s, z)
-        rows, y = self._defined(x)
-        if with_q:
-            keep, qv, _, _ = self._logq_parts(x[rows])
-            rows, y = rows[keep], y[keep]
-        val = self._logphi_parts(x[rows], y)[0]
-        if self.coords is ExpansionCoords.LOG_PRICE:
-            val = val + (np.sum(z[rows], axis=1) + self._log_x0_free)
-        out[rows] = val + qv if with_q else val
-        return out
-
     def _derivs(self, s, z, with_q: bool):
         z = np.ascontiguousarray(z, dtype=float)
         n, m = z.shape
@@ -280,12 +266,6 @@ class LogIntegrands:
         val, grad, hess = np.full(n, -np.inf), np.zeros((n, m)), np.zeros((n, m, m))
         val[rows], grad[rows], hess[rows] = parts
         return val, grad, hess
-
-    def ftilde(self, s, z) -> np.ndarray:
-        return self._values(s, z, with_q=False)
-
-    def f(self, s, z) -> np.ndarray:
-        return self._values(s, z, with_q=True)
 
     def ftilde_derivs(self, s, z):
         """(values, gradients, Hessians) of ftilde on the stack."""

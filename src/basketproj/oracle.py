@@ -50,9 +50,10 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s: float,
     if model.d != 2:
         raise ValueError("quadrature oracle is one-dimensional: d must be 2")
     li = LogIntegrands(model, p, t, coords)
-    res = newton_maximize(li.ftilde_derivs, np.array([s]), newton_start(li, s)[None])
-    if res.failures:
-        raise NewtonError(res.failures[0])
+    z0, failures = newton_start(li, np.array([s]))
+    res = newton_maximize(li.ftilde_derivs, np.array([s]), z0)
+    if res.failures:  # a start that failed fails the maximization too
+        raise NewtonError({**res.failures, **failures}[0])
     mode = float(res.z[0, 0])
     if spec is None:
         std = 1.0 / np.sqrt(-float(res.hess[0, 0, 0]))
@@ -70,8 +71,8 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s: float,
         raise ValueError("quadrature interval does not contain the integrand mode")
     xs, ws = _gl_nodes(spec)
     level = np.full(xs.size, float(s))
-    fvals = li.f(level, xs[:, None])
-    gvals = li.ftilde(level, xs[:, None])
+    fvals = li.f_derivs(level, xs[:, None])[0]
+    gvals = li.ftilde_derivs(level, xs[:, None])[0]
     ref = np.max(gvals[np.isfinite(gvals)])
     num = float(ws @ np.where(np.isfinite(fvals), np.exp(fvals - ref), 0.0))
     den = float(ws @ np.where(np.isfinite(gvals), np.exp(gvals - ref), 0.0))

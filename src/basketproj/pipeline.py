@@ -21,7 +21,7 @@ from . import __version__, hjb, mc, oracle, surface as surface_mod
 from .config import ConfigError, ExperimentConfig, config_hash, serialize_config
 from .density import ExpansionCoords
 from .model import ModelSpec, Portfolio, PutPayoff
-from .projection import projected_vol_sq
+from .projection import NewtonError, projected_vol_sq
 from .rng import derive_seed
 
 log = logging.getLogger(__name__)
@@ -102,10 +102,14 @@ class _TierSweep:
 
 
 def build_surface_from_config(cfg: ExperimentConfig, model, p):
-    """The surface stage with the config's seed and slice grid."""
-    return surface_mod.build_surface(
-        model, p, seed=derive_seed(cfg.seed, "pilot"),
-        n_slices=cfg.surface_slices, n_abscissae=cfg.surface_abscissae)
+    """The surface stage with the config's seed and slice grid; any failure
+    is StageError("surface")."""
+    try:
+        return surface_mod.build_surface(
+            model, p, seed=derive_seed(cfg.seed, "pilot"),
+            n_slices=cfg.surface_slices, n_abscissae=cfg.surface_abscissae)
+    except Exception as exc:
+        raise StageError("surface", exc) from exc
 
 
 def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
@@ -148,9 +152,13 @@ def _check_tiers_divide(tiers, finest: int) -> None:
 def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
     """Laplace and quadrature values of the hand-checkable 2d case, both coordinate systems."""
     t, s = 1.0, 200.0
-    lap_price = projected_vol_sq(model, p, t, s, coords=ExpansionCoords.PRICE)
-    lap_log = projected_vol_sq(model, p, t, s, coords=ExpansionCoords.LOG_PRICE)
-    quad = oracle.quadrature_projected_vol(model, p, t, s)
+    # a failed level is NaN, so its checks fail and show it
+    (lap_price,), _ = projected_vol_sq(model, p, t, np.array([s]), coords=ExpansionCoords.PRICE)
+    (lap_log,), _ = projected_vol_sq(model, p, t, np.array([s]), coords=ExpansionCoords.LOG_PRICE)
+    try:
+        quad = oracle.quadrature_projected_vol(model, p, t, s)
+    except NewtonError:
+        quad = np.nan
     checks = [
         CheckResult("laplace-price", abs(lap_price - 200.99) <= 0.05,
                     f"projected vol^2 (price coords) = {lap_price:.5f}, target 200.99 +- 0.05"),
@@ -186,10 +194,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -
     payoffs = cfg.build_payoffs()
 
     t0 = time.time()
-    try:
-        surf, _ = build_surface_from_config(cfg, model, p)
-    except Exception as exc:
-        raise StageError("surface", exc) from exc
+    surf, _ = build_surface_from_config(cfg, model, p)
     surf.save(out / "surface.txt")
     log.info("surface fitted on [%.4g, %.4g] in %.1fs", surf.s_min, surf.s_max, time.time() - t0)
 
@@ -270,10 +275,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
     px0 = float(p.weights @ model.x0)
     g = min(cfg.build_payoffs(), key=lambda g: abs(g.strike - px0))
 
-    try:
-        surf, _ = build_surface_from_config(cfg, model, p)
-    except Exception as exc:
-        raise StageError("surface", exc) from exc
+    surf, _ = build_surface_from_config(cfg, model, p)
 
     all_nt = list(cfg.nt_tiers) + [finest]
     try:
@@ -374,7 +376,7 @@ def check_bachelier_surface() -> CheckResult:
     cfg = bachelier5d()
     model = cfg.build_model()
     p = cfg.build_portfolio()
-    surf, _ = surface_mod.build_surface(model, p, seed=derive_seed(cfg.seed, "pilot"))
+    surf, _ = build_surface_from_config(cfg, model, p)
     row = p.weights @ model.sigma
     analytic = float(row @ row)
     ss = np.linspace(surf.s_min, surf.s_max, 41)
@@ -392,7 +394,7 @@ def check_bachelier_bracket() -> CheckResult:
     cfg = bachelier5d()
     model = cfg.build_model()
     p = cfg.build_portfolio()
-    surf, _ = surface_mod.build_surface(model, p, seed=derive_seed(cfg.seed, "pilot"))
+    surf, _ = build_surface_from_config(cfg, model, p)
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
     g = PutPayoff(cfg.strikes[0])
     sol = hjb.solve(surf, [g], grid)
@@ -414,7 +416,7 @@ def check_dominance() -> CheckResult:
     cfg = bs3d()
     model = cfg.build_model()
     p = cfg.build_portfolio()
-    surf, _ = surface_mod.build_surface(model, p, seed=derive_seed(cfg.seed, "pilot"))
+    surf, _ = build_surface_from_config(cfg, model, p)
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, 512, c=cfg.c_coupling)
     g = PutPayoff(300.0)
     sol = hjb.solve(surf, [g], grid, values=True)

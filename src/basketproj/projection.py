@@ -7,14 +7,12 @@ bypasses the approximation: the conditional expectation is the constant
 quadratic form itself.
 
 Shapes and failures: newton_start, laplace_point and projected_vol_sq take
-the basket level s as a float or a 1-D array of levels, all at one time t.
-An array is one stack: each Newton iteration makes one stacked derivative
-evaluation and one stacked solve, and a converged row leaves the stack.  A
-failed point comes back NaN, with its reason in a dict {index: reason};
-nothing raises.  A float is a stack of one: the result is a float (a 1-D
-start, a record of floats) and a failure raises NewtonError with its reason.
-Each row carries the arithmetic of a stack of one, so both forms agree to
-the bit.
+a 1-D array of basket levels s, all at one time t, as one stack: each Newton
+iteration makes one stacked derivative evaluation and one stacked solve, and
+a converged row leaves the stack.  A failed level comes back NaN, with its
+reason in a dict {index: reason}; nothing raises.  Each row carries the
+arithmetic of a stack of one, so a level's value does not depend on the
+other levels of its stack.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ NEWTON_MAX_ITER = 50
 
 
 class NewtonError(RuntimeError):
-    """Newton maximization failed (left the support, singular or indefinite Hessian)."""
+    """The quadrature oracle's Newton maximization failed; a stack reports failures instead."""
 
 
 @dataclass(frozen=True)
@@ -48,23 +46,11 @@ class NewtonResult:
 
 @dataclass(frozen=True)
 class LaplacePoint:
-    """Record of the Laplace evaluations at one level or a stack of levels:
-    both maximizers and their Hessian log-determinants (NaN where failed)."""
+    """The Laplace values of a stack of levels (NaN where failed)."""
 
-    z_star: np.ndarray        # maximizer of f (numerator)
-    z_dagger: np.ndarray      # maximizer of ftilde (denominator)
-    f_star: float | np.ndarray
-    ftilde_dagger: float | np.ndarray
-    logdet_hf: float | np.ndarray       # log det of -H f at z_star
-    logdet_hftilde: float | np.ndarray
+    value: np.ndarray         # (n,) exp(f* - ftilde*) sqrt(det|H ftilde| / det|H f|)
     iterations: int           # Newton iterations of both maximizations, most over the stack
-    failures: dict            # level index -> reason; empty for a float level
-
-    @property
-    def value(self) -> float | np.ndarray:
-        v = np.exp(self.f_star - self.ftilde_dagger
-                   + 0.5 * (self.logdet_hftilde - self.logdet_hf))
-        return v if np.ndim(v) else float(v)
+    failures: dict            # level index -> reason
 
 
 def newton_maximize(derivs, s: np.ndarray, z0: np.ndarray) -> NewtonResult:
@@ -89,7 +75,7 @@ def newton_maximize(derivs, s: np.ndarray, z0: np.ndarray) -> NewtonResult:
 
     fail(np.flatnonzero(~np.isfinite(val)), "Newton start outside the support")
     active = np.flatnonzero(np.isfinite(val))
-    converged = []
+    converged = [np.empty(0, dtype=int)]  # a stack may end with no row converged
     for it in range(1, NEWTON_MAX_ITER + 1):
         g = grad[active]
         peak = np.max(np.abs(hess[active]), axis=(1, 2))
@@ -132,50 +118,47 @@ def newton_maximize(derivs, s: np.ndarray, z0: np.ndarray) -> NewtonResult:
                         failures=dict(sorted(failures.items())))
 
 
+def _lapack_rows(fun, *args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fun(*args) over stacks of rows as one LAPACK call, shaped as the last
+    argument, and which rows raise LinAlgError (NaN there).  Only when the
+    stacked call raises is each row called alone, as a stack of one."""
+    failed = np.zeros(args[0].shape[0], dtype=bool)
+    try:
+        return fun(*args), failed
+    except np.linalg.LinAlgError:
+        out = np.full_like(args[-1], np.nan)
+        for i in range(out.shape[0]):
+            try:
+                out[i:i + 1] = fun(*(a[i:i + 1] for a in args))
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        return out, failed
+
+
 def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(-hess)^{-1} grad per row, and which rows have a singular Hessian
     (their steps are NaN).  hess is negated in place."""
-    a = np.negative(hess, out=hess)
-    singular = np.zeros(grad.shape[0], dtype=bool)
-    try:
-        return np.linalg.solve(a, grad[..., None])[..., 0], singular
-    except np.linalg.LinAlgError:
-        step = np.full_like(grad, np.nan)
-        for i in range(grad.shape[0]):
-            try:
-                step[i] = np.linalg.solve(a[i], grad[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return step, singular
+    return _lapack_rows(lambda a, g: np.linalg.solve(a, g[..., None])[..., 0],
+                        np.negative(hess, out=hess), grad)
 
 
 def _logdet_neg(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log det(-H) per row by symmetric factorization, and which rows are not
     negative definite (their log-determinant is NaN).  hess is negated in place."""
-    a = np.negative(hess, out=hess)
-    indefinite = np.zeros(a.shape[0], dtype=bool)
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        chol = np.full_like(a, np.nan)
-        for i in range(a.shape[0]):
-            try:
-                chol[i] = np.linalg.cholesky(a[i])
-            except np.linalg.LinAlgError:
-                indefinite[i] = True
+    chol, indefinite = _lapack_rows(np.linalg.cholesky, np.negative(hess, out=hess))
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1), indefinite
 
 
-def newton_start(li: LogIntegrands, s):
+def newton_start(li: LogIntegrands, s: np.ndarray) -> tuple[np.ndarray, dict]:
     """Interior Newton starts: conditional-mean points of the integrands' Gaussian.
 
     Bachelier conditions the exact Gaussian on the basket; Black-Scholes
     conditions the Gaussian log-returns on the linearized basket constraint.
-    A float s gives one start (d-1,); an array gives (starts (n, d-1),
-    {index: reason}), NaN at the levels with no interior start.
+    Returns the starts (n, d-1) and {index: reason}, NaN at the levels with
+    no interior start.
     """
     model, ch, g = li.model, li.chart, li.gauss
-    levels = np.atleast_1d(np.asarray(s, dtype=float))
+    levels = np.asarray(s, dtype=float)
     w = li.portfolio.weights
     failed = np.zeros(levels.size, dtype=bool)
     if model.kind is ModelKind.BACHELIER:
@@ -199,57 +182,43 @@ def newton_start(li: LogIntegrands, s):
         if li.coords is ExpansionCoords.LOG_PRICE:
             z0 = np.log(z0 / model.x0[ch.free])
     z0[failed] = np.nan
-    failures = dict.fromkeys(np.flatnonzero(failed).tolist(),
+    return z0, dict.fromkeys(np.flatnonzero(failed).tolist(),
                              "no interior Newton start exists for this (t, s)")
-    if np.ndim(s):
-        return z0, failures
-    if failures:
-        raise NewtonError(failures[0])
-    return z0[0]
 
 
-def laplace_point(model: ModelSpec, p: Portfolio, t: float, s,
+def laplace_point(model: ModelSpec, p: Portfolio, t: float, s: np.ndarray,
                   coords=None) -> LaplacePoint:
-    """Run both Newton maximizations on the levels s and package the Laplace data.
+    """Run both Newton maximizations on the levels s and take the Laplace ratio.
 
     coords is as in LogIntegrands.  iterations is the most Newton iterations
     (both maximizations) any level took.
     """
     li = LogIntegrands(model, p, t, coords)
-    levels = np.atleast_1d(np.asarray(s, dtype=float))
+    levels = np.asarray(s, dtype=float)
     z0, start_failures = newton_start(li, levels)
     # a level that failed is NaN from there on, so it fails the next stage at its start
     den = newton_maximize(li.ftilde_derivs, levels, z0)
     num = newton_maximize(li.f_derivs, levels, den.z)
     # each level keeps the reason of its first failure
     failures = dict(sorted({**num.failures, **den.failures, **start_failures}.items()))
-    if not np.ndim(s) and failures:
-        raise NewtonError(failures[0])
     ok = [i for i in range(levels.size) if i not in failures]
-    row = slice(None) if np.ndim(s) else 0
     return LaplacePoint(
-        z_star=num.z[row],
-        z_dagger=den.z[row],
-        f_star=num.value[row],
-        ftilde_dagger=den.value[row],
-        logdet_hf=num.logdet[row],
-        logdet_hftilde=den.logdet[row],
+        value=np.exp(num.value - den.value + 0.5 * (den.logdet - num.logdet)),
         iterations=int(np.max((num.iterations + den.iterations)[ok], initial=0)),
         failures=failures,
     )
 
 
-def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float, s, coords=None):
-    """Projected squared volatility of the basket at time t and level(s) s.
+def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float, s: np.ndarray,
+                     coords=None) -> tuple[np.ndarray, dict]:
+    """Projected squared volatility of the basket at time t and levels s.
 
     Bachelier: the exact constant P Sigma Sigma^T P^T.  Black-Scholes: the
     Laplace-approximated ratio exp(f* - ftilde*) sqrt(det|H ftilde| / det|H f|).
-    A float s gives a float; an array gives (values, {index: reason}), the
-    values NaN at the failed levels.
+    Returns (values, {index: reason}), the values NaN at the failed levels.
     """
     if model.kind is ModelKind.BACHELIER:
         row = p.weights @ model.sigma
-        const = float(row @ row)
-        return (np.full(np.shape(s), const), {}) if np.ndim(s) else const
+        return np.full(np.shape(s), float(row @ row)), {}
     lp = laplace_point(model, p, t, s, coords=coords)
-    return (lp.value, lp.failures) if np.ndim(s) else lp.value
+    return lp.value, lp.failures

@@ -4,11 +4,13 @@ Laplace evaluations are taken on a pilot-simulation envelope of the basket,
 fitted per time slice with low-order polynomials in s, interpolated linearly
 in t, extrapolated as-is outside the fitted range and clamped below by a
 positivity floor so the backward solve stays parabolic.  Each time slice is
-one batch: its n_abscissae levels go to projected_vol_sq as one (n,) array.
-A level whose Newton maximization fails is logged at INFO with its reason and
-left out of the fit; one WARNING then counts the failed levels of the whole
+one batch: its n_abscissae levels go to projected_vol_sq as one (n,) array,
+and its levels and values go to fit_surface as they are.  A level whose
+Newton maximization fails is logged at INFO with its reason and left out of
+its slice's fit; one WARNING then counts the failed levels of the whole
 surface ("Laplace evaluation failed at %d of %d points", failed, slices x
-abscissae).
+abscissae).  A slice left with fewer levels than the fit needs is a
+ValueError, never a surface without that slice.
 """
 
 from __future__ import annotations
@@ -168,27 +170,22 @@ class CoefficientSurface:
                          f"{float(self.residual_rms[i])!r}\n")
 
 
-def fit_surface(evaluations, degree: int, floor: float, rect: tuple[float, float],
+def fit_surface(slices, degree: int, floor: float, rect: tuple[float, float],
                 t_max: float, r: float) -> CoefficientSurface:
-    """Least-squares polynomial per time slice from (t, s, value) triples.
+    """Least-squares polynomial per time slice from (t, levels, values) per
+    slice, in increasing t.
 
     Each slice is fitted in its centered coordinate (s - center)/halfwidth so
     narrow slices at large basket levels stay well conditioned.
     """
-    by_t: dict[float, list[tuple[float, float]]] = {}
-    for t, s, v in evaluations:
-        by_t.setdefault(float(t), []).append((float(s), float(v)))
-    times = np.array(sorted(by_t))
+    times = np.array([float(t) for t, _, _ in slices])
     coeffs = np.empty((times.size, degree + 1))
     centers = np.empty(times.size)
     halfwidths = np.empty(times.size)
     rms = np.empty(times.size)
-    for i, t in enumerate(times):
-        pts = by_t[t]
-        if len(pts) < degree + 1:
-            raise ValueError(f"slice t={t}: need at least {degree + 1} points, got {len(pts)}")
-        s = np.array([q[0] for q in pts])
-        v = np.array([q[1] for q in pts])
+    for i, (t, s, v) in enumerate(slices):
+        if s.size < degree + 1:
+            raise ValueError(f"slice t={t}: need at least {degree + 1} points, got {s.size}")
         centers[i] = 0.5 * (s.max() + s.min())
         halfwidths[i] = max(0.5 * (s.max() - s.min()), 1e-300)
         u = (s - centers[i]) / halfwidths[i]
@@ -225,10 +222,10 @@ def build_surface(model: ModelSpec, p: Portfolio, seed: int = 0,
     rect = rectangle_from_envelope(env, model)
     floor = default_floor(model, p)
     if model.kind is ModelKind.BACHELIER:
-        const = projected_vol_sq(model, p, model.T, float(p.weights @ model.x0))
+        (const,), _ = projected_vol_sq(model, p, model.T, np.array([p.weights @ model.x0]))
         return constant_surface(const, floor, rect, model.T, model.r), env
     idx = np.unique(np.round(np.linspace(1, PILOT_STEPS, n_slices)).astype(int))
-    evaluations = []
+    slices = []
     n_failed = 0
     for i in idx:
         t = env.times[i]
@@ -237,11 +234,10 @@ def build_surface(model: ModelSpec, p: Portfolio, seed: int = 0,
         for j, reason in failures.items():
             log.info("skipping Laplace point (t=%.4g, s=%.6g): %s", t, levels[j], reason)
         n_failed += len(failures)
-        evaluations += [(t, float(levels[j]), float(values[j]))
-                        for j in range(n_abscissae) if j not in failures]
+        slices.append((t, np.delete(levels, list(failures)), np.delete(values, list(failures))))
     if n_failed:
         log.warning("Laplace evaluation failed at %d of %d points", n_failed,
                     idx.size * n_abscissae)
-    surf = fit_surface(evaluations, degree=DEFAULT_DEGREE, floor=floor, rect=rect,
+    surf = fit_surface(slices, degree=DEFAULT_DEGREE, floor=floor, rect=rect,
                        t_max=model.T, r=model.r)
     return surf, env

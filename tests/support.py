@@ -1,6 +1,6 @@
 """Reference helpers for the tests: finite differences, one-level views of the
-stacked log-integrands, intervals, bound tasks, the level-by-level backward
-sweep and a reader for the surface table.
+stacked log-integrands and of projected_vol_sq, intervals, bound tasks, the
+level-by-level backward sweep and a reader for the surface table.
 
 Nothing here is part of the package.  The finite-difference derivatives are
 the reference the analytic Laplace derivatives are checked against, and the
@@ -16,6 +16,7 @@ from scipy.stats import norm
 from basketproj import hjb
 from basketproj.density import LogIntegrands
 from basketproj.mc import BoundTask, diffusion, step
+from basketproj.projection import projected_vol_sq
 from basketproj.rng import normal_matrix
 from basketproj.surface import CoefficientSurface
 
@@ -61,10 +62,10 @@ class AtLevel:
         self.s = np.array([float(s)])
 
     def f(self, z) -> float:
-        return float(self.stack.f(self.s, np.atleast_2d(z))[0])
+        return float(self.stack.f_derivs(self.s, np.atleast_2d(z))[0][0])
 
     def ftilde(self, z) -> float:
-        return float(self.stack.ftilde(self.s, np.atleast_2d(z))[0])
+        return float(self.stack.ftilde_derivs(self.s, np.atleast_2d(z))[0][0])
 
     def f_derivs(self, z):
         val, grad, hess = self.stack.f_derivs(self.s, np.atleast_2d(z))
@@ -73,6 +74,13 @@ class AtLevel:
     def ftilde_derivs(self, z):
         val, grad, hess = self.stack.ftilde_derivs(self.s, np.atleast_2d(z))
         return float(val[0]), grad[0], hess[0]
+
+
+def vol_sq_at(model, p, t: float, s: float, coords=None) -> float:
+    """projected_vol_sq at one level, as a stack of one that must not fail."""
+    (value,), failures = projected_vol_sq(model, p, t, np.array([float(s)]), coords=coords)
+    assert not failures, failures
+    return value
 
 
 def confidence_interval(mean: float, se: float, level: float) -> tuple[float, float]:

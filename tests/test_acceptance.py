@@ -17,10 +17,9 @@ from basketproj.model import Portfolio, PutPayoff
 from basketproj.oracle import binomial_american_put_1d, quadrature_projected_vol
 from basketproj.pipeline import convergence_study, run_experiment
 from basketproj.presets import bachelier5d, bs3d
-from basketproj.projection import projected_vol_sq
 from basketproj.rng import derive_seed
 from basketproj.surface import CoefficientSurface, build_surface
-from support import AtLevel, fd_gradient, fd_hessian, flat_task
+from support import AtLevel, fd_gradient, fd_hessian, flat_task, vol_sq_at
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -30,10 +29,10 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_appendix_reproduction(appendix_model, appendix_portfolio):
     t0 = time.perf_counter()
-    lap_price = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                 coords=ExpansionCoords.PRICE)
-    lap_log = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0,
-                               coords=ExpansionCoords.LOG_PRICE)
+    lap_price = vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0,
+                          coords=ExpansionCoords.PRICE)
+    lap_log = vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0,
+                        coords=ExpansionCoords.LOG_PRICE)
     quad = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0)
     elapsed = time.perf_counter() - t0
     ok = (abs(lap_price - 200.99) <= 0.05 and abs(lap_log - 200.99) <= 0.05

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import basketproj
-from basketproj import hjb, pipeline
+from basketproj import hjb, pipeline, projection
 from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from basketproj.config import ConfigError
 from basketproj.pipeline import (BOUND_ORDERING_Z, StageError, appendix_checks,
@@ -255,6 +255,23 @@ class TestValidatePieces:
         assert not bad.passed
         assert "rel err" in bad.detail
 
+    def test_laplace_failure_is_a_failed_check(self, monkeypatch):
+        # no Newton maximization may iterate: every appendix value is NaN,
+        # and each check reports it instead of raising
+        monkeypatch.setattr(projection, "NEWTON_MAX_ITER", 0)
+        cfg = appendix2d()
+        checks = appendix_checks(cfg.build_model(), cfg.build_portfolio())
+        assert [c.name for c in checks] == ["laplace-price", "laplace-log-price",
+                                            "quadrature", "coords-agreement"]
+        assert not any(c.passed for c in checks)
+        assert all("nan" in c.detail for c in checks)
+
+    def test_laplace_failure_exits_with_a_named_stage(self, monkeypatch, capsys):
+        # the bs3d surface of hjb-dominance then has no slice to fit: exit 1, no traceback
+        monkeypatch.setattr(projection, "NEWTON_MAX_ITER", 0)
+        assert main(["validate"]) == EXIT_INVARIANT
+        assert "stage failure: [surface]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out-dir", "elsewhere"]])
     def test_takes_no_seed_or_out_dir(self, flag):
         # every check runs its own preset's seed and writes nothing
@@ -333,10 +350,10 @@ class TestConvergenceCommand:
         assert not (tmp_path / "out").exists()
 
     def test_surface_failure_names_its_stage(self, tmp_path, monkeypatch, capsys):
-        def broken_surface(*args):
+        def broken_surface(*args, **kwargs):
             raise ValueError("injected surface fault")
 
-        monkeypatch.setattr(pipeline, "build_surface_from_config", broken_surface)
+        monkeypatch.setattr(pipeline.surface_mod, "build_surface", broken_surface)
         rc = main(["convergence", "--preset", "bachelier-exact", "--out-dir", str(tmp_path)])
         assert rc == EXIT_INVARIANT
         assert "stage failure: [surface] injected surface fault" in capsys.readouterr().err
@@ -363,6 +380,27 @@ class TestSurfaceCommand:
         assert rc == EXIT_OK
         surf = load_surface(tmp_path / "surface.txt")
         assert surf.slice_times.size == 16
+
+    @pytest.mark.parametrize("failing", ["one slice", "every slice"])
+    def test_slice_without_laplace_values_is_a_stage_failure(self, tmp_path, monkeypatch,
+                                                              capsys, failing):
+        # a slice whose every level fails may not drop out of the fit unnoticed
+        laplace = pipeline.surface_mod.projected_vol_sq
+        calls = []
+
+        def failing_slices(model, p, t, s, coords=None):
+            calls.append(t)
+            if failing == "every slice" or len(calls) == 4:
+                return np.full(s.shape, np.nan), dict.fromkeys(range(s.size), "injected fault")
+            return laplace(model, p, t, s, coords=coords)
+
+        monkeypatch.setattr(pipeline.surface_mod, "projected_vol_sq", failing_slices)
+        rc = main(["surface", "--preset", "bs3d", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "stage failure: [surface] slice t=" in err
+        assert "need at least 4 points, got 0" in err
+        assert not (tmp_path / "surface.txt").exists()
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BASKETPROJ_OUT", str(tmp_path / "envout"))

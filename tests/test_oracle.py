@@ -6,8 +6,8 @@ from basketproj.model import ModelKind, ModelSpec, Portfolio
 from basketproj.oracle import (QuadratureSpec, binned_conditional_vol,
                                binomial_american_put_1d, quadrature_projected_vol,
                                sample_exact)
-from basketproj.projection import projected_vol_sq
 from basketproj.rng import derive_seed
+from support import vol_sq_at
 
 
 class TestQuadrature:
@@ -39,7 +39,7 @@ class TestQuadrature:
 
     def test_close_agreement_with_laplace(self, appendix_model, appendix_portfolio):
         quad = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0)
-        lap = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0)
+        lap = vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0)
         assert abs(lap - quad) / quad < 5e-4
 
     def test_requires_two_assets(self, bs3d_model, bs3d_portfolio):
@@ -109,8 +109,8 @@ class TestBinnedConditionalVol:
         table = binned_conditional_vol(m, p, 0.5, 200_000, bins=24,
                                        seed=derive_seed(3, "binned"))
         binned_slope = np.polyfit(table[:, 0], table[:, 1], 1)[0]
-        lap_lo = projected_vol_sq(m, p, 0.5, float(table[2, 0]))
-        lap_hi = projected_vol_sq(m, p, 0.5, float(table[-3, 0]))
+        lap_lo = vol_sq_at(m, p, 0.5, table[2, 0])
+        lap_hi = vol_sq_at(m, p, 0.5, table[-3, 0])
         assert np.sign(binned_slope) == np.sign(lap_hi - lap_lo)
 
     def test_convergence_rate_in_samples(self, appendix_model, appendix_portfolio):

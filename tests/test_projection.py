@@ -5,10 +5,10 @@ from basketproj import density, projection, surface
 from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from basketproj.oracle import binned_conditional_vol, quadrature_projected_vol
-from basketproj.projection import (NewtonError, laplace_point, newton_maximize,
-                                   newton_start, projected_vol_sq)
+from basketproj.projection import laplace_point, newton_maximize, newton_start, projected_vol_sq
 from basketproj.presets import get_preset
 from basketproj.rng import derive_seed
+from support import vol_sq_at
 
 
 def _stacked(fun):
@@ -47,8 +47,9 @@ class TestNewton:
         m, p = bachelier5_model, bachelier5_portfolio
         t, s = 0.25, 460.0
         li = LogIntegrands(m, p, t, ExpansionCoords.PRICE)
-        z0 = newton_start(li, s)
-        res = newton_maximize(li.ftilde_derivs, np.array([s]), (z0 + 30.0)[None])
+        z0, failures = newton_start(li, np.array([s]))
+        assert not failures
+        res = newton_maximize(li.ftilde_derivs, np.array([s]), z0 + 30.0)
         # closed-form Gaussian conditioning
         scale = np.expm1(2 * m.r * t) / (2 * m.r)
         cov = m.omega * scale
@@ -110,10 +111,10 @@ class TestNewton:
 
 class TestProjectedVolSq:
     def test_appendix_value_both_coords(self, appendix_model, appendix_portfolio):
-        lap_p = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                 coords=ExpansionCoords.PRICE)
-        lap_l = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                 coords=ExpansionCoords.LOG_PRICE)
+        lap_p = vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0,
+                          coords=ExpansionCoords.PRICE)
+        lap_l = vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0,
+                          coords=ExpansionCoords.LOG_PRICE)
         for lap in (lap_p, lap_l):
             assert lap == pytest.approx(200.99, abs=0.05)
         # frozen first-principles values (regression pins)
@@ -122,7 +123,7 @@ class TestProjectedVolSq:
         assert abs(lap_p - lap_l) < 1e-3 * lap_p
 
     def test_appendix_vs_quadrature(self, appendix_model, appendix_portfolio):
-        lap = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0)
+        lap = vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0)
         quad = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0)
         assert quad == pytest.approx(200.98, abs=0.02)
         assert abs(lap - quad) / quad < 5e-4
@@ -132,7 +133,7 @@ class TestProjectedVolSq:
                       x0=[100.0, 100.0], T=1.0)
         p = Portfolio([1.0, 1.0])
         for t, s in ((0.1, 50.0), (0.9, 300.0)):
-            assert projected_vol_sq(m, p, t, s) == pytest.approx(800.0, rel=1e-15)
+            assert vol_sq_at(m, p, t, s) == pytest.approx(800.0, rel=1e-15)
 
     def test_bachelier_exactness_on_envelope(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
@@ -140,13 +141,13 @@ class TestProjectedVolSq:
         analytic = float(row @ row)
         for t in (0.05, 0.15, 0.25):
             for s in np.linspace(420.0, 580.0, 9):
-                got = projected_vol_sq(m, p, t, float(s))
+                got = vol_sq_at(m, p, t, s)
                 assert abs(got - analytic) <= 1e-12 * analytic
 
     def test_laplace_tracks_quadrature_across_region(self, appendix_model, appendix_portfolio):
         for t in (0.25, 0.5, 1.0):
             for s in np.linspace(180.0, 220.0, 5):
-                lap = projected_vol_sq(appendix_model, appendix_portfolio, t, float(s))
+                lap = vol_sq_at(appendix_model, appendix_portfolio, t, s)
                 quad = quadrature_projected_vol(appendix_model, appendix_portfolio, t, float(s))
                 assert abs(lap - quad) / quad < 1e-3
 
@@ -154,22 +155,20 @@ class TestProjectedVolSq:
         lam = 3.7
         scaled = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=bs3d_model.r,
                            sigma=bs3d_model.sigma, x0=lam * bs3d_model.x0, T=bs3d_model.T)
-        base_p = projected_vol_sq(bs3d_model, bs3d_portfolio, 0.5, 310.0,
-                                  coords=ExpansionCoords.PRICE)
-        scal_p = projected_vol_sq(scaled, bs3d_portfolio, 0.5, lam * 310.0,
-                                  coords=ExpansionCoords.PRICE)
+        base_p = vol_sq_at(bs3d_model, bs3d_portfolio, 0.5, 310.0, coords=ExpansionCoords.PRICE)
+        scal_p = vol_sq_at(scaled, bs3d_portfolio, 0.5, lam * 310.0, coords=ExpansionCoords.PRICE)
         # exact up to Newton termination asymmetry (the gradient tolerance
         # floor max(1, |H|) is not scale-invariant)
         assert scal_p == pytest.approx(lam**2 * base_p, rel=5e-10)
-        base_l = projected_vol_sq(bs3d_model, bs3d_portfolio, 0.5, 310.0,
-                                  coords=ExpansionCoords.LOG_PRICE)
-        scal_l = projected_vol_sq(scaled, bs3d_portfolio, 0.5, lam * 310.0,
-                                  coords=ExpansionCoords.LOG_PRICE)
+        base_l = vol_sq_at(bs3d_model, bs3d_portfolio, 0.5, 310.0,
+                           coords=ExpansionCoords.LOG_PRICE)
+        scal_l = vol_sq_at(scaled, bs3d_portfolio, 0.5, lam * 310.0,
+                           coords=ExpansionCoords.LOG_PRICE)
         assert scal_l == pytest.approx(lam**2 * base_l, rel=1e-8)
 
     def test_positive_wherever_finite(self, bs3d_model, bs3d_portfolio):
         for s in np.linspace(220.0, 400.0, 13):
-            v = projected_vol_sq(bs3d_model, bs3d_portfolio, 0.4, float(s))
+            v = vol_sq_at(bs3d_model, bs3d_portfolio, 0.4, s)
             assert np.isfinite(v) and v > 0.0
 
     def test_binned_mc_agreement_3d(self, bs3d_model, bs3d_portfolio):
@@ -180,15 +179,15 @@ class TestProjectedVolSq:
         assert len(table) >= 20
         n_ok = 0
         for s, est, se in table:
-            lap = projected_vol_sq(bs3d_model, bs3d_portfolio, t, float(s))
+            lap = vol_sq_at(bs3d_model, bs3d_portfolio, t, s)
             n_ok += abs(lap - est) <= 3.0 * se + 1e-3 * est
         assert n_ok >= 0.85 * len(table)
 
     def test_laplace_point_record(self, appendix_model, appendix_portfolio):
-        lp = laplace_point(appendix_model, appendix_portfolio, 1.0, 200.0)
-        assert lp.value == pytest.approx(201.012, abs=1e-2)
+        lp = laplace_point(appendix_model, appendix_portfolio, 1.0, np.array([200.0]))
+        assert lp.value[0] == pytest.approx(201.012, abs=1e-2)
         assert lp.iterations > 0
-        assert np.isfinite(lp.logdet_hf) and np.isfinite(lp.logdet_hftilde)
+        assert not lp.failures and np.isfinite(lp.value[0])
 
 
 class TestCoords:
@@ -206,7 +205,8 @@ class TestCoords:
 
 
 class TestOneSetUpPerPoint:
-    # float.hex of projected_vol_sq before the Laplace set-up was shared per point
+    # float.hex of projected_vol_sq at one level (a stack of one) before the
+    # Laplace set-up was shared per point
     PINNED = {
         "appendix": [(1.0, 200.0, "price", "0x1.920bc9e09e190p+7"),
                      (1.0, 200.0, "log-price", "0x1.92064971f90c6p+7")],
@@ -228,7 +228,7 @@ class TestOneSetUpPerPoint:
         for name, points in self.PINNED.items():
             m, p = models[name]
             for t, s, coords, hexval in points:
-                assert projected_vol_sq(m, p, t, s, coords=coords) == float.fromhex(hexval)
+                assert vol_sq_at(m, p, t, s, coords=coords) == float.fromhex(hexval)
 
     def test_one_factorization_per_point(self, models, monkeypatch):
         calls = {"cho_factor": 0, "cho_solve": 0, "cholesky": 0, "derivs": 0}
@@ -249,7 +249,7 @@ class TestOneSetUpPerPoint:
             m, p = models[name]
             for t, s, coords, _ in points:
                 calls.update(dict.fromkeys(calls, 0))
-                projected_vol_sq(m, p, t, s, coords=coords)
+                projected_vol_sq(m, p, t, np.array([s]), coords=coords)
                 assert calls["cho_factor"] == 1           # the transition covariance
                 assert calls["cholesky"] == 2             # one per Newton maximization
                 # one solve per derivative evaluation, one for the inverse covariance
@@ -283,30 +283,29 @@ class TestOneSetUpPerPoint:
 
 
 class TestBatch:
-    """An array of levels is one stack; it must equal per-level float calls to the bit."""
+    """An array of levels is one stack; it must equal per-level stacks of one to the bit."""
 
     @staticmethod
-    def _assert_matches_scalar_calls(m, p, t, levels):
+    def _assert_matches_stacks_of_one(m, p, t, levels):
         values, failures = projected_vol_sq(m, p, t, levels)
         assert values.shape == levels.shape
         for j, s in enumerate(levels):
+            (one,), one_failures = projected_vol_sq(m, p, t, levels[j:j + 1])
             if j in failures:
-                with pytest.raises(NewtonError) as exc:
-                    projected_vol_sq(m, p, t, float(s))
-                assert str(exc.value) == failures[j]
-                assert np.isnan(values[j])
+                assert one_failures == {0: failures[j]}
+                assert np.isnan(values[j]) and np.isnan(one)
             else:
-                assert projected_vol_sq(m, p, t, float(s)) == values[j]
+                assert not one_failures and one == values[j]
         return failures
 
     def test_bs3d_slice(self, bs3d_model, bs3d_portfolio):
         levels = np.linspace(250.0, 350.0, 24)
-        assert not self._assert_matches_scalar_calls(bs3d_model, bs3d_portfolio, 0.25, levels)
+        assert not self._assert_matches_stacks_of_one(bs3d_model, bs3d_portfolio, 0.25, levels)
 
     def test_bs25d_slice(self):
         cfg = get_preset("bs25d")
         levels = np.linspace(2300.0, 2700.0, 48)
-        assert not self._assert_matches_scalar_calls(cfg.build_model(), cfg.build_portfolio(),
+        assert not self._assert_matches_stacks_of_one(cfg.build_model(), cfg.build_portfolio(),
                                                      0.25, levels)
 
     @pytest.mark.parametrize("vols, maturity, any_failed", [
@@ -323,18 +322,16 @@ class TestBatch:
         n_failed = 0
         for i in idx:
             levels = np.linspace(env.s_lo[i], env.s_hi[i], cfg.surface_abscissae)
-            n_failed += len(self._assert_matches_scalar_calls(m, p, env.times[i], levels))
+            n_failed += len(self._assert_matches_stacks_of_one(m, p, env.times[i], levels))
         assert (n_failed > 0) == any_failed
 
-    def test_float_raises_array_reports(self, appendix_model, appendix_portfolio):
-        # no interior start below zero: a float raises, an array names the level
+    def test_array_reports_failed_start(self, appendix_model, appendix_portfolio):
+        # no interior start below zero: the stack names the level and goes on
         levels = np.array([-5.0, 200.0])
-        with pytest.raises(NewtonError, match="no interior Newton start"):
-            projected_vol_sq(appendix_model, appendix_portfolio, 1.0, -5.0)
         values, failures = projected_vol_sq(appendix_model, appendix_portfolio, 1.0, levels)
         assert list(failures) == [0] and "no interior Newton start" in failures[0]
         assert np.isnan(values[0])
-        assert values[1] == projected_vol_sq(appendix_model, appendix_portfolio, 1.0, 200.0)
+        assert values[1] == vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0)
         lp = laplace_point(appendix_model, appendix_portfolio, 1.0, levels)
         assert isinstance(lp.iterations, int) and lp.iterations > 0
         assert lp.failures == failures
@@ -343,5 +340,4 @@ class TestBatch:
         values, failures = projected_vol_sq(bachelier5_model, bachelier5_portfolio, 0.25,
                                             np.linspace(420.0, 580.0, 5))
         assert not failures
-        assert np.all(values == projected_vol_sq(bachelier5_model, bachelier5_portfolio,
-                                                 0.25, 500.0))
+        assert np.all(values == vol_sq_at(bachelier5_model, bachelier5_portfolio, 0.25, 500.0))

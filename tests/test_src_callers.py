@@ -1,9 +1,12 @@
-"""Every function, method and class in the package has a caller outside the tests.
+"""Every function, method, class and dataclass field in the package has a
+reader outside the tests.
 
 A definition in ``src/basketproj/`` must be named somewhere in the package
 (as a name, an attribute or an import, ``__init__.py``'s re-exports aside) or
 in the benchmark's ``perfbench/*.py``.  A helper that only the tests call
-belongs in ``tests/support.py``.
+belongs in ``tests/support.py``.  A field of a dataclass must be read there
+as an attribute or named there as a string (``getattr``, a span's argument
+name); a field that only the tests read is a record nobody keeps.
 """
 
 import ast
@@ -45,3 +48,41 @@ def test_every_definition_has_a_non_test_caller():
     used = _references(callers)
     unused = {name: where for name, where in _definitions(package).items() if name not in used}
     assert not unused, f"defined in src/ but named only by the tests: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _fields(trees) -> dict[str, str]:
+    """`Class.field` -> `file:line` of every annotated field of a dataclass."""
+    return {f"{node.name}.{item.target.id}": f"{path.relative_to(ROOT)}:{item.lineno}"
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+
+
+def _reads(trees) -> set[str]:
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    package = _trees(sorted(PACKAGE.glob("*.py")))
+    readers = _trees([p for p in package if p.name != "__init__.py"]
+                     + sorted((ROOT / "perfbench").glob("*.py")))
+    read = _reads(readers)
+    unread = {name: where for name, where in _fields(package).items()
+              if name.split(".")[1] not in read}
+    assert not unread, f"dataclass fields in src/ read only by the tests: {unread}"
