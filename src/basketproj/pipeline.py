@@ -70,11 +70,8 @@ class ReportRow:
         return (self.a_plus - self.a_minus) / mid
 
     def as_list(self) -> list:
-        return [self.strike, self.n_t, self.m, self.euro_mc, self.se_euro,
-                self.a_minus, self.se_minus, self.a_plus, self.se_plus,
-                "" if self.bias_minus is None else self.bias_minus,
-                "" if self.bias_plus is None else self.bias_plus,
-                self.hjb_american, self.hjb_european, self.rel_gap]
+        """The row in RESULTS_COLUMNS order, a missing bias written as an empty cell."""
+        return ["" if v is None else v for v in (getattr(self, c) for c in RESULTS_COLUMNS)]
 
 
 @dataclass
@@ -92,13 +89,6 @@ class RunReport:
     seed: int
     version: str
     passed: bool
-
-
-@dataclass
-class _TierSweep:
-    task: mc.TierTask      # every strike's boundary and delta, without functionals
-    hjb_american: list
-    hjb_european: list
 
 
 def build_surface_from_config(cfg: ExperimentConfig, model, p):
@@ -119,26 +109,45 @@ def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
             for k, g in enumerate(payoffs)]
 
 
-def _solve_tier(model, p, surf, payoffs, n_t, cfg: ExperimentConfig,
-                export_dir: Path | None) -> _TierSweep:
-    """One sweep for every strike and flavor; keeps what the bounds and the report read.
+def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str,
+                 functionals: bool, threads: int | None,
+                 export_dir: Path | None = None) -> dict[int, tuple]:
+    """One sweep per tier for every strike, then one coupled Monte Carlo pass over them all.
 
-    When export_dir is given, each strike's American boundary (and, with
-    export_value_grids, its value grid) is written there from the sweep, and
-    the value grids are dropped with the sweep.
+    Returns {n_t: ((hjb_american, hjb_european), results)} in tier order.  The
+    pass is seeded by tag and the top tier, which is then its stride-1 tier.
+    When export_dir is given, the top tier writes each strike's American
+    boundary there (and, with export_value_grids, its value grid).  A sweep
+    that fails is StageError("tier-<n_t>"), the pass StageError("bounds").
     """
-    grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-    export_values = export_dir is not None and cfg.export_value_grids
-    sol = hjb.solve(surf, payoffs, grid, values=export_values)
-    if export_dir is not None:
-        for k, g in enumerate(payoffs):
-            hjb.export_boundary(grid.t_grid, sol.levels[k],
-                                export_dir / f"boundary_K{g.strike:g}.txt")
-            if export_values:
-                hjb.export_values(grid, sol.american[k], export_dir / f"values_K{g.strike:g}.txt")
-    hjb_a, hjb_e = hjb.value_at(sol, float(p.weights @ model.x0))
-    task = mc.TierTask(n_t=n_t, tasks=_bound_tasks(sol, payoffs), functionals=False)
-    return _TierSweep(task=task, hjb_american=hjb_a, hjb_european=hjb_e)
+    top = max(tiers)
+    s0 = float(p.weights @ model.x0)
+    hjb_values, tier_tasks = {}, []
+    for n_t in tiers:
+        try:
+            grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
+            export = export_dir if n_t == top else None
+            values = export is not None and cfg.export_value_grids
+            sol = hjb.solve(surf, payoffs, grid, values=values)
+            if export is not None:
+                for k, g in enumerate(payoffs):
+                    hjb.export_boundary(grid.t_grid, sol.levels[k],
+                                        export / f"boundary_K{g.strike:g}.txt")
+                    if values:
+                        hjb.export_values(grid, sol.american[k], export / f"values_K{g.strike:g}.txt")
+            hjb_values[n_t] = hjb.value_at(sol, s0)
+            tier_tasks.append(mc.TierTask(n_t=n_t, tasks=_bound_tasks(sol, payoffs),
+                                          functionals=functionals))
+        except Exception as exc:
+            raise StageError(f"tier-{n_t}", exc) from exc
+    del sol  # the top tier's value grids must not live through the pass
+    try:
+        per_tier = mc.simulate_tiers_coupled(model, p, tier_tasks, cfg.m_paths,
+                                             derive_seed(cfg.seed, tag, top), threads=threads)
+    except Exception as exc:
+        raise StageError("bounds", RuntimeError(
+            f"coupled pass over tiers {list(tiers)}: {exc}")) from exc
+    return {n_t: (hjb_values[n_t], results) for n_t, results in zip(tiers, per_tier)}
 
 
 def _check_tiers_divide(tiers, finest: int) -> None:
@@ -159,7 +168,7 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
         quad = oracle.quadrature_projected_vol(model, p, t, s)
     except NewtonError:
         quad = np.nan
-    checks = [
+    return [
         CheckResult("laplace-price", abs(lap_price - 200.99) <= 0.05,
                     f"projected vol^2 (price coords) = {lap_price:.5f}, target 200.99 +- 0.05"),
         CheckResult("laplace-log-price", abs(lap_log - 200.99) <= 0.05,
@@ -169,7 +178,6 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
         CheckResult("coords-agreement", abs(lap_price - lap_log) <= 1e-3 * abs(quad),
                     f"coordinate systems differ by {abs(lap_price - lap_log) / quad:.2e} relative"),
     ]
-    return checks
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> RunReport:
@@ -182,8 +190,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -
     thread together (None: every CPU this process may run on); the outputs do
     not depend on it.
     """
-    top = max(cfg.nt_tiers)  # the top tier also writes the files for plotting
-    _check_tiers_divide(cfg.nt_tiers, top)
+    _check_tiers_divide(cfg.nt_tiers, max(cfg.nt_tiers))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -198,39 +205,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -
     surf.save(out / "surface.txt")
     log.info("surface fitted on [%.4g, %.4g] in %.1fs", surf.s_min, surf.s_max, time.time() - t0)
 
-    sweeps = []
-    for n_t in cfg.nt_tiers:
-        try:
-            sweeps.append(_solve_tier(model, p, surf, payoffs, n_t, cfg,
-                                      out if n_t == top else None))
-        except Exception as exc:
-            raise StageError(f"tier-{n_t}", exc) from exc
-    # seeded by the top tier, which is then the pass's stride-1 tier
-    try:
-        per_tier = mc.simulate_tiers_coupled(model, p, [sw.task for sw in sweeps], cfg.m_paths,
-                                             derive_seed(cfg.seed, "bounds", top),
-                                             threads=threads)
-    except Exception as exc:
-        raise StageError("bounds", RuntimeError(
-            f"coupled pass over tiers {list(cfg.nt_tiers)}: {exc}")) from exc
-
+    priced = _price_tiers(cfg, model, p, surf, payoffs, cfg.nt_tiers, "bounds", False,
+                          threads, export_dir=out)
     rows: list[ReportRow] = []
-    by_nt = dict(zip(cfg.nt_tiers, per_tier))
-    for sw, results in zip(sweeps, per_tier):
-        n_t = sw.task.n_t
-        doubled = by_nt.get(2 * n_t)
+    for n_t, ((hjb_a, hjb_e), results) in priced.items():
+        doubled = priced.get(2 * n_t)
         for j, g in enumerate(payoffs):
             b = results[j].bounds
             bias_minus = bias_plus = None
             if doubled is not None:
-                bias_minus, bias_plus = mc.bias_estimate(b, doubled[j].bounds)
+                bias_minus, bias_plus = mc.bias_estimate(b, doubled[1][j].bounds)
             rows.append(ReportRow(strike=g.strike, n_t=n_t, m=b.m,
                                   euro_mc=results[j].european, se_euro=results[j].se_european,
                                   a_minus=b.a_minus, se_minus=b.se_minus,
                                   a_plus=b.a_plus, se_plus=b.se_plus,
                                   bias_minus=bias_minus, bias_plus=bias_plus,
-                                  hjb_american=sw.hjb_american[j],
-                                  hjb_european=sw.hjb_european[j]))
+                                  hjb_american=hjb_a[j], hjb_european=hjb_e[j]))
     with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# basketproj results v1 config={chash} seed={cfg.seed} version={__version__}\n")
         writer = csv.writer(fh)
@@ -277,24 +267,13 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
 
     surf, _ = build_surface_from_config(cfg, model, p)
 
-    all_nt = list(cfg.nt_tiers) + [finest]
-    try:
-        tier_tasks = []
-        for n_t in all_nt:
-            grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-            sol = hjb.solve(surf, [g], grid)
-            tier_tasks.append(mc.TierTask(n_t=n_t, tasks=_bound_tasks(sol, [g])))
-        seed = derive_seed(cfg.seed, "convergence", max(all_nt))
-        per_tier = mc.simulate_tiers_coupled(model, p, tier_tasks, cfg.m_paths, seed,
-                                             threads=threads)
-    except Exception as exc:
-        raise StageError("convergence", exc) from exc
-    by_nt = {tt.n_t: res[0] for tt, res in zip(tier_tasks, per_tier)}
+    priced = _price_tiers(cfg, model, p, surf, [g], [*cfg.nt_tiers, finest], "convergence",
+                          True, threads)
+    by_nt = {n_t: results[0] for n_t, (_, results) in priced.items()}
 
     rows = []
     for n_t in cfg.nt_tiers:
-        res = by_nt[n_t]
-        fine = by_nt[2 * n_t]
+        res, fine = by_nt[n_t], by_nt[2 * n_t]
         rows.append([
             n_t,
             res.bounds.a_minus, res.bounds.se_minus,
@@ -314,14 +293,12 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
         fit = np.polyfit(np.log(table[:, 0]), np.log(biases), 1)
         slopes[name] = -float(fit[0])  # decay order: bias ~ N_t^(-slope)
 
-    path = out / "convergence.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(out / "convergence.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# basketproj convergence v1 strike={g.strike:g} m={cfg.m_paths} "
                  f"config={config_hash(cfg)} seed={cfg.seed}\n")
         writer = csv.writer(fh)
         writer.writerow(CONVERGENCE_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         for name, val in slopes.items():
             fh.write(f"# slope_{name} = {'undefined' if val is None else f'{val:.4f}'}\n")
     return ConvergenceReport(strike=g.strike, tiers=list(cfg.nt_tiers), table=table, slopes=slopes)
@@ -331,21 +308,26 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
 
 
 def validation_checks() -> list[CheckResult]:
-    """Oracle cross-checks: quadrature vs Laplace, tree vs PDE, exactness, binned MC."""
+    """Oracle cross-checks: quadrature vs Laplace, tree vs PDE, exactness, binned MC.
+
+    Each check runs on its own: one that raises is a failed check showing the error.
+    """
     from .presets import appendix2d
 
-    checks: list[CheckResult] = []
-
     cfg = appendix2d()
-    model = cfg.build_model()
-    p = cfg.build_portfolio()
-    checks.extend(appendix_checks(model, p))
-
-    checks.append(check_solver_1d())
-    checks.append(check_bachelier_surface())
-    checks.append(check_bachelier_bracket())
-    checks.append(check_dominance())
-    checks.append(check_binned_vs_laplace())
+    checks: list[CheckResult] = []
+    for name, check in (("appendix", lambda: appendix_checks(cfg.build_model(),
+                                                             cfg.build_portfolio())),
+                        ("solver-1d", check_solver_1d),
+                        ("bachelier-exact-surface", check_bachelier_surface),
+                        ("bachelier-bracket", check_bachelier_bracket),
+                        ("hjb-dominance", check_dominance),
+                        ("binned-vs-laplace", check_binned_vs_laplace)):
+        try:
+            result = check()
+        except Exception as exc:
+            result = CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+        checks.extend(result if isinstance(result, list) else [result])
     return checks
 
 

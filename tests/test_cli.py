@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,30 @@ class TestRunCommand:
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert "[bounds]" in err and "[32, 64, 128]" in err and "injected kernel fault" in err
+
+    def test_no_sweep_lives_through_the_pass(self, tmp_path, monkeypatch):
+        # the top tier's value grids are written before the pass and must be freed by then
+        refs = []
+        solve, kernel = hjb.solve, pipeline.mc.simulate_tiers_coupled
+
+        def solve_spy(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            refs.extend((weakref.ref(sol), weakref.ref(sol.american.base)))
+            return sol
+
+        def kernel_spy(*args, **kwargs):
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.hjb, "solve", solve_spy)
+        monkeypatch.setattr(pipeline.mc, "simulate_tiers_coupled", kernel_spy)
+        cfg = get_preset("bachelier-exact")
+        cfg.nt_tiers = [16, 32]
+        cfg.m_paths = 256
+        cfg.export_value_grids = True
+        run_experiment(cfg, tmp_path)
+        assert len(refs) == 4 and list(tmp_path.glob("values_K*.txt"))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_exports_come_from_top_tier(self, tmp_path, threads):
@@ -267,10 +293,23 @@ class TestValidatePieces:
         assert all("nan" in c.detail for c in checks)
 
     def test_laplace_failure_exits_with_a_named_stage(self, monkeypatch, capsys):
-        # the bs3d surface of hjb-dominance then has no slice to fit: exit 1, no traceback
+        # the bs3d surface of hjb-dominance then has no slice to fit; that check
+        # fails naming the stage, and every other check still reports: exit 1
         monkeypatch.setattr(projection, "NEWTON_MAX_ITER", 0)
         assert main(["validate"]) == EXIT_INVARIANT
-        assert "stage failure: [surface]" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "stage failure" not in captured.err
+        lines = captured.out.splitlines()
+        status = {line.split()[1]: line.split()[0] for line in lines[:-1]}
+        assert list(status) == ["laplace-price", "laplace-log-price", "quadrature",
+                                "coords-agreement", "solver-1d", "bachelier-exact-surface",
+                                "bachelier-bracket", "hjb-dominance", "binned-vs-laplace"]
+        for name in ("solver-1d", "bachelier-exact-surface", "bachelier-bracket"):
+            assert status[name] == "PASS", name
+        assert status["hjb-dominance"] == "FAIL"
+        dominance = next(line for line in lines if line.split()[1] == "hjb-dominance")
+        assert "StageError: [surface] slice t=" in dominance
+        assert lines[-1] == "3/9 checks passed"
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out-dir", "elsewhere"]])
     def test_takes_no_seed_or_out_dir(self, flag):
@@ -316,21 +355,18 @@ class TestConvergenceCommand:
         assert rc == EXIT_OK
         assert seen == [2]
 
-    def test_one_sweep_per_tier(self, tmp_path, monkeypatch):
-        # one backward sweep per tier, none of them keeping a full value grid
-        sweeps = []
-        solve = hjb.solve
+    def test_bounds_failure_names_stage_and_tiers(self, tmp_path, monkeypatch, capsys):
+        def broken_pass(*args, **kwargs):
+            raise RuntimeError("injected kernel fault")
 
-        def spy(surf, payoffs, grid, values=False):
-            sweeps.append((grid.n_t, len(payoffs), values))
-            return solve(surf, payoffs, grid, values)
-
-        monkeypatch.setattr(pipeline.hjb, "solve", spy)
-        path = tmp_path / "det.cfg"
-        path.write_text(DETERMINISTIC, encoding="utf-8")
-        assert main(["convergence", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
-        # three tiers and the doubled top tier
-        assert sweeps == [(16, 1, False), (32, 1, False), (64, 1, False), (128, 1, False)]
+        monkeypatch.setattr(pipeline.mc, "simulate_tiers_coupled", broken_pass)
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY_BACHELIER, encoding="utf-8")
+        rc = main(["convergence", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_INVARIANT
+        # the tier list includes the doubled top tier
+        assert ("stage failure: [bounds] coupled pass over tiers [32, 64, 128, 256]: "
+                "injected kernel fault") in capsys.readouterr().err
 
     def test_rejects_uncoupled_tiers_before_any_work(self, tmp_path, monkeypatch):
         def no_surface(*args):
@@ -372,6 +408,45 @@ def test_threads_flag_only_where_it_acts(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, expected", [
+    # three tiers and the doubled top tier, none keeping a full value grid
+    ("convergence", [(16, 1, False), (32, 1, False), (64, 1, False), (128, 1, False)]),
+    # only the top tier keeps its value grid, for export_value_grids
+    ("run", [(16, 1, False), (32, 1, False), (64, 1, True)]),
+], ids=["convergence", "run"])
+def test_one_sweep_per_tier(tmp_path, monkeypatch, command, expected):
+    sweeps = []
+    solve = hjb.solve
+
+    def spy(surf, payoffs, grid, values=False):
+        sweeps.append((grid.n_t, len(payoffs), values))
+        return solve(surf, payoffs, grid, values)
+
+    monkeypatch.setattr(pipeline.hjb, "solve", spy)
+    path = tmp_path / "det.cfg"
+    path.write_text(DETERMINISTIC + "\n[outputs]\nexport_value_grids = true\n",
+                    encoding="utf-8")
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert sweeps == expected
+
+
+@pytest.mark.parametrize("command, failing", [("run", 64), ("convergence", 64),
+                                              ("convergence", 256)])
+def test_sweep_failure_names_its_tier(tmp_path, monkeypatch, capsys, command, failing):
+    solve = hjb.solve
+
+    def broken_tier(surf, payoffs, grid, values=False):
+        if grid.n_t == failing:
+            raise RuntimeError("injected sweep fault")
+        return solve(surf, payoffs, grid, values)
+
+    monkeypatch.setattr(pipeline.hjb, "solve", broken_tier)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_BACHELIER, encoding="utf-8")
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_INVARIANT
+    assert f"stage failure: [tier-{failing}] injected sweep fault" in capsys.readouterr().err
 
 
 class TestSurfaceCommand:
