@@ -38,15 +38,24 @@ tier's full-length (K, m) per-path values (lower bound, upper bound,
 martingale then European, and the stopping time and payoff maximum only for a
 tier with functionals), and the statistics reduce each strike's contiguous
 row once at the end, so results do not depend on the number of workers or on
-whether the fill runs ahead.  The delta is read off the (K, n_s) stack of the
-step's rows through one interval lookup, with ``np.interp``'s bits on the
-uniform ``make_grid`` nodes.  Every operation is elementwise, so K strikes
-equal K one-strike runs.
+whether the fill runs ahead.  The delta is read off the step's (K, n_s)
+rows through one interval lookup, with ``np.interp``'s bits on the uniform
+``make_grid`` nodes.  Every operation is elementwise, so K strikes equal K
+one-strike runs.
+
+A tier reads its delta rows a segment of time levels at a time (the sweep
+recomputes a segment from its checkpoint, ``hjb.Sweep.segment_delta``).  The
+chunks that run at once share each segment through one locked cache per
+tier, which computes it for the first chunk that reaches it and drops it once
+the last has passed it.  So chunks run in waves of as many as there are
+workers, and a tier holds one or two segments, not its whole delta grid.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -88,19 +97,32 @@ class BoundsResult:
     mean_running_max: float | None
 
 
+@dataclass(frozen=True)
+class DeltaRows:
+    """One strike's finite-difference delta rows, read a segment at a time.
+
+    source.segment_delta(j) gives the (L, K', n_s) delta rows of time levels
+    j * source.span onward of every strike the source holds (an hjb.Sweep);
+    this strike's are [:, index].
+    """
+
+    source: object
+    index: int
+
+
 @dataclass
 class BoundTask:
-    """Per-strike inputs for the bound estimators, as plain arrays.
+    """Per-strike inputs for the bound estimators.
 
     boundary_levels[n] is the basket level at grid time n below which the path
-    stops (-inf when the exercise region is empty there); delta_rows[n] holds
+    stops (-inf when the exercise region is empty there); delta_rows gives
     the finite-difference delta of the projected value function on s_nodes,
     which are uniform and the same for every task of one tier.
     """
 
     payoff: PutPayoff
     boundary_levels: np.ndarray
-    delta_rows: np.ndarray
+    delta_rows: DeltaRows
     s_nodes: np.ndarray
 
 
@@ -229,11 +251,21 @@ def _interp(rows: np.ndarray, slope: np.ndarray, j: np.ndarray, dx: np.ndarray) 
     return out
 
 
+def _gather(handles: list[DeltaRows], j: int) -> np.ndarray:
+    """Segment j's (L, K, n_s) delta rows of the K handles' strikes, in order;
+    each source computes the segment once."""
+    sources = {id(h.source): h.source for h in handles}
+    segs = {key: source.segment_delta(j) for key, source in sources.items()}
+    return np.stack([segs[id(h.source)][:, h.index] for h in handles], axis=1)
+
+
 class _Tier:
     """One tier's strikes, stacked, with their full-length (K, m) per-path values.
 
     Chunks write disjoint column slices, and each strike's statistics reduce
-    its contiguous row.
+    its contiguous row.  The delta rows come a segment at a time from one
+    locked cache: a segment is computed for the first chunk that asks for it
+    and dropped once each of the wave's `readers` chunks has passed it.
     """
 
     def __init__(self, tier: TierTask, m: int):
@@ -247,6 +279,10 @@ class _Tier:
         self.strikes = np.array([[task.payoff.strike] for task in tasks])  # (K, 1)
         self.levels = np.array([task.boundary_levels for task in tasks])   # (K, n_t + 1)
         self.deltas = [task.delta_rows for task in tasks]
+        self.span = self.deltas[0].source.span
+        self.readers = 1
+        self.lock = threading.Lock()
+        self.held: dict[int, list] = {}  # segment -> [its rows, chunks yet to pass it]
         k = len(tasks)
         self.lowval = np.zeros((k, m))          # payoff at the stopping time
         self.umax = np.full((k, m), -np.inf)    # running max of payoff minus martingale
@@ -254,6 +290,22 @@ class _Tier:
         on = tier.functionals
         self.tau = np.zeros((k, m)) if on else None            # stopping time
         self.zmax = np.full((k, m), -np.inf) if on else None   # running max of the payoff
+
+    def segment(self, j: int) -> np.ndarray:
+        """Segment j's (L, K, n_s) delta rows, computed once for the wave."""
+        with self.lock:
+            entry = self.held.get(j)
+            if entry is None:
+                entry = self.held[j] = [_gather(self.deltas, j), self.readers]
+            return entry[0]
+
+    def passed(self, j: int) -> None:
+        """One chunk is done with segment j; the last drops it."""
+        with self.lock:
+            entry = self.held[j]
+            entry[1] -= 1
+            if entry[1] == 0:
+                del self.held[j]
 
     def results(self) -> list[BoundsResult]:
         out = []
@@ -298,6 +350,8 @@ class _TierChunk:
         self.open = np.ones(self.mart.shape, dtype=bool)  # not yet stopped
         self.z = np.empty((len(tier.strikes), min(hi - lo, BLOCK_ROWS)))
         self.blocks = [slice(b, b + BLOCK_ROWS) for b in range(0, hi - lo, BLOCK_ROWS)]
+        self.j = None      # the delta segment in use, and its rows
+        self.seg = None
 
     def _evaluate(self, p: Portfolio, n: int, t: float, disc: float, c: slice):
         """Payoff, running maxima and first stop of every strike at step n, on rows c.
@@ -323,13 +377,18 @@ class _TierChunk:
 
         inc is P b dW for a basket tier and dW for a state tier.  Each block
         forms its basket, payoffs and stops, reads the delta at the located
-        basket off the (K, n_s) stack of the strikes' step-n rows, adds the
-        martingale increment disc * delta * P b dW, and takes its Euler step
-        before the next block starts.
+        basket off the strikes' (K, n_s) step-n rows in their segment, adds
+        the martingale increment disc * delta * P b dW, and takes its Euler
+        step before the next block starts.
         """
         t = n * self.dt
         disc = np.exp(-model.r * t)
-        rows = np.stack([d[n] for d in self.tier.deltas])
+        j = n // self.tier.span
+        if j != self.j:
+            if self.j is not None:
+                self.tier.passed(self.j)
+            self.j, self.seg = j, self.tier.segment(j)
+        rows = self.seg[n - j * self.tier.span]
         slope = _slopes(self.tier.nodes, rows)
         for c in self.blocks:
             basket, _ = self._evaluate(p, n, t, disc, c)
@@ -351,6 +410,7 @@ class _TierChunk:
         n = self.tier.n_t
         t = n * self.dt
         disc = np.exp(-model.r * t)
+        self.tier.passed(self.j)
         for c in self.blocks:
             _, z = self._evaluate(p, n, t, disc, c)
             opened = self.open[:, c]
@@ -456,11 +516,16 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     def run(c: int) -> None:
         _simulate_chunk(model, p, stacked, seed, n_fine, c, *spans[c], run_ahead)
 
+    # chunks run in waves of one per worker; a wave shares each delta segment
     workers = min(len(spans), cpus)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(spans))))  # re-raises a chunk's error
-    else:
-        for c in range(len(spans)):
-            run(c)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else \
+            contextlib.nullcontext() as pool:
+        for first in range(0, len(spans), workers):
+            wave = range(first, min(first + workers, len(spans)))
+            for tier in stacked:
+                tier.readers = len(wave)
+            if len(wave) > 1:
+                list(pool.map(run, wave))  # re-raises a chunk's error
+            else:
+                run(first)
     return [tier.results() for tier in stacked]

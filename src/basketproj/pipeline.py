@@ -2,9 +2,11 @@
 
 Wires the stages together for the CLI: envelope -> Laplace surface -> one HJB
 sweep per time-step tier (every strike, American and European, with the
-boundary and delta extracted as it goes) -> one coupled Monte Carlo pass that
-bounds every strike on every tier, the coarse tiers stepping on sums of the
-top tier's fine increments -> machine-readable CSV output.
+boundary extracted as it goes and a checkpoint row kept per segment of
+levels) -> one coupled Monte Carlo pass that bounds every strike on every
+tier, the coarse tiers stepping on sums of the top tier's fine increments and
+reading each tier's delta a recomputed segment at a time -> machine-readable
+CSV output.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
 
 
 def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
-    """Each strike's bound task: its American boundary and delta from the tier's sweep."""
-    return [mc.BoundTask(payoff=g, boundary_levels=sol.levels[k], delta_rows=sol.delta[k],
-                         s_nodes=sol.grid.s_nodes)
+    """Each strike's bound task: its American boundary and delta rows from the tier's sweep."""
+    return [mc.BoundTask(payoff=g, boundary_levels=sol.levels[k],
+                         delta_rows=mc.DeltaRows(sol, k), s_nodes=sol.grid.s_nodes)
             for k, g in enumerate(payoffs)]
 
 
@@ -117,8 +119,10 @@ def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str
     Returns {n_t: ((hjb_american, hjb_european), results)} in tier order.  The
     pass is seeded by tag and the top tier, which is then its stride-1 tier.
     When export_dir is given, the top tier writes each strike's American
-    boundary there (and, with export_value_grids, its value grid).  A sweep
-    that fails is StageError("tier-<n_t>"), the pass StageError("bounds").
+    boundary there (and, with export_value_grids, its value grid, recomputed
+    a segment at a time).  Each tier's sweep lives through the pass, holding
+    its boundary levels and checkpoints; the pass recomputes its delta rows.
+    A sweep that fails is StageError("tier-<n_t>"), the pass StageError("bounds").
     """
     top = max(tiers)
     s0 = float(p.weights @ model.x0)
@@ -127,20 +131,19 @@ def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str
         try:
             grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
             export = export_dir if n_t == top else None
-            values = export is not None and cfg.export_value_grids
-            sol = hjb.solve(surf, payoffs, grid, values=values)
+            sol = hjb.solve(surf, payoffs, grid)
             if export is not None:
                 for k, g in enumerate(payoffs):
                     hjb.export_boundary(grid.t_grid, sol.levels[k],
                                         export / f"boundary_K{g.strike:g}.txt")
-                    if values:
-                        hjb.export_values(grid, sol.american[k], export / f"values_K{g.strike:g}.txt")
+                if cfg.export_value_grids:
+                    hjb.export_values(sol, [export / f"values_K{g.strike:g}.txt"
+                                            for g in payoffs])
             hjb_values[n_t] = hjb.value_at(sol, s0)
             tier_tasks.append(mc.TierTask(n_t=n_t, tasks=_bound_tasks(sol, payoffs),
                                           functionals=functionals))
         except Exception as exc:
             raise StageError(f"tier-{n_t}", exc) from exc
-    del sol  # the top tier's value grids must not live through the pass
     try:
         per_tier = mc.simulate_tiers_coupled(model, p, tier_tasks, cfg.m_paths,
                                              derive_seed(cfg.seed, tag, top), threads=threads)
@@ -401,9 +404,14 @@ def check_dominance() -> CheckResult:
     surf, _ = build_surface_from_config(cfg, model, p)
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, 512, c=cfg.c_coupling)
     g = PutPayoff(300.0)
-    sol = hjb.solve(surf, [g], grid, values=True)
-    obstacle = float(np.min(sol.american - g(grid.s_nodes)))
-    dominance = float(np.min(sol.american - sol.european))
+    sol = hjb.solve(surf, [g], grid)
+    # minima over the whole grid, a segment at a time: exact in any order
+    obstacle = dominance = np.inf
+    for j in range(sol.segments):
+        rows = sol.segment_values(j)  # (L, 2, n_s): American, European
+        obstacle = np.minimum(obstacle, np.min(rows[:, 0] - g(grid.s_nodes)))
+        dominance = np.minimum(dominance, np.min(rows[:, 0] - rows[:, 1]))
+    obstacle, dominance = float(obstacle), float(dominance)
     ok = obstacle >= -1e-12 and dominance >= -1e-10
     return CheckResult("hjb-dominance", ok,
                        f"min(u_A - g) = {obstacle:.2e}, min(u_A - u_E) = {dominance:.2e}")

@@ -124,34 +124,38 @@ class CoefficientSurface:
         if self.residual_rms is None:
             object.__setattr__(self, "residual_rms", np.zeros(st.size))
 
-    def slice_b2(self, i: int, s: np.ndarray) -> np.ndarray:
-        """Raw (unfloored) polynomial value of slice i, by Horner in u."""
-        u = (s - self.centers[i]) / self.halfwidths[i]
+    def slice_b2(self, i: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Raw (unfloored) polynomial values of the slices i, an index array, at
+        the 1-D s: (i.size, s.size) rows, by Horner in u."""
+        u = (s - self.centers[i, None]) / self.halfwidths[i, None]
         out = np.zeros_like(u)
-        for c in self.coeffs[i, ::-1]:
-            out = out * u + c
+        for c in self.coeffs[i, ::-1].T:
+            out = out * u + c[:, None]
         return out
 
-    def blend(self, t: float, slice_b2) -> np.ndarray:
-        """Floored squared volatility at time t from slice_b2(i), slice i's raw
-        values: eval_b2 computes them, the backward sweep caches them."""
+    def blend(self, t: np.ndarray, slice_b2) -> np.ndarray:
+        """Floored squared volatility at the (L,) times t, as (L, n) rows, from
+        slice_b2(i), the raw values of the slices i (an index array): eval_b2
+        computes them, the backward sweep takes them from its cache.  A time
+        outside [slice_times[0], slice_times[-1]] takes the nearest slice as
+        it is; one inside is linear between the two slices around it."""
         st = self.slice_times
-        if t <= st[0]:
-            out = slice_b2(0)
-        elif t >= st[-1]:
-            out = slice_b2(-1)
-        else:
-            j = int(np.searchsorted(st, t, side="right")) - 1
-            w = (t - st[j]) / (st[j + 1] - st[j])
-            out = (1.0 - w) * slice_b2(j) + w * slice_b2(j + 1)
-        return np.maximum(out, self.floor)
+        j = np.maximum(np.searchsorted(st, t, side="right") - 1, 0)
+        out = slice_b2(j)
+        inside = (t > st[0]) & (t < st[-1])
+        if inside.any():
+            j = j[inside]
+            w = ((t[inside] - st[j]) / (st[j + 1] - st[j]))[:, None]
+            out[inside] = (1.0 - w) * out[inside] + w * slice_b2(j + 1)
+        return np.maximum(out, self.floor, out=out)
 
     def eval_b2(self, t: float, s) -> np.ndarray:
         """Floored squared volatility at time t, vectorized over s."""
         if t < -1e-12 or t > self.t_max * (1 + 1e-12):
             raise ValueError(f"t={t} outside [0, {self.t_max}]")
         s = np.asarray(s, dtype=float)
-        return self.blend(t, lambda i: self.slice_b2(i, s))
+        rows = self.blend(np.array([t], dtype=float), lambda i: self.slice_b2(i, s.ravel()))
+        return rows[0].reshape(s.shape)[()]
 
     def save(self, path) -> None:
         """Plain-text table: header, then one row per slice

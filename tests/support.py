@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from basketproj import hjb
 from basketproj.density import LogIntegrands
-from basketproj.mc import BoundTask, diffusion, step
+from basketproj.mc import BoundTask, DeltaRows, diffusion, step
 from basketproj.projection import projected_vol_sq
 from basketproj.rng import normal_matrix
 from basketproj.surface import CoefficientSurface
@@ -89,17 +89,40 @@ def confidence_interval(mean: float, se: float, level: float) -> tuple[float, fl
     return mean - z * se, mean + z * se
 
 
+class ArrayRows:
+    """A delta source over a whole (n_t + 1, K, n_s) array, cut into the
+    sweep's segments, for tasks whose delta the test sets itself."""
+
+    span = hjb.BLOCK_LEVELS
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def segment_delta(self, j: int) -> np.ndarray:
+        return self.rows[j * self.span:(j + 1) * self.span]
+
+
 def flat_task(payoff, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> BoundTask:
     """Stop below a constant level; zero delta, so the upper bound is the running max."""
     s_nodes = np.asarray(s_nodes, dtype=float)
+    zeros = ArrayRows(np.zeros((n_t + 1, 1, s_nodes.size)))
     return BoundTask(payoff=payoff, boundary_levels=np.full(n_t + 1, level),
-                     delta_rows=np.zeros((n_t + 1, s_nodes.size)), s_nodes=s_nodes)
+                     delta_rows=DeltaRows(zeros, 0), s_nodes=s_nodes)
 
 
 def solved_tasks(sol: hjb.Sweep, payoffs) -> list[BoundTask]:
     """The pipeline's tasks for one tier's sweep: each strike's boundary and delta."""
-    return [BoundTask(payoff=g, boundary_levels=sol.levels[k], delta_rows=sol.delta[k],
+    return [BoundTask(payoff=g, boundary_levels=sol.levels[k], delta_rows=DeltaRows(sol, k),
                       s_nodes=sol.grid.s_nodes) for k, g in enumerate(payoffs)]
+
+
+def streamed(sol: hjb.Sweep) -> tuple[np.ndarray, np.ndarray]:
+    """A sweep's rows recomputed segment by segment and joined: the
+    (2K, n_t + 1, n_s) value grids (American, then European) and the
+    (K, n_t + 1, n_s) delta grids."""
+    values = np.concatenate([sol.segment_values(j) for j in range(sol.segments)])
+    delta = np.concatenate([sol.segment_delta(j) for j in range(sol.segments)])
+    return values.swapaxes(0, 1), delta.swapaxes(0, 1)
 
 
 def reference_sweep(surf: CoefficientSurface, payoffs, grid: hjb.Grid) -> np.ndarray:

@@ -12,14 +12,15 @@ from scipy.stats import norm
 
 from basketproj import hjb
 from basketproj.density import ExpansionCoords, chart
-from basketproj.mc import BoundTask, simulate_bounds
+from basketproj.mc import simulate_bounds
 from basketproj.model import Portfolio, PutPayoff
 from basketproj.oracle import binomial_american_put_1d, quadrature_projected_vol
 from basketproj.pipeline import convergence_study, run_experiment
 from basketproj.presets import bachelier5d, bs3d
 from basketproj.rng import derive_seed
 from basketproj.surface import CoefficientSurface, build_surface
-from support import AtLevel, fd_gradient, fd_hessian, flat_task, vol_sq_at
+from support import (AtLevel, fd_gradient, fd_hessian, flat_task, solved_tasks, streamed,
+                     vol_sq_at)
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -154,7 +155,7 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     surf, _ = bs3d_surface
     grid = hjb.make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
     g3 = PutPayoff(300.0)
-    values = hjb.solve(surf, [g3], grid, values=True).american[0]
+    (values, _), _ = streamed(hjb.solve(surf, [g3], grid))
     obstacle = float(np.min(values - g3(grid.s_nodes)))
     dirichlet = (np.all(values[:, 0] == g3(grid.s_nodes[0]))
                  and np.all(values[:, -1] == g3(grid.s_nodes[-1])))
@@ -167,8 +168,7 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     bgrid = hjb.make_grid(bsurf.s_min, bsurf.s_max, m.T, 512, c=16)
     gb = PutPayoff(500.0)
     sol = hjb.solve(bsurf, [gb], bgrid)
-    task = BoundTask(payoff=gb, boundary_levels=sol.levels[0], delta_rows=sol.delta[0],
-                     s_nodes=bgrid.s_nodes)
+    (task,) = solved_tasks(sol, [gb])
     res = simulate_bounds(m, p, [task], 512, 16_000, seed=derive_seed(2, "acc6"))[0]
     b = res.bounds
     z = norm.ppf(0.975)

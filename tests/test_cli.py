@@ -1,8 +1,7 @@
-import gc
 import os
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,17 @@ from basketproj.pipeline import (BOUND_ORDERING_Z, StageError, appendix_checks,
                                  convergence_study, run_experiment)
 from basketproj.presets import appendix2d, get_preset
 from basketproj.rng import CHUNK
-from support import load_surface
+from support import load_surface, reference_sweep
+
+
+def _value_table(grid, values, path):
+    """One (n_t + 1, n_s) value grid as the plotting table: t, s, value triples."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# t s value\n")
+        for n, t in enumerate(grid.t_grid):
+            for m, s in enumerate(grid.s_nodes):
+                fh.write(f"{float(t)!r} {float(s)!r} {float(values[n, m])!r}\n")
+
 
 TINY_BACHELIER = """
 [model]
@@ -133,32 +142,66 @@ class TestRunCommand:
         assert "[bounds]" in err and "[32, 64, 128]" in err and "injected kernel fault" in err
 
     def test_no_sweep_lives_through_the_pass(self, tmp_path, monkeypatch):
-        # the top tier's value grids are written before the pass and must be freed by then
-        refs = []
-        solve, kernel = hjb.solve, pipeline.mc.simulate_tiers_coupled
-
-        def solve_spy(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            refs.extend((weakref.ref(sol), weakref.ref(sol.american.base)))
-            return sol
-
-        def kernel_spy(*args, **kwargs):
-            gc.collect()
-            assert [ref() for ref in refs] == [None] * len(refs)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline.hjb, "solve", solve_spy)
-        monkeypatch.setattr(pipeline.mc, "simulate_tiers_coupled", kernel_spy)
+        # no (K, n_t + 1, n_s) array is alive while the pass runs: neither a
+        # value grid of the top tier's export nor any tier's delta stack.
+        # Every allocation from the run's start is traced; the largest live
+        # block is taken as the pass enters and at every segment it reads.
         cfg = get_preset("bachelier-exact")
-        cfg.nt_tiers = [16, 32]
+        cfg.nt_tiers = [512, 1024]
         cfg.m_paths = 256
         cfg.export_value_grids = True
-        run_experiment(cfg, tmp_path)
-        assert len(refs) == 4 and list(tmp_path.glob("values_K*.txt"))
+        top = hjb.make_grid(0.0, 1.0, 1.0, 1024, c=cfg.c_coupling)
+        stack = len(cfg.strikes) * (top.n_t + 1) * top.n_s * 8
+        largest = []
+        kernel, segment_delta = pipeline.mc.simulate_tiers_coupled, hjb.Sweep.segment_delta
+
+        def live_max():
+            return max(trace.size for trace in tracemalloc.take_snapshot().traces)
+
+        def kernel_spy(*args, **kwargs):
+            largest.append(live_max())
+            return kernel(*args, **kwargs)
+
+        def segment_spy(self, j):
+            rows = segment_delta(self, j)
+            largest.append(live_max())
+            return rows
+
+        monkeypatch.setattr(pipeline.mc, "simulate_tiers_coupled", kernel_spy)
+        monkeypatch.setattr(hjb.Sweep, "segment_delta", segment_spy)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, tmp_path, threads=1)
+        finally:
+            tracemalloc.stop()
+        assert list(tmp_path.glob("values_K*.txt"))
+        assert len(largest) == 1 + 512 // hjb.BLOCK_LEVELS + 1024 // hjb.BLOCK_LEVELS
+        assert max(largest) < stack, (max(largest), stack)
+
+    def test_sweeps_and_pass_hold_a_quarter_of_the_delta_stacks(self, bs3d_surface):
+        # what the old design held through the pass, every tier's (K, n_t + 1, n_s)
+        # delta stack, against the traced peak of the sweeps and the pass
+        cfg = get_preset("bs3d")
+        cfg.m_paths = 1024
+        tiers = [1024, 2048]
+        surf, _ = bs3d_surface
+        model, p, payoffs = cfg.build_model(), cfg.build_portfolio(), cfg.build_payoffs()
+        grids = [hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
+                 for n_t in tiers]
+        stacks = sum(len(payoffs) * (g.n_t + 1) * g.n_s * 8 for g in grids)
+        tracemalloc.start()
+        try:
+            pipeline._price_tiers(cfg, model, p, surf, payoffs, tiers, "bounds", False, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stacks / 4, (peak, stacks)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_exports_come_from_top_tier(self, tmp_path, threads):
-        # every plotting file must equal a fresh sweep's American rows on the top tier's grid
+        # every plotting file must equal the top tier's American grid and
+        # boundary from the level-by-level reference sweep, written as the
+        # export writes them
         cfg = get_preset("bs3d")
         cfg.nt_tiers = [16, 32]
         cfg.m_paths = 256
@@ -173,15 +216,18 @@ class TestRunCommand:
         names = set()
         differs_from_lower_tier = False
         payoffs = cfg.build_payoffs()
+        strikes = np.array(cfg.strikes)
         for n_t in cfg.nt_tiers:
             grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-            sol = hjb.solve(surf, payoffs, grid, values=True)
+            american = reference_sweep(surf, payoffs, grid)[:len(payoffs)]
+            obstacle = np.array([payoff(grid.s_nodes) for payoff in payoffs])
+            levels = hjb.exercise_boundary(american, obstacle, strikes, grid.s_nodes).levels
             ref = tmp_path / f"ref{n_t}"
             ref.mkdir(exist_ok=True)
             for k, g in enumerate(payoffs):
                 boundary, values = f"boundary_K{g.strike:g}.txt", f"values_K{g.strike:g}.txt"
-                hjb.export_boundary(grid.t_grid, sol.levels[k], ref / boundary)
-                hjb.export_values(grid, sol.american[k], ref / values)
+                hjb.export_boundary(grid.t_grid, levels[k], ref / boundary)
+                _value_table(grid, american[k], ref / values)
                 for fname in (boundary, values):
                     if n_t == max(cfg.nt_tiers):
                         names.add(fname)
@@ -411,18 +457,18 @@ def test_threads_flag_only_where_it_acts(argv):
 
 
 @pytest.mark.parametrize("command, expected", [
-    # three tiers and the doubled top tier, none keeping a full value grid
-    ("convergence", [(16, 1, False), (32, 1, False), (64, 1, False), (128, 1, False)]),
-    # only the top tier keeps its value grid, for export_value_grids
-    ("run", [(16, 1, False), (32, 1, False), (64, 1, True)]),
+    # three tiers and the doubled top tier
+    ("convergence", [(16, 1), (32, 1), (64, 1), (128, 1)]),
+    # the top tier's value grid is recomputed from its sweep, not solved again
+    ("run", [(16, 1), (32, 1), (64, 1)]),
 ], ids=["convergence", "run"])
 def test_one_sweep_per_tier(tmp_path, monkeypatch, command, expected):
     sweeps = []
     solve = hjb.solve
 
-    def spy(surf, payoffs, grid, values=False):
-        sweeps.append((grid.n_t, len(payoffs), values))
-        return solve(surf, payoffs, grid, values)
+    def spy(surf, payoffs, grid):
+        sweeps.append((grid.n_t, len(payoffs)))
+        return solve(surf, payoffs, grid)
 
     monkeypatch.setattr(pipeline.hjb, "solve", spy)
     path = tmp_path / "det.cfg"
@@ -430,6 +476,7 @@ def test_one_sweep_per_tier(tmp_path, monkeypatch, command, expected):
                     encoding="utf-8")
     assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
     assert sweeps == expected
+    assert bool(list((tmp_path / "out").glob("values_K*.txt"))) == (command == "run")
 
 
 @pytest.mark.parametrize("command, failing", [("run", 64), ("convergence", 64),
@@ -437,10 +484,10 @@ def test_one_sweep_per_tier(tmp_path, monkeypatch, command, expected):
 def test_sweep_failure_names_its_tier(tmp_path, monkeypatch, capsys, command, failing):
     solve = hjb.solve
 
-    def broken_tier(surf, payoffs, grid, values=False):
+    def broken_tier(surf, payoffs, grid):
         if grid.n_t == failing:
             raise RuntimeError("injected sweep fault")
-        return solve(surf, payoffs, grid, values)
+        return solve(surf, payoffs, grid)
 
     monkeypatch.setattr(pipeline.hjb, "solve", broken_tier)
     path = tmp_path / "tiny.cfg"

@@ -7,8 +7,8 @@ import pytest
 from basketproj import hjb
 from basketproj.hjb import exercise_boundary, make_grid, solve, value_at
 from basketproj.model import PutPayoff
-from basketproj.surface import CoefficientSurface
-from support import reference_sweep
+from basketproj.surface import CoefficientSurface, constant_surface
+from support import reference_sweep, streamed
 
 BS3D_STRIKES = (240.0, 260.0, 280.0, 300.0, 320.0, 340.0)
 
@@ -30,8 +30,8 @@ def t0_sweep(grid, american, european):
     """A sweep holding only the given (K, n_s) t = 0 rows."""
     k = american.shape[0]
     return hjb.Sweep(grid=grid, levels=np.full((k, grid.n_t + 1), -np.inf),
-                     delta=np.zeros((k, grid.n_t + 1, grid.n_s)),
-                     american=american[:, None, :], european=european[:, None, :])
+                     american=american, european=european,
+                     checkpoints=np.empty((0, 2 * k, grid.n_s)), system=None)
 
 
 def reference_levels(values, g, strike, s):
@@ -53,9 +53,8 @@ class TestSolve:
                                   floor=1e-12, s_min=0.0, s_max=200.0, t_max=1.0, r=0.0)
         grid = make_grid(0.0, 200.0, 1.0, 64, n_s=101)
         g = PutPayoff(100.0)
-        sol = solve(surf, [g], grid, values=True)
-        for values in (sol.american, sol.european):
-            assert np.max(np.abs(values - g(grid.s_nodes))) < 1e-7
+        values, _ = streamed(solve(surf, [g], grid))
+        assert np.max(np.abs(values - g(grid.s_nodes))) < 1e-7
 
     def test_european_against_closed_form(self):
         grid = make_grid(0.0, 320.0, 0.5, 1024, n_s=257)
@@ -67,9 +66,9 @@ class TestSolve:
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 128, c=16)
         g = PutPayoff(300.0)
-        sol = solve(surf, [g], grid, values=True)
+        grids, _ = streamed(solve(surf, [g], grid))
         s = grid.s_nodes
-        for values in (sol.american[0], sol.european[0]):
+        for values in grids:
             assert np.array_equal(values[-1], g(s))
             assert np.all(values[:, 0] == g(s[0]))
             assert np.all(values[:, -1] == g(s[-1]))
@@ -78,19 +77,19 @@ class TestSolve:
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
         g = PutPayoff(300.0)
-        sol = solve(surf, [g], grid, values=True)
-        assert float(np.min(sol.american - g(grid.s_nodes))) >= -1e-12
+        (american, _), _ = streamed(solve(surf, [g], grid))
+        assert float(np.min(american - g(grid.s_nodes))) >= -1e-12
 
     def test_american_dominates_european(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
-        sol = solve(surf, [PutPayoff(300.0)], grid, values=True)
-        assert float(np.min(sol.american - sol.european)) >= -1e-10
+        (american, european), _ = streamed(solve(surf, [PutPayoff(300.0)], grid))
+        assert float(np.min(american - european)) >= -1e-10
 
     def test_monotone_in_strike(self, bs3d_surface):
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 128, c=16)
-        lo, hi = solve(surf, [PutPayoff(280.0), PutPayoff(320.0)], grid, values=True).american
+        (lo, hi, _, _), _ = streamed(solve(surf, [PutPayoff(280.0), PutPayoff(320.0)], grid))
         assert np.all(hi - lo >= -1e-10)
 
     def test_comparison_principle(self):
@@ -133,37 +132,48 @@ class TestOneSweep:
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
         payoffs = [PutPayoff(k) for k in BS3D_STRIKES]
-        sol = solve(surf, payoffs, grid, values=True)
+        sol = solve(surf, payoffs, grid)
+        values, delta = streamed(sol)
+        k_all = len(payoffs)
         for k, g in enumerate(payoffs):
-            one = solve(surf, [g], grid, values=True)
-            for name in ("levels", "delta", "american", "european"):
-                got, want = getattr(sol, name)[k], getattr(one, name)[0]
+            one = solve(surf, [g], grid)
+            one_values, one_delta = streamed(one)
+            for name, got, want in (("levels", sol.levels[k], one.levels[0]),
+                                    ("american", sol.american[k], one.american[0]),
+                                    ("european", sol.european[k], one.european[0]),
+                                    ("american grid", values[k], one_values[0]),
+                                    ("european grid", values[k_all + k], one_values[1]),
+                                    ("delta", delta[k], one_delta[0])):
                 assert np.array_equal(got, want), (g.strike, name)
 
-    def test_without_values_keeps_the_t0_rows_only(self, bs3d_surface):
+    def test_keeps_checkpoints_not_grids(self, bs3d_surface):
+        # levels, the t = 0 rows and one (2K, n_s) row per segment of
+        # BLOCK_LEVELS levels; the t = 0 rows are the first streamed ones
         surf, _ = bs3d_surface
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 128, c=16)
         payoffs = [PutPayoff(280.0), PutPayoff(320.0)]
-        lean = solve(surf, payoffs, grid)
-        full = solve(surf, payoffs, grid, values=True)
-        assert lean.american.shape == lean.european.shape == (2, 1, grid.n_s)
-        assert full.american.shape == full.european.shape == (2, grid.n_t + 1, grid.n_s)
-        for name in ("american", "european"):
-            assert np.array_equal(getattr(lean, name), getattr(full, name)[:, :1])
-        assert np.array_equal(lean.levels, full.levels)
-        assert np.array_equal(lean.delta, full.delta)
-        assert value_at(lean, 300.0) == value_at(full, 300.0)
+        sol = solve(surf, payoffs, grid)
+        assert sol.american.shape == sol.european.shape == (2, grid.n_s)
+        assert sol.checkpoints.shape == (128 // hjb.BLOCK_LEVELS + 1, 4, grid.n_s)
+        values, delta = streamed(sol)
+        assert values.shape == (4, grid.n_t + 1, grid.n_s)
+        assert delta.shape == (2, grid.n_t + 1, grid.n_s)
+        assert np.array_equal(sol.american, values[:2, 0])
+        assert np.array_equal(sol.european, values[2:, 0])
+        # checkpoint j is the row at the top of segment j
+        for j, row in enumerate(sol.checkpoints):
+            assert np.array_equal(row, values[:, min((j + 1) * hjb.BLOCK_LEVELS, grid.n_t)])
 
     @pytest.mark.parametrize("r", [0.05, 0.0])  # with r = 0 the region empties early on
     def test_levels_and_delta_come_from_the_american_grid(self, r):
         grid = make_grid(50.0, 320.0, 0.5, 256, n_s=109)
         payoffs = [PutPayoff(k) for k in (80.0, 100.0, 120.0)]
-        sol = solve(gbm_surface(r=r), payoffs, grid, values=True)
+        sol = solve(gbm_surface(r=r), payoffs, grid)
+        values, delta = streamed(sol)
         s = grid.s_nodes
         for k, g in enumerate(payoffs):
-            assert np.array_equal(sol.levels[k],
-                                  reference_levels(sol.american[k], g(s), g.strike, s))
-            assert np.array_equal(sol.delta[k], np.gradient(sol.american[k], s, axis=1))
+            assert np.array_equal(sol.levels[k], reference_levels(values[k], g(s), g.strike, s))
+            assert np.array_equal(delta[k], np.gradient(values[k], s, axis=1))
         assert np.isfinite(sol.levels[:, -1]).all()
         assert np.isneginf(sol.levels).any() == (r == 0.0)
 
@@ -186,8 +196,9 @@ class TestOneSweep:
 
 
 class TestAgainstLevelLoop:
-    """The sweep's cached slices and direct gtsv call against eval_b2 and
-    solve_banded at every level, bit for bit."""
+    """The sweep's cached slices, block coefficients and direct gtsv call,
+    streamed a segment at a time, against eval_b2 and solve_banded at every
+    level, bit for bit."""
 
     def _surface(self):
         # three slices strictly inside [0, t_max]: the grid starts before the
@@ -199,20 +210,68 @@ class TestAgainstLevelLoop:
                                   centers=np.array([99.0, 100.0, 101.0]),
                                   halfwidths=np.array([15.0, 18.0, 21.0]))
 
+    def _single_slice(self):
+        return CoefficientSurface(slice_times=np.array([0.2]),
+                                  coeffs=np.array([[40.0, 3.0, -2.0, 0.5]]), floor=5.0,
+                                  s_min=60.0, s_max=140.0, t_max=0.5, r=0.05,
+                                  centers=np.array([100.0]), halfwidths=np.array([20.0]))
+
+    def _bachelier(self):
+        return constant_surface(30.0, 1.0, (60.0, 140.0), 0.5, 0.05)
+
     @pytest.mark.parametrize("n_s", [61, 3])  # 3: a 1 x 1 system, which f2py bands oddly
     def test_equals_reference_loop(self, n_s):
-        surf = self._surface()
-        grid = make_grid(60.0, 140.0, 0.5, 96, n_s=n_s)
+        # n_t 1, 31, 32 and 33 put the terminal level alone in its segment, in
+        # a full one and one past a full one
         payoffs = [PutPayoff(k) for k in (90.0, 100.0, 110.0)]
-        sol = solve(surf, payoffs, grid, values=True)
-        ref = reference_sweep(surf, payoffs, grid)
-        s = grid.s_nodes
-        g = np.array([p(s) for p in payoffs])
-        assert np.array_equal(sol.american, ref[:3])
-        assert np.array_equal(sol.european, ref[3:])
-        assert np.array_equal(sol.levels, exercise_boundary(ref[:3], g, np.array(
-            [p.strike for p in payoffs]), s).levels)
-        assert np.array_equal(sol.delta, hjb.delta_array(ref[:3], s))
+        strikes = np.array([p.strike for p in payoffs])
+        for surf in (self._surface(), self._single_slice(), self._bachelier()):
+            for n_t in (1, 31, 32, 33, 96):
+                grid = make_grid(60.0, 140.0, 0.5, n_t, n_s=n_s)
+                sol = solve(surf, payoffs, grid)
+                values, delta = streamed(sol)
+                ref = reference_sweep(surf, payoffs, grid)
+                s = grid.s_nodes
+                g = np.array([p(s) for p in payoffs])
+                case = (surf.slice_times.size, surf.coeffs.shape[1], n_t)
+                assert np.array_equal(values, ref), case
+                assert np.array_equal(sol.american, ref[:3, 0]), case
+                assert np.array_equal(sol.european, ref[3:, 0]), case
+                assert np.array_equal(sol.levels,
+                                      exercise_boundary(ref[:3], g, strikes, s).levels), case
+                assert np.array_equal(delta, hjb.delta_array(ref[:3], s)), case
+
+    def test_dominance_warning_names_the_first_level_going_backward(self, caplog):
+        # a strong drift on a coarse space step: the levels from the last
+        # slice on (t >= 0.2, the sweep's first segments) stay dominant, the
+        # earlier ones lose it somewhere between the slices
+        surf = CoefficientSurface(slice_times=np.array([0.1, 0.2]),
+                                  coeffs=np.array([[0.5], [20000.0]]), floor=0.1,
+                                  s_min=60.0, s_max=140.0, t_max=0.5, r=20.0)
+        grid = make_grid(60.0, 140.0, 0.5, 96, n_s=21)
+        interior = grid.s_nodes[1:-1]
+        first = None
+        for n in range(grid.n_t - 1, -1, -1):
+            dt = grid.t_grid[n + 1] - grid.t_grid[n]
+            diff = surf.eval_b2(grid.t_grid[n], interior) / (2.0 * grid.ds**2)
+            conv = surf.r * interior / (2.0 * grid.ds)
+            if np.any(np.abs(-dt * (diff - conv)) + np.abs(-dt * (diff + conv))
+                      > np.abs(1.0 + dt * (surf.r + 2.0 * diff))):
+                first = grid.t_grid[n]
+                break
+        assert first is not None and first < grid.t_grid[grid.n_t - hjb.BLOCK_LEVELS]
+        with caplog.at_level(logging.WARNING, logger="basketproj.hjb"):
+            solve(surf, [PutPayoff(100.0)], grid)
+        warnings = [r for r in caplog.records if "diagonally dominant" in r.getMessage()]
+        assert len(warnings) == 1
+        assert warnings[0].args[0] == first
+
+    def test_non_finite_level_names_t(self):
+        surf = CoefficientSurface(slice_times=np.array([0.0]), coeffs=np.array([[np.nan]]),
+                                  floor=1.0, s_min=60.0, s_max=140.0, t_max=0.5, r=0.05)
+        grid = make_grid(60.0, 140.0, 0.5, 64, n_s=41)
+        with pytest.raises(RuntimeError, match=rf"non-finite values at t={grid.t_grid[-2]}\b"):
+            solve(surf, [PutPayoff(100.0)], grid)
 
     def test_lapack_failure_names_t(self, monkeypatch):
         def singular(dl, d, du, b, *overwrite):
@@ -280,11 +339,11 @@ class TestDeltaAndValueAt:
 
     def test_delta_against_closed_form(self):
         grid = make_grid(0.0, 320.0, 0.5, 1024, n_s=257)
-        sol = solve(gbm_surface(), [PutPayoff(100.0)], grid, values=True)
+        (_, european), _ = streamed(solve(gbm_surface(), [PutPayoff(100.0)], grid))
         ncdf = lambda x: 0.5 * (1.0 + erf(x / sqrt(2.0)))
         d1 = (log(1.0) + (0.05 + 0.02) * 0.5) / (0.2 * sqrt(0.5))
         ref = ncdf(d1) - 1.0
-        delta = hjb.delta_array(sol.european[0], grid.s_nodes)
+        delta = hjb.delta_array(european, grid.s_nodes)
         assert np.interp(100.0, grid.s_nodes, delta[0]) == pytest.approx(ref, abs=1e-2)
 
     def test_value_at_nodes_and_midpoints(self):
@@ -318,8 +377,17 @@ class TestExports:
         assert rows.shape[0] == int(np.isfinite(levels).sum())
 
     def test_values_export(self, tmp_path):
-        grid = make_grid(0.0, 10.0, 1.0, 2, n_s=5)
-        path = tmp_path / "vals.txt"
-        hjb.export_values(grid, np.ones((3, 5)), path)
-        rows = np.loadtxt(path)
-        assert rows.shape == (15, 3)
+        payoffs = [PutPayoff(90.0), PutPayoff(110.0)]
+        for n_t in (2, 40):  # one segment, and two
+            grid = make_grid(0.0, 200.0, 1.0, n_t, n_s=5)
+            sol = solve(gbm_surface(s_max=200.0, t_max=1.0), payoffs, grid)
+            values, _ = streamed(sol)
+            paths = [tmp_path / f"vals{n_t}_{k}.txt" for k in range(2)]
+            hjb.export_values(sol, paths)
+            for k, path in enumerate(paths):
+                assert path.read_text().startswith("# t s value\n")
+                rows = np.loadtxt(path)
+                assert rows.shape == ((n_t + 1) * 5, 3)
+                assert np.array_equal(rows[:, 0], np.repeat(grid.t_grid, 5))
+                assert np.array_equal(rows[:, 1], np.tile(grid.s_nodes, n_t + 1))
+                assert np.array_equal(rows[:, 2], values[k].ravel())

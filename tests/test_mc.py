@@ -13,7 +13,8 @@ from basketproj import hjb, mc
 from basketproj.mc import BoundTask, PriceBounds, bias_estimate, diffusion, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import CHUNK, derive_seed, normal_matrix
-from support import basket_euler, confidence_interval, euler_states, flat_task, solved_tasks
+from support import (ArrayRows, basket_euler, confidence_interval, euler_states, flat_task,
+                     solved_tasks)
 
 
 def _flat_run(model, p, g, n_t, level, n_paths, seed):
@@ -294,7 +295,7 @@ class TestCoupledTiers:
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
             (task,) = solved_tasks(hjb.solve(surf, [g], grid), [g])
             assert np.isfinite(task.boundary_levels).any()
-            assert np.any(task.delta_rows != 0.0)
+            assert np.any(task.delta_rows.source.segment_delta(0) != 0.0)
         plain = simulate_bounds(m, p, [task], n_t, 1000, seed=9)[0]
         tiers = mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=n_t, tasks=[task])],
                                           1000, seed=9)
@@ -477,6 +478,71 @@ class TestChunkParallelKernel:
         z = np.exp(-m.r * m.T) * g(x_t @ p.weights)
         assert res.european == float(z.mean())
         assert res.bounds.a_minus == res.european
+
+    def test_chunks_share_each_segment(self, bachelier5_model, bachelier5_portfolio,
+                                       bachelier5_surface, monkeypatch):
+        # two chunks on two workers read each tier's delta segments from one
+        # cache, so each segment a tier reads is recomputed once; one worker
+        # runs the chunks one after the other and recomputes them per chunk,
+        # with the same bits
+        m, p = bachelier5_model, bachelier5_portfolio
+        surf, _ = bachelier5_surface
+        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n)) for n in (48, 96)]
+        calls = []
+        segment_delta = hjb.Sweep.segment_delta
+
+        def counted(self, j):
+            calls.append((self.grid.n_t, j))
+            return segment_delta(self, j)
+
+        monkeypatch.setattr(hjb.Sweep, "segment_delta", counted)
+        read = [(n, j) for n in (48, 96) for j in range((n - 1) // hjb.BLOCK_LEVELS + 1)]
+        two = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=24, threads=2)
+        assert sorted(calls) == read
+        calls.clear()
+        one = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=24, threads=1)
+        assert sorted(calls) == sorted(read * 2)
+        assert one == two
+
+    def test_segment_cache_under_contention(self):
+        # more reader threads than cores, switching often, each walking every
+        # segment as a chunk does: a lost update of the reader count would
+        # recompute a segment, keep one past the wave or drop one twice
+        n_t, readers = 200, 6
+        rows = np.arange((n_t + 1) * 2 * 3, dtype=float).reshape(n_t + 1, 2, 3)
+        computed = []
+
+        class Counted(ArrayRows):
+            def segment_delta(self, j):
+                computed.append(j)
+                return super().segment_delta(j)
+
+        source = Counted(rows)
+        tasks = [BoundTask(payoff=PutPayoff(1.0), boundary_levels=np.zeros(n_t + 1),
+                           delta_rows=mc.DeltaRows(source, k), s_nodes=np.arange(3.0))
+                 for k in range(2)]
+        tier = mc._Tier(mc.TierTask(n_t=n_t, tasks=tasks), m=1)
+        segments = range((n_t - 1) // source.span + 1)
+
+        def chunk(_):
+            for j in segments:
+                ok = np.array_equal(tier.segment(j), rows[j * source.span:(j + 1) * source.span])
+                tier.passed(j)
+                if not ok:
+                    return False
+            return True
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):  # three waves
+                tier.readers = readers
+                with ThreadPoolExecutor(max_workers=readers) as pool:
+                    assert all(pool.map(chunk, range(readers), timeout=60))
+                assert tier.held == {}
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(computed) == sorted(list(segments) * 3)
 
     def test_mismatched_s_nodes_in_a_tier_raise(self, bachelier5_model, bachelier5_portfolio,
                                                 bachelier5_surface):

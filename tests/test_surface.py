@@ -167,6 +167,23 @@ class TestTwoSliceEval:
                     assert surf.eval_b2(t, s) == all_slice_b2(surf, t, s)
 
 
+    def test_blend_of_many_times_equals_one_at_a_time(self, bs3d_surface):
+        # the backward sweep blends a segment of levels from its cached slices
+        # in one call: clamped, interior and single-slice times alike
+        single = CoefficientSurface(slice_times=np.array([0.2]),
+                                    coeffs=np.array([[40.0, 3.0, -2.0, 0.5]]), floor=5.0,
+                                    s_min=80.0, s_max=120.0, t_max=0.5, r=0.05,
+                                    centers=np.array([100.0]), halfwidths=np.array([20.0]))
+        for surf in (bs3d_surface[0], self._inner_slices(), single):
+            st = surf.slice_times
+            times = np.sort(np.concatenate(([0.0, 0.5 * st[0]], st, 0.5 * (st[1:] + st[:-1]),
+                                            np.linspace(0.0, surf.t_max, 37))))
+            ss = np.linspace(surf.s_min, surf.s_max, 57)
+            slices = surf.slice_b2(np.arange(st.size), ss)
+            rows = surf.blend(times, slices.__getitem__)
+            assert np.array_equal(rows, [all_slice_b2(surf, float(t), ss) for t in times])
+
+
 class TestBachelierShortcut:
     def test_constant_equals_quadratic_form(self, bachelier5_surface, bachelier5_model, bachelier5_portfolio):
         surf, _ = bachelier5_surface
