@@ -14,8 +14,9 @@ t = 0 rows, and the row of both flavors at the top of every segment (a
 checkpoint, after Griewank & Walther's revolve).  The Monte Carlo pass reads
 the finite-difference delta a segment at a time, recomputed backward from
 its checkpoint by the same ``gtsv`` calls on the same inputs, so its rows are
-those of the first pass bit for bit.  No ``(K, n_t + 1, n_s)`` grid is ever
-held.
+those of the first pass bit for bit; the delta's recompute solves only the
+American columns, whose bits do not depend on the columns beside them.  No
+``(K, n_t + 1, n_s)`` grid is ever held.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ class _System:
         return sub, dia, sup
 
     def segment(self, j: int, u: np.ndarray, checked: bool) -> np.ndarray:
-        """Both flavors' rows of segment j, (L, 2K, n_s), levels lo = j * BLOCK_LEVELS
-        up to L rows on, solved backward from u, the row at level min(lo + L, n_t).
+        """The rows of segment j, (L, R, n_s), levels lo = j * BLOCK_LEVELS up to
+        L rows on, solved backward from u, the (R, n_s) row at level
+        min(lo + L, n_t): both flavors (R = 2K), or the American ones (R = K).
 
         u ends at level lo.  The first pass is checked: it warns once per sweep
         at the first level met that is not diagonally dominant, and fails at a
-        non-finite level.  The recompute makes the same calls on the same
+        non-finite level.  A recompute solves the same columns on the same
         inputs, so it skips both.
         """
         n_t, k = self.grid.n_t, len(self.g)
@@ -124,13 +126,13 @@ class _System:
                             "(coarse space step relative to the drift)",
                             self.grid.t_grid[lo + bad[-1]])
                 self.warned = True
-        # every level's Dirichlet terms of the right-hand side, (L, 2K) each
+        # every level's Dirichlet terms of the right-hand side, (L, R) each
         left, right = sub[:, :1] * u[:, 0], sup[:, -1:] * u[:, -1]
         for i in range(top - lo - 1, -1, -1):
             rhs = rows[i + 1, :, 1:-1].copy()
             rhs[:, 0] -= left[i]
             rhs[:, -1] -= right[i]
-            # every strike and flavor is one column of the (n_s - 2, 2K) right-hand
+            # every strike and flavor is one column of the (n_s - 2, R) right-hand
             # side; f2py takes an empty band as length 1, which gtsv never reads at n = 1
             dl, du = (sub[i, 1:], sup[i, :-1]) if dia.shape[1] > 1 else (sub[i], sup[i])
             *_, inner, info = gtsv(dl, dia[i], du, rhs.T, True, True, True, True)
@@ -176,8 +178,9 @@ class Sweep:
         return self.system.segment(j, self.checkpoints[j].copy(), checked=False)
 
     def segment_delta(self, j: int) -> np.ndarray:
-        """Every strike's American finite-difference delta on segment j, (L, K, n_s)."""
-        return delta_array(self.segment_values(j)[:, :len(self.american)], self.grid.s_nodes)
+        """Every strike's American delta on segment j, (L, K, n_s), off the American rows alone."""
+        u = self.checkpoints[j, :len(self.american)].copy()
+        return delta_array(self.system.segment(j, u, checked=False), self.grid.s_nodes)
 
 
 @dataclass(frozen=True)

@@ -44,18 +44,15 @@ rows through one interval lookup, with ``np.interp``'s bits on the uniform
 one-strike runs.
 
 A tier reads its delta rows a segment of time levels at a time (the sweep
-recomputes a segment from its checkpoint, ``hjb.Sweep.segment_delta``).  The
-chunks that run at once share each segment through one locked cache per
-tier, which computes it for the first chunk that reaches it and drops it once
-the last has passed it.  So chunks run in waves of as many as there are
-workers, and a tier holds one or two segments, not its whole delta grid.
+recomputes a segment from its checkpoint, ``hjb.Sweep.segment_delta``).  Each
+chunk recomputes the segments it reads, so a tier holds one segment per
+running chunk, not its whole delta grid, and chunks share nothing but the
+column slices they write.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -226,8 +223,8 @@ def _locate(nodes: _Nodes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     s = nodes.s
     xc = np.minimum(np.maximum(x, s[0]), s[-1])
-    j = np.floor((xc - s[0]) * nodes.inv_ds).astype(np.intp)
-    np.minimum(np.maximum(j, 0, out=j), s.size - 1, out=j)
+    # (xc - s[0]) * inv_ds lies in [0, n - 1] to a rounding, so truncation is the floor
+    j = ((xc - s[0]) * nodes.inv_ds).astype(np.intp)
     # one comparison each way against the nodes themselves makes the index exact
     j -= xc < np.take(s, j, mode="clip")
     j += xc >= np.take(nodes.upper, j, mode="clip")
@@ -263,9 +260,8 @@ class _Tier:
     """One tier's strikes, stacked, with their full-length (K, m) per-path values.
 
     Chunks write disjoint column slices, and each strike's statistics reduce
-    its contiguous row.  The delta rows come a segment at a time from one
-    locked cache: a segment is computed for the first chunk that asks for it
-    and dropped once each of the wave's `readers` chunks has passed it.
+    its contiguous row.  Each chunk gathers the delta rows it reads from
+    `deltas` a segment at a time.
     """
 
     def __init__(self, tier: TierTask, m: int):
@@ -280,9 +276,6 @@ class _Tier:
         self.levels = np.array([task.boundary_levels for task in tasks])   # (K, n_t + 1)
         self.deltas = [task.delta_rows for task in tasks]
         self.span = self.deltas[0].source.span
-        self.readers = 1
-        self.lock = threading.Lock()
-        self.held: dict[int, list] = {}  # segment -> [its rows, chunks yet to pass it]
         k = len(tasks)
         self.lowval = np.zeros((k, m))          # payoff at the stopping time
         self.umax = np.full((k, m), -np.inf)    # running max of payoff minus martingale
@@ -290,22 +283,6 @@ class _Tier:
         on = tier.functionals
         self.tau = np.zeros((k, m)) if on else None            # stopping time
         self.zmax = np.full((k, m), -np.inf) if on else None   # running max of the payoff
-
-    def segment(self, j: int) -> np.ndarray:
-        """Segment j's (L, K, n_s) delta rows, computed once for the wave."""
-        with self.lock:
-            entry = self.held.get(j)
-            if entry is None:
-                entry = self.held[j] = [_gather(self.deltas, j), self.readers]
-            return entry[0]
-
-    def passed(self, j: int) -> None:
-        """One chunk is done with segment j; the last drops it."""
-        with self.lock:
-            entry = self.held[j]
-            entry[1] -= 1
-            if entry[1] == 0:
-                del self.held[j]
 
     def results(self) -> list[BoundsResult]:
         out = []
@@ -385,9 +362,7 @@ class _TierChunk:
         disc = np.exp(-model.r * t)
         j = n // self.tier.span
         if j != self.j:
-            if self.j is not None:
-                self.tier.passed(self.j)
-            self.j, self.seg = j, self.tier.segment(j)
+            self.j, self.seg = j, _gather(self.tier.deltas, j)
         rows = self.seg[n - j * self.tier.span]
         slope = _slopes(self.tier.nodes, rows)
         for c in self.blocks:
@@ -410,7 +385,6 @@ class _TierChunk:
         n = self.tier.n_t
         t = n * self.dt
         disc = np.exp(-model.r * t)
-        self.tier.passed(self.j)
         for c in self.blocks:
             _, z = self._evaluate(p, n, t, disc, c)
             opened = self.open[:, c]
@@ -516,16 +490,11 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     def run(c: int) -> None:
         _simulate_chunk(model, p, stacked, seed, n_fine, c, *spans[c], run_ahead)
 
-    # chunks run in waves of one per worker; a wave shares each delta segment
     workers = min(len(spans), cpus)
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else \
-            contextlib.nullcontext() as pool:
-        for first in range(0, len(spans), workers):
-            wave = range(first, min(first + workers, len(spans)))
-            for tier in stacked:
-                tier.readers = len(wave)
-            if len(wave) > 1:
-                list(pool.map(run, wave))  # re-raises a chunk's error
-            else:
-                run(first)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(len(spans))))  # re-raises a chunk's error
+    else:
+        for c in range(len(spans)):
+            run(c)
     return [tier.results() for tier in stacked]

@@ -5,7 +5,7 @@ sweep per time-step tier (every strike, American and European, with the
 boundary extracted as it goes and a checkpoint row kept per segment of
 levels) -> one coupled Monte Carlo pass that bounds every strike on every
 tier, the coarse tiers stepping on sums of the top tier's fine increments and
-reading each tier's delta a recomputed segment at a time -> machine-readable
+each chunk recomputing the American delta segments it reads -> machine-readable
 CSV output.
 """
 
@@ -120,9 +120,9 @@ def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str
     pass is seeded by tag and the top tier, which is then its stride-1 tier.
     When export_dir is given, the top tier writes each strike's American
     boundary there (and, with export_value_grids, its value grid, recomputed
-    a segment at a time).  Each tier's sweep lives through the pass, holding
-    its boundary levels and checkpoints; the pass recomputes its delta rows.
-    A sweep that fails is StageError("tier-<n_t>"), the pass StageError("bounds").
+    a segment at a time).  Each tier's sweep lives through the pass, holding its
+    levels and checkpoints; each chunk of the pass recomputes the delta segments
+    it reads.  A sweep that fails is StageError("tier-<n_t>"), the pass StageError("bounds").
     """
     top = max(tiers)
     s0 = float(p.weights @ model.x0)

@@ -241,6 +241,23 @@ class TestAgainstLevelLoop:
                                       exercise_boundary(ref[:3], g, strikes, s).levels), case
                 assert np.array_equal(delta, hjb.delta_array(ref[:3], s)), case
 
+    def test_delta_recompute_solves_the_american_columns_alone(self, monkeypatch):
+        # the European columns are not read by the delta, and a gtsv column's
+        # bits do not depend on its neighbours (test_equals_reference_loop)
+        payoffs = [PutPayoff(k) for k in (90.0, 100.0, 110.0)]
+        sol = solve(self._surface(), payoffs, make_grid(60.0, 140.0, 0.5, 96, n_s=61))
+        columns, solve_columns = [], hjb.gtsv
+
+        def spy(dl, d, du, b, *overwrite):
+            columns.append(b.shape[1])
+            return solve_columns(dl, d, du, b, *overwrite)
+
+        monkeypatch.setattr(hjb, "gtsv", spy)
+        for j in range(sol.segments):
+            sol.segment_delta(j)
+        assert len(columns) == 96
+        assert set(columns) == {len(payoffs)}
+
     def test_dominance_warning_names_the_first_level_going_backward(self, caplog):
         # a strong drift on a coarse space step: the levels from the last
         # slice on (t >= 0.2, the sweep's first segments) stay dominant, the

@@ -6,7 +6,8 @@ A definition in ``src/basketproj/`` must be named somewhere in the package
 in the benchmark's ``perfbench/*.py``.  A helper that only the tests call
 belongs in ``tests/support.py``.  A field of a dataclass must be read there
 as an attribute or named there as a string (``getattr``, a span's argument
-name); a field that only the tests read is a record nobody keeps.
+name); a field that only the tests read is a record nobody keeps.  A module's
+imports must each be used in that module.
 """
 
 import ast
@@ -86,3 +87,21 @@ def test_every_dataclass_field_is_read_outside_the_tests():
     unread = {name: where for name, where in _fields(package).items()
               if name.split(".")[1] not in read}
     assert not unread, f"dataclass fields in src/ read only by the tests: {unread}"
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path, tree in _trees(sorted(PACKAGE.glob("*.py"))).items():
+        if path.name == "__init__.py":
+            continue
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in _bound_names(node) if name not in names]
+    assert not unused, f"imported in src/ but never used there: {unused}"
