@@ -21,10 +21,14 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .hjb import DEFAULT_COUPLING
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
 from .rng import derive_seed
+from .surface import DEFAULT_ABSCISSAE, DEFAULT_SLICES
 
 _GEN_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
+# eigenvalue floor of random_correlation before the diagonal is renormalized
+CORRELATION_CLIP = 1e-3
 
 
 class ConfigError(ValueError):
@@ -87,10 +91,10 @@ class ExperimentConfig:
     strikes: list = field(default_factory=list)
     # numerics
     nt_tiers: list = field(default_factory=lambda: [512, 1024, 2048, 4096])
-    c_coupling: float = 16.0
+    c_coupling: float = DEFAULT_COUPLING
     m_paths: int = 100_000
-    surface_slices: int = 16
-    surface_abscissae: int = 24
+    surface_slices: int = DEFAULT_SLICES
+    surface_abscissae: int = DEFAULT_ABSCISSAE
     seed: int = 1
     # outputs
     out_dir: str = ""
@@ -181,10 +185,10 @@ class ExperimentConfig:
         return corr
 
 
-def random_correlation(d: int, seed: int, base: float, clip: float = 1e-3) -> np.ndarray:
+def random_correlation(d: int, seed: int, base: float) -> np.ndarray:
     """Identity plus symmetric off-diagonal noise, projected to a correlation matrix.
 
-    Eigenvalues are clipped at `clip` before renormalizing the diagonal to one.
+    Eigenvalues are clipped at CORRELATION_CLIP before renormalizing the diagonal to one.
     """
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "correlation")))
     a = rng.standard_normal((d, d))
@@ -192,7 +196,7 @@ def random_correlation(d: int, seed: int, base: float, clip: float = 1e-3) -> np
     np.fill_diagonal(noise, 0.0)
     c = np.eye(d) + noise
     ev, vec = np.linalg.eigh(c)
-    c = (vec * np.maximum(ev, clip)) @ vec.T
+    c = (vec * np.maximum(ev, CORRELATION_CLIP)) @ vec.T
     dinv = 1.0 / np.sqrt(np.diag(c))
     c = c * np.outer(dinv, dinv)
     np.fill_diagonal(c, 1.0)

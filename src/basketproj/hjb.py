@@ -93,7 +93,7 @@ class _System:
         """Sub-, main and super-diagonal of levels lo ... top - 1, (top - lo, n_s - 2) each."""
         t = self.grid.t_grid[lo:top]
         dt = (self.grid.t_grid[lo + 1:top + 1] - t)[:, None]
-        diff = self.surf.blend(t, self.slices.__getitem__) / (2.0 * self.grid.ds**2)
+        diff = self.surf.blend(t, self.slices) / (2.0 * self.grid.ds**2)
         sub = -dt * (diff - self.conv)                  # couples to u_{m-1}
         dia = 1.0 + dt * (self.surf.r + 2.0 * diff)
         sup = -dt * (diff + self.conv)                  # couples to u_{m+1}

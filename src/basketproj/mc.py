@@ -44,10 +44,11 @@ rows through one interval lookup, with ``np.interp``'s bits on the uniform
 one-strike runs.
 
 A tier reads its delta rows a segment of time levels at a time (the sweep
-recomputes a segment from its checkpoint, ``hjb.Sweep.segment_delta``).  Each
-chunk recomputes the segments it reads, so a tier holds one segment per
-running chunk, not its whole delta grid, and chunks share nothing but the
-column slices they write.
+recomputes a segment from its checkpoint, ``hjb.Sweep.segment_delta``); a
+``BoundTask`` names its sweep and its strike's row there.  Each chunk
+recomputes the segments it reads, so a tier holds one segment per running
+chunk, not its whole delta grid, and chunks share nothing but the column
+slices they write.  Each strike's result is one flat ``BoundsResult``.
 """
 
 from __future__ import annotations
@@ -66,45 +67,21 @@ FILL_AHEAD = 2
 
 
 @dataclass(frozen=True)
-class PriceBounds:
-    """Lower/upper estimators with their standard errors."""
+class BoundsResult:
+    """One strike's output of one batch: the lower and upper bound estimators
+    with their standard errors, the European estimate and the functionals.
+
+    The functionals are None for a tier run without them (TierTask.functionals).
+    """
 
     a_minus: float
     a_plus: float
     se_minus: float
     se_plus: float
-    m: int
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a_minus + self.a_plus)
-
-
-@dataclass(frozen=True)
-class BoundsResult:
-    """Full per-strike output of one batch: bounds plus auxiliary functionals.
-
-    The functionals are None for a tier run without them (TierTask.functionals).
-    """
-
-    bounds: PriceBounds
     european: float
     se_european: float
     mean_hit_time: float | None
     mean_running_max: float | None
-
-
-@dataclass(frozen=True)
-class DeltaRows:
-    """One strike's finite-difference delta rows, read a segment at a time.
-
-    source.segment_delta(j) gives the (L, K', n_s) delta rows of time levels
-    j * source.span onward of every strike the source holds (an hjb.Sweep);
-    this strike's are [:, index].
-    """
-
-    source: object
-    index: int
 
 
 @dataclass
@@ -112,14 +89,18 @@ class BoundTask:
     """Per-strike inputs for the bound estimators.
 
     boundary_levels[n] is the basket level at grid time n below which the path
-    stops (-inf when the exercise region is empty there); delta_rows gives
-    the finite-difference delta of the projected value function on s_nodes,
+    stops (-inf when the exercise region is empty there).  The delta of the
+    projected value function is read a segment at a time:
+    source.segment_delta(j) gives the (L, K', n_s) finite-difference delta rows
+    of time levels j * source.span onward of every strike the source holds (an
+    hjb.Sweep), and this strike's are [:, index].  The rows are on s_nodes,
     which are uniform and the same for every task of one tier.
     """
 
     payoff: PutPayoff
     boundary_levels: np.ndarray
-    delta_rows: DeltaRows
+    source: object
+    index: int
     s_nodes: np.ndarray
 
 
@@ -160,22 +141,17 @@ def step(model: ModelSpec, x: np.ndarray, dt: float, bdw: np.ndarray) -> np.ndar
     return out
 
 
-def bias_estimate(run_coarse: PriceBounds, run_fine: PriceBounds) -> tuple[float, float]:
+def bias_estimate(run_coarse: BoundsResult, run_fine: BoundsResult) -> tuple[float, float]:
     """|A(2 N_t) - A(N_t)| per bound; callers supply runs with identical physical inputs."""
     return (abs(run_fine.a_minus - run_coarse.a_minus),
             abs(run_fine.a_plus - run_coarse.a_plus))
 
 
 def simulate_bounds(model: ModelSpec, p: Portfolio, tasks: list[BoundTask],
-                    n_t: int, m: int, seed: int,
-                    threads: int | None = None) -> list[BoundsResult]:
-    """One forward-Euler batch evaluating all strikes' bounds on shared paths.
-
-    threads caps the threads started, chunk workers and the fill thread
-    together (None: every CPU this process may run on); the results do not
-    depend on it.
-    """
-    return _simulate(model, p, [TierTask(n_t=n_t, tasks=tasks)], m, seed, threads)[0]
+                    n_t: int, m: int, seed: int) -> list[BoundsResult]:
+    """One forward-Euler batch evaluating all strikes' bounds on shared paths:
+    simulate_tiers_coupled with the one tier, on every CPU this process may run on."""
+    return _simulate(model, p, [TierTask(n_t=n_t, tasks=tasks)], m, seed, None)[0]
 
 
 def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask],
@@ -187,7 +163,9 @@ def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask]
     estimate pure discretization bias with far lower variance than independent
     batches.  Tier step counts must divide the finest count.  The finest tier
     steps on the fine draws themselves, so its results equal a one-tier run at
-    the same seed.  threads is as in simulate_bounds.
+    the same seed.  threads caps the threads started, chunk workers and the
+    fill thread together (None: every CPU this process may run on); the
+    results do not depend on it.
     """
     return _simulate(model, p, tiers, m, seed, threads)
 
@@ -248,20 +226,20 @@ def _interp(rows: np.ndarray, slope: np.ndarray, j: np.ndarray, dx: np.ndarray) 
     return out
 
 
-def _gather(handles: list[DeltaRows], j: int) -> np.ndarray:
-    """Segment j's (L, K, n_s) delta rows of the K handles' strikes, in order;
+def _gather(tasks: list[BoundTask], j: int) -> np.ndarray:
+    """Segment j's (L, K, n_s) delta rows of the K tasks' strikes, in order;
     each source computes the segment once."""
-    sources = {id(h.source): h.source for h in handles}
+    sources = {id(t.source): t.source for t in tasks}
     segs = {key: source.segment_delta(j) for key, source in sources.items()}
-    return np.stack([segs[id(h.source)][:, h.index] for h in handles], axis=1)
+    return np.stack([segs[id(t.source)][:, t.index] for t in tasks], axis=1)
 
 
 class _Tier:
     """One tier's strikes, stacked, with their full-length (K, m) per-path values.
 
     Chunks write disjoint column slices, and each strike's statistics reduce
-    its contiguous row.  Each chunk gathers the delta rows it reads from
-    `deltas` a segment at a time.
+    its contiguous row.  Each chunk gathers the delta rows it reads from the
+    tasks' sources a segment at a time.
     """
 
     def __init__(self, tier: TierTask, m: int):
@@ -274,8 +252,8 @@ class _Tier:
         self.nodes = _Nodes(tasks[0].s_nodes)
         self.strikes = np.array([[task.payoff.strike] for task in tasks])  # (K, 1)
         self.levels = np.array([task.boundary_levels for task in tasks])   # (K, n_t + 1)
-        self.deltas = [task.delta_rows for task in tasks]
-        self.span = self.deltas[0].source.span
+        self.tasks = tasks
+        self.span = tasks[0].source.span
         k = len(tasks)
         self.lowval = np.zeros((k, m))          # payoff at the stopping time
         self.umax = np.full((k, m), -np.inf)    # running max of payoff minus martingale
@@ -286,16 +264,15 @@ class _Tier:
 
     def results(self) -> list[BoundsResult]:
         out = []
-        m = self.mart.shape[1]
         for k in range(len(self.mart)):
             low, se_low = _mean_se(self.lowval[k])
             up, se_up = _mean_se(self.umax[k])
             euro, se_euro = _mean_se(self.mart[k])
-            bounds = PriceBounds(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up, m=m)
             hit = run_max = None
             if self.tau is not None:
                 hit, run_max = float(self.tau[k].mean()), float(self.zmax[k].mean())
-            out.append(BoundsResult(bounds=bounds, european=euro, se_european=se_euro,
+            out.append(BoundsResult(a_minus=low, a_plus=up, se_minus=se_low, se_plus=se_up,
+                                    european=euro, se_european=se_euro,
                                     mean_hit_time=hit, mean_running_max=run_max))
         return out
 
@@ -362,7 +339,7 @@ class _TierChunk:
         disc = np.exp(-model.r * t)
         j = n // self.tier.span
         if j != self.j:
-            self.j, self.seg = j, _gather(self.tier.deltas, j)
+            self.j, self.seg = j, _gather(self.tier.tasks, j)
         rows = self.seg[n - j * self.tier.span]
         slope = _slopes(self.tier.nodes, rows)
         for c in self.blocks:

@@ -20,18 +20,18 @@ class ModelKind(Enum):
     BLACK_SCHOLES = "black-scholes"
 
 
-def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    if ndim is not None and out.ndim != ndim:
+def _frozen_array(a, ndim: int) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    if out.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {out.shape}")
     out.setflags(write=False)
     return out
 
 
-def check_psd(mat: np.ndarray, tol: float = PIVOT_TOL) -> None:
+def check_psd(mat: np.ndarray) -> None:
     """Check symmetric positive semi-definiteness through the eigenvalue pivots.
 
-    Raises ValueError when any pivot falls below -tol * scale; small negative
+    Raises ValueError when any pivot falls below -PIVOT_TOL * scale; small negative
     pivots beyond tolerance are a configuration error, never silently clipped.
     """
     sym = 0.5 * (mat + mat.T)
@@ -39,7 +39,7 @@ def check_psd(mat: np.ndarray, tol: float = PIVOT_TOL) -> None:
         raise ValueError("matrix has non-finite entries")
     ev = np.linalg.eigvalsh(sym)
     scale = max(1.0, float(ev[-1]))
-    if ev[0] < -tol * scale:
+    if ev[0] < -PIVOT_TOL * scale:
         raise ValueError(f"matrix is not positive semi-definite (min pivot {ev[0]:.3e})")
 
 
@@ -125,7 +125,7 @@ def put_value(strike, s, out=None):
     return np.maximum(np.subtract(strike, s, out=out), 0.0, out=out)
 
 
-def correlation_to_sigma(vols, corr, tol: float = PIVOT_TOL) -> np.ndarray:
+def correlation_to_sigma(vols, corr) -> np.ndarray:
     """Build the loading matrix diag(vols) @ chol(corr).
 
     corr must be a strictly positive definite correlation matrix; failure to
@@ -144,6 +144,6 @@ def correlation_to_sigma(vols, corr, tol: float = PIVOT_TOL) -> np.ndarray:
         g = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError as exc:
         raise ValueError("correlation matrix is not positive definite") from exc
-    if np.min(np.diag(g)) < np.sqrt(tol):
+    if np.min(np.diag(g)) < np.sqrt(PIVOT_TOL):
         raise ValueError("correlation matrix is numerically singular")
     return vols[:, None] * g

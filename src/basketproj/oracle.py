@@ -20,6 +20,7 @@ from .rng import normal_matrix
 N_PANELS = 16
 NODES_PER_PANEL = 32
 INTERVAL_STDS = 12.0
+MIN_BIN_COUNT = 50  # binned_conditional_vol drops bins with fewer samples
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,12 @@ def sample_exact(model: ModelSpec, t: float, m: int, seed: int) -> np.ndarray:
 
 
 def binned_conditional_vol(model: ModelSpec, p: Portfolio, t: float, m: int,
-                           bins: int, seed: int, min_count: int = 50) -> np.ndarray:
+                           bins: int, seed: int) -> np.ndarray:
     """Monte Carlo estimate of E[P b b^T P^T | P X(t) = s] on basket-value bins.
 
     Samples X(t) from its closed-form law so the estimate carries no
     time-stepping bias.  Returns rows (bin center, estimate, standard error);
-    bins holding fewer than min_count samples are dropped.
+    bins holding fewer than MIN_BIN_COUNT samples are dropped.
     """
     if m < 10_000:
         raise ValueError("need at least 10^4 samples for the binned estimator")
@@ -133,7 +134,7 @@ def binned_conditional_vol(model: ModelSpec, p: Portfolio, t: float, m: int,
     for b in range(bins):
         sel = idx == b
         n = int(sel.sum())
-        if n < min_count:
+        if n < MIN_BIN_COUNT:
             continue
         v = vals[sel]
         # report at the realized mean basket level, not the bin midpoint, so

@@ -5,8 +5,9 @@ sweep per time-step tier (every strike, American and European, with the
 boundary extracted as it goes and a checkpoint row kept per segment of
 levels) -> one coupled Monte Carlo pass that bounds every strike on every
 tier, the coarse tiers stepping on sums of the top tier's fine increments and
-each chunk recomputing the American delta segments it reads -> machine-readable
-CSV output.
+each chunk recomputing the American delta segments it reads (a strike's
+``mc.BoundTask`` names its tier's sweep and its row there) -> machine-readable
+CSV output, one row per strike and tier read off its flat ``mc.BoundsResult``.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ class RunReport:
     checks: list
     config_hash: str
     seed: int
-    version: str
     passed: bool
 
 
@@ -106,8 +106,8 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
 
 def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
     """Each strike's bound task: its American boundary and delta rows from the tier's sweep."""
-    return [mc.BoundTask(payoff=g, boundary_levels=sol.levels[k],
-                         delta_rows=mc.DeltaRows(sol, k), s_nodes=sol.grid.s_nodes)
+    return [mc.BoundTask(payoff=g, boundary_levels=sol.levels[k], source=sol, index=k,
+                         s_nodes=sol.grid.s_nodes)
             for k, g in enumerate(payoffs)]
 
 
@@ -214,14 +214,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -
     for n_t, ((hjb_a, hjb_e), results) in priced.items():
         doubled = priced.get(2 * n_t)
         for j, g in enumerate(payoffs):
-            b = results[j].bounds
+            res = results[j]
             bias_minus = bias_plus = None
             if doubled is not None:
-                bias_minus, bias_plus = mc.bias_estimate(b, doubled[1][j].bounds)
-            rows.append(ReportRow(strike=g.strike, n_t=n_t, m=b.m,
-                                  euro_mc=results[j].european, se_euro=results[j].se_european,
-                                  a_minus=b.a_minus, se_minus=b.se_minus,
-                                  a_plus=b.a_plus, se_plus=b.se_plus,
+                bias_minus, bias_plus = mc.bias_estimate(res, doubled[1][j])
+            rows.append(ReportRow(strike=g.strike, n_t=n_t, m=cfg.m_paths,
+                                  euro_mc=res.european, se_euro=res.se_european,
+                                  a_minus=res.a_minus, se_minus=res.se_minus,
+                                  a_plus=res.a_plus, se_plus=res.se_plus,
                                   bias_minus=bias_minus, bias_plus=bias_plus,
                                   hjb_american=hjb_a[j], hjb_european=hjb_e[j]))
     with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
@@ -234,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -
                       for r in rows)
     checks = [CheckResult("bound-ordering", ordering_ok, "A- <= A+ + z(se- + se+) on every row")]
     return RunReport(rows=rows, checks=checks, config_hash=chash, seed=cfg.seed,
-                     version=__version__, passed=ordering_ok)
+                     passed=ordering_ok)
 
 
 # -- convergence study --------------------------------------------------------
@@ -279,9 +279,9 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
         res, fine = by_nt[n_t], by_nt[2 * n_t]
         rows.append([
             n_t,
-            res.bounds.a_minus, res.bounds.se_minus,
-            res.bounds.a_plus, res.bounds.se_plus,
-            *mc.bias_estimate(res.bounds, fine.bounds),
+            res.a_minus, res.se_minus,
+            res.a_plus, res.se_plus,
+            *mc.bias_estimate(res, fine),
             abs(fine.mean_hit_time - res.mean_hit_time),
             abs(fine.mean_running_max - res.mean_running_max),
         ])
@@ -386,12 +386,11 @@ def check_bachelier_bracket() -> CheckResult:
     (value,), _ = hjb.value_at(sol, float(p.weights @ model.x0))
     res = mc.simulate_bounds(model, p, _bound_tasks(sol, [g]), n_t, m,
                              derive_seed(cfg.seed, "validate", n_t))[0]
-    b = res.bounds
-    mid = b.midpoint
-    tol = max(3.0 * (b.se_minus + b.se_plus), 0.02 * mid)
-    ok = (b.a_minus - tol) <= value <= (b.a_plus + tol)
+    mid = 0.5 * (res.a_minus + res.a_plus)
+    tol = max(3.0 * (res.se_minus + res.se_plus), 0.02 * mid)
+    ok = (res.a_minus - tol) <= value <= (res.a_plus + tol)
     return CheckResult("bachelier-bracket", ok,
-                       f"PDE value {value:.4f} vs bounds [{b.a_minus:.4f}, {b.a_plus:.4f}] "
+                       f"PDE value {value:.4f} vs bounds [{res.a_minus:.4f}, {res.a_plus:.4f}] "
                        f"(slack {tol:.4f})")
 
 

@@ -133,20 +133,20 @@ class CoefficientSurface:
             out = out * u + c[:, None]
         return out
 
-    def blend(self, t: np.ndarray, slice_b2) -> np.ndarray:
+    def blend(self, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Floored squared volatility at the (L,) times t, as (L, n) rows, from
-        slice_b2(i), the raw values of the slices i (an index array): eval_b2
-        computes them, the backward sweep takes them from its cache.  A time
-        outside [slice_times[0], slice_times[-1]] takes the nearest slice as
-        it is; one inside is linear between the two slices around it."""
+        rows, the (n_slices, n) raw slice values (slice_b2 of every slice):
+        eval_b2 computes them, the backward sweep caches them.  A time outside
+        [slice_times[0], slice_times[-1]] takes the nearest slice as it is; one
+        inside is linear between the two slices around it."""
         st = self.slice_times
         j = np.maximum(np.searchsorted(st, t, side="right") - 1, 0)
-        out = slice_b2(j)
+        out = rows[j]
         inside = (t > st[0]) & (t < st[-1])
         if inside.any():
             j = j[inside]
             w = ((t[inside] - st[j]) / (st[j + 1] - st[j]))[:, None]
-            out[inside] = (1.0 - w) * out[inside] + w * slice_b2(j + 1)
+            out[inside] = (1.0 - w) * out[inside] + w * rows[j + 1]
         return np.maximum(out, self.floor, out=out)
 
     def eval_b2(self, t: float, s) -> np.ndarray:
@@ -154,8 +154,8 @@ class CoefficientSurface:
         if t < -1e-12 or t > self.t_max * (1 + 1e-12):
             raise ValueError(f"t={t} outside [0, {self.t_max}]")
         s = np.asarray(s, dtype=float)
-        rows = self.blend(np.array([t], dtype=float), lambda i: self.slice_b2(i, s.ravel()))
-        return rows[0].reshape(s.shape)[()]
+        rows = self.slice_b2(np.arange(self.slice_times.size), s.ravel())
+        return self.blend(np.array([t], dtype=float), rows)[0].reshape(s.shape)[()]
 
     def save(self, path) -> None:
         """Plain-text table: header, then one row per slice

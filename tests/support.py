@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from basketproj import hjb
 from basketproj.density import LogIntegrands
-from basketproj.mc import BoundTask, DeltaRows, diffusion, step
+from basketproj.mc import BoundTask, diffusion, step
 from basketproj.projection import projected_vol_sq
 from basketproj.rng import normal_matrix
 from basketproj.surface import CoefficientSurface
@@ -107,12 +107,12 @@ def flat_task(payoff, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> B
     s_nodes = np.asarray(s_nodes, dtype=float)
     zeros = ArrayRows(np.zeros((n_t + 1, 1, s_nodes.size)))
     return BoundTask(payoff=payoff, boundary_levels=np.full(n_t + 1, level),
-                     delta_rows=DeltaRows(zeros, 0), s_nodes=s_nodes)
+                     source=zeros, index=0, s_nodes=s_nodes)
 
 
 def solved_tasks(sol: hjb.Sweep, payoffs) -> list[BoundTask]:
     """The pipeline's tasks for one tier's sweep: each strike's boundary and delta."""
-    return [BoundTask(payoff=g, boundary_levels=sol.levels[k], delta_rows=DeltaRows(sol, k),
+    return [BoundTask(payoff=g, boundary_levels=sol.levels[k], source=sol, index=k,
                       s_nodes=sol.grid.s_nodes) for k, g in enumerate(payoffs)]
 
 

@@ -138,7 +138,7 @@ def test_criterion_5_convergence_orders(tmp_path, bachelier5_model, bachelier5_p
     for seed in (101, 202):
         small = simulate_bounds(m, p, [task], n_t, 8000, seed=seed)[0]
         big = simulate_bounds(m, p, [task], n_t, 32_000, seed=seed + 1)[0]
-        ratios.append(small.bounds.se_minus / big.bounds.se_minus)
+        ratios.append(small.se_minus / big.se_minus)
     se_ok = all(1.6 <= r <= 2.4 for r in ratios)
     ok = slopes_ok and se_ok
     _report("5 (convergence orders)", ok,
@@ -170,10 +170,9 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     sol = hjb.solve(bsurf, [gb], bgrid)
     (task,) = solved_tasks(sol, [gb])
     res = simulate_bounds(m, p, [task], 512, 16_000, seed=derive_seed(2, "acc6"))[0]
-    b = res.bounds
     z = norm.ppf(0.975)
-    ordered = b.a_minus <= b.a_plus + z * (b.se_minus + b.se_plus)
-    details.append(f"A-={b.a_minus:.4f} <= A+={b.a_plus:.4f} + z se")
+    ordered = res.a_minus <= res.a_plus + z * (res.se_minus + res.se_plus)
+    details.append(f"A-={res.a_minus:.4f} <= A+={res.a_plus:.4f} + z se")
     assert ordered
 
     # payoff Lipschitz
@@ -210,7 +209,7 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
 
     # seed-stable reruns are bit-identical
     res2 = simulate_bounds(m, p, [task], 512, 16_000, seed=derive_seed(2, "acc6"))[0]
-    identical = (res2.bounds.a_minus == b.a_minus and res2.bounds.a_plus == b.a_plus
+    identical = (res2.a_minus == res.a_minus and res2.a_plus == res.a_plus
                  and res2.european == res.european)
     details.append("bit-identical rerun")
     assert identical

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from basketproj import hjb, mc
-from basketproj.mc import BoundTask, PriceBounds, bias_estimate, diffusion, simulate_bounds, step
+from basketproj.mc import BoundTask, BoundsResult, bias_estimate, diffusion, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import CHUNK, derive_seed, normal_matrix
 from support import basket_euler, confidence_interval, euler_states, flat_task, solved_tasks
@@ -19,6 +19,18 @@ from support import basket_euler, confidence_interval, euler_states, flat_task, 
 def _flat_run(model, p, g, n_t, level, n_paths, seed):
     """Bounds for a constant stopping level and a zero martingale."""
     return simulate_bounds(model, p, [flat_task(g, n_t, level)], n_t, n_paths, seed)[0]
+
+
+def _one_tier(model, p, tasks, n_t, n_paths, seed, *, threads):
+    """simulate_bounds under a thread cap: the coupled run with the one tier."""
+    return mc.simulate_tiers_coupled(model, p, [mc.TierTask(n_t=n_t, tasks=tasks)], n_paths,
+                                     seed, threads=threads)[0]
+
+
+def _bounds(a_minus, a_plus, se_minus, se_plus):
+    """A result with the given bounds and a zero European estimate."""
+    return BoundsResult(a_minus=a_minus, a_plus=a_plus, se_minus=se_minus, se_plus=se_plus,
+                        european=0.0, se_european=0.0, mean_hit_time=None, mean_running_max=None)
 
 
 class TestStep:
@@ -66,7 +78,7 @@ class TestDiscountedPayoff:
             return ModelSpec(kind=ModelKind.BACHELIER, r=r, sigma=[[0.0]], x0=[x0], T=t_mat)
 
         now = _flat_run(model(0.05, 90.0, 1.0), p, g, n_t, 1e12, 4, seed=1)
-        assert now.bounds.a_minus == 10.0  # stopped at t = 0, undiscounted
+        assert now.a_minus == 10.0  # stopped at t = 0, undiscounted
         assert _flat_run(model(0.0, 90.0, 3.0), p, g, n_t, -np.inf, 4, seed=1).european == 10.0
         x0 = 90.0 / (1.0 + 0.05 / n_t) ** n_t  # the Euler drift brings the basket to 90 at T
         late = _flat_run(model(0.05, x0, 1.0), p, g, n_t, -np.inf, 4, seed=1)
@@ -77,14 +89,14 @@ class TestLowerBound:
     def test_immediate_exercise(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
         res = _flat_run(m, p, PutPayoff(600.0), 64, 1e12, 500, seed=1)
-        assert res.bounds.a_minus == pytest.approx(100.0)
-        assert res.bounds.se_minus == 0.0
+        assert res.a_minus == pytest.approx(100.0)
+        assert res.se_minus == 0.0
         assert np.all(res.mean_hit_time == 0.0)
 
     def test_empty_boundary_degenerates_to_european(self, bachelier5_model, bachelier5_portfolio):
         m, p = bachelier5_model, bachelier5_portfolio
         res = _flat_run(m, p, PutPayoff(500.0), 64, -np.inf, 2000, seed=2)
-        assert res.bounds.a_minus == res.european
+        assert res.a_minus == res.european
         assert res.mean_hit_time == pytest.approx(m.T)
 
 
@@ -94,7 +106,7 @@ class TestUpperBound:
         g = PutPayoff(500.0)
         n_t = 64
         res = simulate_bounds(m, p, [flat_task(g, n_t)], n_t, 4000, seed=3)[0]
-        assert res.bounds.a_plus >= res.bounds.a_minus
+        assert res.a_plus >= res.a_minus
 
     def test_wrapper_matches_batched_run(self, bachelier5_model, bachelier5_portfolio,
                                          bachelier5_surface):
@@ -107,11 +119,11 @@ class TestUpperBound:
         payoffs = [g, PutPayoff(480.0)]
         task, other = solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
         upper_only = BoundTask(payoff=g, boundary_levels=np.full(129, -np.inf),
-                               delta_rows=task.delta_rows, s_nodes=task.s_nodes)
+                               source=task.source, index=task.index, s_nodes=task.s_nodes)
         solo = simulate_bounds(m, p, [upper_only], 128, 4000, seed=55)[0]
         combined = simulate_bounds(m, p, [task, other], 128, 4000, seed=55)[0]
-        assert solo.bounds.a_plus == combined.bounds.a_plus
-        assert solo.bounds.se_plus == combined.bounds.se_plus
+        assert solo.a_plus == combined.a_plus
+        assert solo.se_plus == combined.se_plus
 
     def test_deterministic_model_exact(self):
         m = ModelSpec(kind=ModelKind.BACHELIER, r=0.05, sigma=np.zeros((2, 2)),
@@ -123,8 +135,8 @@ class TestUpperBound:
         res = _flat_run(m, p, g, n_t, -np.inf, 10, seed=4)
         s_path = 200.0 * (1 + 0.05 * dt) ** np.arange(n_t + 1)
         expect = np.max(np.exp(-0.05 * dt * np.arange(n_t + 1)) * np.maximum(260.0 - s_path, 0.0))
-        assert res.bounds.a_plus == pytest.approx(expect, rel=1e-14)
-        assert res.bounds.se_plus == 0.0
+        assert res.a_plus == pytest.approx(expect, rel=1e-14)
+        assert res.se_plus == 0.0
 
 
 class TestStatistics:
@@ -135,7 +147,7 @@ class TestStatistics:
         assert hi == pytest.approx(1.959964, abs=1e-6)
 
     def test_interval_on_bounds(self):
-        b = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.2, m=100)
+        b = _bounds(5.0, 6.0, 0.1, 0.2)
         lo = confidence_interval(b.a_minus, b.se_minus, 0.95)[0]
         hi = confidence_interval(b.a_plus, b.se_plus, 0.95)[1]
         assert lo == pytest.approx(5.0 - 1.959964 * 0.1, abs=1e-5)
@@ -148,12 +160,12 @@ class TestStatistics:
         for seed in (10, 11, 12):
             small = _flat_run(m, p, g, 128, -np.inf, 4000, seed=seed)
             big = _flat_run(m, p, g, 128, -np.inf, 16000, seed=seed + 100)
-            ratios.append(small.bounds.se_minus / big.bounds.se_minus)
+            ratios.append(small.se_minus / big.se_minus)
         assert all(1.6 <= r <= 2.4 for r in ratios)
 
     def test_bias_estimate(self):
-        b1 = PriceBounds(a_minus=5.0, a_plus=6.0, se_minus=0.1, se_plus=0.1, m=100)
-        b2 = PriceBounds(a_minus=5.2, a_plus=5.9, se_minus=0.1, se_plus=0.1, m=100)
+        b1 = _bounds(5.0, 6.0, 0.1, 0.1)
+        b2 = _bounds(5.2, 5.9, 0.1, 0.1)
         assert bias_estimate(b1, b2) == (pytest.approx(0.2), pytest.approx(0.1))
         assert bias_estimate(b1, b1) == (0.0, 0.0)
 
@@ -179,8 +191,8 @@ class TestReproducibility:
         g = PutPayoff(500.0)
         a = _flat_run(m, p, g, 64, 450.0, 3000, seed=42)
         b = _flat_run(m, p, g, 64, 450.0, 3000, seed=42)
-        assert a.bounds.a_minus == b.bounds.a_minus
-        assert a.bounds.a_plus == b.bounds.a_plus
+        assert a.a_minus == b.a_minus
+        assert a.a_plus == b.a_plus
         assert a.european == b.european
 
     def test_path_draws_independent_of_batch_size(self):
@@ -254,9 +266,8 @@ class TestOrderingAndConsistency:
     def test_bound_ordering(self, bachelier5_model, bachelier5_portfolio, bachelier5_surface, seed):
         res, _ = self._bachelier_run(bachelier5_model, bachelier5_portfolio, 256, 8000,
                                      seed, bachelier5_surface)
-        b = res.bounds
         z = 1.959964
-        assert b.a_minus <= b.a_plus + z * (b.se_minus + b.se_plus)
+        assert res.a_minus <= res.a_plus + z * (res.se_minus + res.se_plus)
 
     def test_european_mc_matches_pde(self, bachelier5_model, bachelier5_portfolio, bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
@@ -274,10 +285,9 @@ class TestOrderingAndConsistency:
         # exact projection: the PDE American value is the true price
         m, p = bachelier5_model, bachelier5_portfolio
         res, sol = self._bachelier_run(m, p, 1024, 32_000, 5, bachelier5_surface)
-        b = res.bounds
         (value,), _ = hjb.value_at(sol, 500.0)
-        slack = 3 * (b.se_minus + b.se_plus) + 0.02 * b.midpoint
-        assert b.a_minus - slack <= value <= b.a_plus + slack
+        slack = 3 * (res.se_minus + res.se_plus) + 0.02 * 0.5 * (res.a_minus + res.a_plus)
+        assert res.a_minus - slack <= value <= res.a_plus + slack
 
 
 class TestCoupledTiers:
@@ -294,13 +304,13 @@ class TestCoupledTiers:
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
             (task,) = solved_tasks(hjb.solve(surf, [g], grid), [g])
             assert np.isfinite(task.boundary_levels).any()
-            assert np.any(task.delta_rows.source.segment_delta(0) != 0.0)
+            assert np.any(task.source.segment_delta(0) != 0.0)
         plain = simulate_bounds(m, p, [task], n_t, 1000, seed=9)[0]
         tiers = mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=n_t, tasks=[task])],
                                           1000, seed=9)
         coup = tiers[0][0]
-        assert coup.bounds.a_minus == plain.bounds.a_minus
-        assert coup.bounds.a_plus == plain.bounds.a_plus
+        assert coup.a_minus == plain.a_minus
+        assert coup.a_plus == plain.a_plus
         assert coup == plain  # every field, the bounds' standard errors included
 
     def test_coupled_difference_has_low_variance(self, bachelier5_model, bachelier5_portfolio):
@@ -325,8 +335,8 @@ class TestCoupledTiers:
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
             tiers.append(mc.TierTask(n_t=n_t, tasks=solved_tasks(hjb.solve(surf, [g], grid), [g])))
         out = mc.simulate_tiers_coupled(m, p, tiers, 16_000, seed=71)
-        gaps = [res[0].bounds.a_plus - res[0].bounds.a_minus for res in out]
-        ses = [np.hypot(res[0].bounds.se_minus, res[0].bounds.se_plus) for res in out]
+        gaps = [res[0].a_plus - res[0].a_minus for res in out]
+        ses = [np.hypot(res[0].se_minus, res[0].se_plus) for res in out]
         for i in range(len(gaps) - 1):
             assert gaps[i + 1] <= gaps[i] + ses[i] + ses[i + 1]
 
@@ -354,7 +364,7 @@ class TestCoupledTiers:
         tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes)) for n in (16, 32, 64)]
         assert np.isfinite(tiers[-1].tasks[1].boundary_levels).any()
         coupled = mc.simulate_tiers_coupled(m, p, tiers, n_paths, seed, threads=threads)
-        alone = simulate_bounds(m, p, tiers[-1].tasks, 64, n_paths, seed, threads=threads)
+        alone = _one_tier(m, p, tiers[-1].tasks, 64, n_paths, seed, threads=threads)
         assert coupled[-1] == alone  # every BoundsResult field of every strike
         assert coupled[0] != alone
 
@@ -435,15 +445,14 @@ class TestChunkParallelKernel:
 
     M = CHUNK + 1000
 
-    def test_simulate_bounds_workers_agree(self, bachelier5_model, bachelier5_portfolio,
-                                           bachelier5_surface):
+    def test_single_tier_workers_agree(self, bachelier5_model, bachelier5_portfolio,
+                                       bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
         tasks = _tasks(m, bachelier5_surface[0], 16)
         assert np.isfinite(tasks[1].boundary_levels).any()
-        one = simulate_bounds(m, p, tasks, 16, self.M, seed=21, threads=1)
-        two = simulate_bounds(m, p, tasks, 16, self.M, seed=21, threads=2)
+        one = _one_tier(m, p, tasks, 16, self.M, seed=21, threads=1)
+        two = _one_tier(m, p, tasks, 16, self.M, seed=21, threads=2)
         assert one == two  # every BoundsResult field
-        assert one[0].bounds.m == self.M
 
     def test_coupled_tiers_workers_agree(self, bachelier5_model, bachelier5_portfolio,
                                          bachelier5_surface):
@@ -461,10 +470,10 @@ class TestChunkParallelKernel:
         # those of one pass of the basket recursion over all paths at once
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
-        res = simulate_bounds(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
+        res = _one_tier(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
         z = np.exp(-m.r * m.T) * g(basket_euler(m, p, 23, self.M, 16))
         assert res.european == float(z.mean())
-        assert res.bounds.a_minus == res.european  # nothing stops before maturity
+        assert res.a_minus == res.european  # nothing stops before maturity
 
     def test_black_scholes_european_matches_path_by_path_reference(self, bs3d_model,
                                                                    bs3d_portfolio):
@@ -472,11 +481,11 @@ class TestChunkParallelKernel:
         # (T / n_t is exact here)
         m, p = bs3d_model, bs3d_portfolio
         g = PutPayoff(300.0)
-        res = simulate_bounds(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
+        res = _one_tier(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
         *_, x_t = euler_states(m, 23, self.M, np.linspace(0.0, m.T, 17))
         z = np.exp(-m.r * m.T) * g(x_t @ p.weights)
         assert res.european == float(z.mean())
-        assert res.bounds.a_minus == res.european
+        assert res.a_minus == res.european
 
     def test_each_chunk_recomputes_its_segments(self, bachelier5_model, bachelier5_portfolio,
                                                 bachelier5_surface, monkeypatch):
@@ -508,7 +517,7 @@ class TestChunkParallelKernel:
         surf, _ = bachelier5_surface
         task = _tasks(m, surf, 16, (500.0,))[0]
         other = BoundTask(payoff=task.payoff, boundary_levels=task.boundary_levels,
-                          delta_rows=task.delta_rows, s_nodes=task.s_nodes + 1.0)
+                          source=task.source, index=task.index, s_nodes=task.s_nodes + 1.0)
         with pytest.raises(ValueError, match="n_t=16"):
             simulate_bounds(m, p, [task, other], 16, 100, seed=1)
 
@@ -526,7 +535,7 @@ class TestStackedStrikes:
         # an always-empty region that keeps its delta, and a flat stop level
         empty = BoundTask(payoff=PutPayoff(strikes[0] + 5.0),
                           boundary_levels=np.full(17, -np.inf),
-                          delta_rows=solved[0].delta_rows, s_nodes=grid.s_nodes)
+                          source=solved[0].source, index=solved[0].index, s_nodes=grid.s_nodes)
         flat = flat_task(PutPayoff(strikes[-1]), 16, strikes[-1] - 20.0, grid.s_nodes)
         return solved + [empty, flat]
 
@@ -536,10 +545,10 @@ class TestStackedStrikes:
         m, p, surf, strikes = _case(request, kind)
         tasks = self._tasks(m, p, surf, strikes)
         assert np.isfinite(tasks[1].boundary_levels).any()
-        together = simulate_bounds(m, p, tasks, 16, self.M, seed=41, threads=threads)
+        together = _one_tier(m, p, tasks, 16, self.M, seed=41, threads=threads)
         assert mc.BLOCK_ROWS < CHUNK and len(together) == len(tasks)
         for task, res in zip(tasks, together):
-            alone, = simulate_bounds(m, p, [task], 16, self.M, seed=41, threads=threads)
+            alone, = _one_tier(m, p, [task], 16, self.M, seed=41, threads=threads)
             assert res == alone  # every BoundsResult field
 
 
@@ -578,8 +587,8 @@ class TestRunAheadFill:
         m, p = bs3d_model, bs3d_portfolio
         tasks = _tasks(m, bs3d_surface[0], 16, (290.0, 300.0))
         assert np.isfinite(tasks[1].boundary_levels).any()
-        ahead = simulate_bounds(m, p, tasks, 16, CHUNK, seed=32, threads=2)
-        inline = simulate_bounds(m, p, tasks, 16, CHUNK, seed=32, threads=1)
+        ahead = _one_tier(m, p, tasks, 16, CHUNK, seed=32, threads=2)
+        inline = _one_tier(m, p, tasks, 16, CHUNK, seed=32, threads=1)
         assert pools == [1]
         assert ahead == inline
 
@@ -589,9 +598,9 @@ class TestRunAheadFill:
         # a whole chunk beside a tail, or a part chunk alone: no fill thread
         m, p = bachelier5_model, bachelier5_portfolio
         tasks = _tasks(m, bachelier5_surface[0], 16)
-        four = simulate_bounds(m, p, tasks, 16, paths, seed=33, threads=4)
+        four = _one_tier(m, p, tasks, 16, paths, seed=33, threads=4)
         assert pools == made  # the chunk workers' pool, if two chunks
-        one = simulate_bounds(m, p, tasks, 16, paths, seed=33, threads=1)
+        one = _one_tier(m, p, tasks, 16, paths, seed=33, threads=1)
         assert four == one
 
     @staticmethod
@@ -639,8 +648,8 @@ class TestRunAheadFill:
         before = threading.active_count()
         tasks = [flat_task(PutPayoff(500.0), 16, 450.0)]
         with pytest.raises(RuntimeError, match="fill failed at step 3"):
-            simulate_bounds(bachelier5_model, bachelier5_portfolio, tasks, 16, CHUNK, seed=34,
-                            threads=threads)
+            _one_tier(bachelier5_model, bachelier5_portfolio, tasks, 16, CHUNK, seed=34,
+                      threads=threads)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("where", ["own draw", "advance"])
@@ -671,9 +680,8 @@ class TestRunAheadFill:
         monkeypatch.setattr(mc._TierChunk, "advance", failing_advance)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{where} failed"):
-            simulate_bounds(bachelier5_model, bachelier5_portfolio,
-                            [flat_task(PutPayoff(500.0), 16, 450.0)], 16, CHUNK, seed=34,
-                            threads=2)
+            _one_tier(bachelier5_model, bachelier5_portfolio,
+                      [flat_task(PutPayoff(500.0), 16, 450.0)], 16, CHUNK, seed=34, threads=2)
         assert threading.active_count() == before
         assert late == []  # no queued step started after the failure
 
@@ -708,9 +716,9 @@ class TestRunAheadFill:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
         tasks = [flat_task(PutPayoff(500.0), 8, 450.0)]
-        res = simulate_bounds(bachelier5_model, bachelier5_portfolio, tasks, 8, CHUNK + 1000,
-                              seed=35, threads=1)
-        assert res[0].bounds.m == CHUNK + 1000
+        res = _one_tier(bachelier5_model, bachelier5_portfolio, tasks, 8, CHUNK + 1000,
+                        seed=35, threads=1)
+        assert len(res) == 1 and np.isfinite(res[0].a_minus)
 
     def test_worker_count_without_affinity_or_cpu_count(self, bachelier5_model,
                                                         bachelier5_portfolio, monkeypatch):
@@ -720,4 +728,4 @@ class TestRunAheadFill:
         assert mc._worker_count(3) == 3
         res = simulate_bounds(bachelier5_model, bachelier5_portfolio,
                               [flat_task(PutPayoff(500.0), 8)], 8, 100, seed=36)
-        assert res[0].bounds.m == 100
+        assert len(res) == 1 and np.isfinite(res[0].a_minus)

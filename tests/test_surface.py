@@ -180,7 +180,7 @@ class TestTwoSliceEval:
                                             np.linspace(0.0, surf.t_max, 37))))
             ss = np.linspace(surf.s_min, surf.s_max, 57)
             slices = surf.slice_b2(np.arange(st.size), ss)
-            rows = surf.blend(times, slices.__getitem__)
+            rows = surf.blend(times, slices)
             assert np.array_equal(rows, [all_slice_b2(surf, float(t), ss) for t in times])
 
 
