@@ -13,7 +13,7 @@ from .hjb import ExerciseBoundary, Grid, Sweep, exercise_boundary, make_grid, so
 from .mc import BoundTask, BoundsResult, bias_estimate, diffusion, simulate_bounds, step
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
 from .oracle import binned_conditional_vol, binomial_american_put_1d, quadrature_projected_vol
-from .projection import LaplacePoint, NewtonError, newton_maximize, projected_vol_sq
+from .projection import LaplacePoint, newton_maximize, projected_vol_sq
 from .surface import CoefficientSurface, Envelope, build_surface, estimate_envelope, fit_surface
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "ModelKind", "ModelSpec", "Portfolio", "PutPayoff",
     "correlation_to_sigma",
     "ExpansionCoords", "LogIntegrands", "chart",
-    "LaplacePoint", "NewtonError", "newton_maximize", "projected_vol_sq",
+    "LaplacePoint", "newton_maximize", "projected_vol_sq",
     "CoefficientSurface", "Envelope", "build_surface", "estimate_envelope", "fit_surface",
     "Grid", "Sweep", "ExerciseBoundary",
     "make_grid", "solve", "exercise_boundary", "value_at",

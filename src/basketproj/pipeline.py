@@ -24,7 +24,7 @@ from . import __version__, hjb, mc, oracle, surface as surface_mod
 from .config import ConfigError, ExperimentConfig, config_hash, serialize_config
 from .density import ExpansionCoords
 from .model import ModelSpec, Portfolio, PutPayoff
-from .projection import NewtonError, projected_vol_sq
+from .projection import projected_vol_sq
 from .rng import derive_seed
 
 log = logging.getLogger(__name__)
@@ -167,10 +167,7 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
     # a failed level is NaN, so its checks fail and show it
     (lap_price,), _ = projected_vol_sq(model, p, t, np.array([s]), coords=ExpansionCoords.PRICE)
     (lap_log,), _ = projected_vol_sq(model, p, t, np.array([s]), coords=ExpansionCoords.LOG_PRICE)
-    try:
-        quad = oracle.quadrature_projected_vol(model, p, t, s)
-    except NewtonError:
-        quad = np.nan
+    quad = oracle.quadrature_projected_vol(model, p, t, s)
     return [
         CheckResult("laplace-price", abs(lap_price - 200.99) <= 0.05,
                     f"projected vol^2 (price coords) = {lap_price:.5f}, target 200.99 +- 0.05"),

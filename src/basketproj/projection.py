@@ -28,18 +28,13 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 
 
-class NewtonError(RuntimeError):
-    """The quadrature oracle's Newton maximization failed; a stack reports failures instead."""
-
-
 @dataclass(frozen=True)
 class NewtonResult:
     """Maximizers of a stack; a failed row is NaN and named in failures."""
 
     z: np.ndarray             # (n, m)
     value: np.ndarray         # (n,)
-    hess: np.ndarray          # (n, m, m)
-    logdet: np.ndarray        # (n,) log det(-hess), from the Cholesky factor that proves -hess > 0
+    logdet: np.ndarray        # (n,) log det(-H) at z, from the Cholesky factor that proves -H > 0
     iterations: np.ndarray    # (n,) Newton steps per row
     failures: dict            # row -> reason
 
@@ -113,8 +108,8 @@ def newton_maximize(derivs, s: np.ndarray, z0: np.ndarray) -> NewtonResult:
     logdet[done], indefinite = _logdet_neg(hess[done])
     fail(done[indefinite], "Hessian not negative definite at the terminal point")
     bad = list(failures)
-    z[bad], val[bad], hess[bad], logdet[bad] = np.nan, np.nan, np.nan, np.nan
-    return NewtonResult(z=z, value=val, hess=hess, logdet=logdet, iterations=iterations,
+    z[bad], val[bad], logdet[bad] = np.nan, np.nan, np.nan
+    return NewtonResult(z=z, value=val, logdet=logdet, iterations=iterations,
                         failures=dict(sorted(failures.items())))
 
 

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from basketproj.density import ExpansionCoords
-from basketproj.model import ModelKind, ModelSpec, Portfolio
-from basketproj.oracle import (QuadratureSpec, binned_conditional_vol,
-                               binomial_american_put_1d, quadrature_projected_vol,
-                               sample_exact)
+from basketproj import oracle
+from basketproj.model import ModelKind, ModelSpec, Portfolio, correlation_to_sigma
+from basketproj.oracle import (binned_conditional_vol, binomial_american_put_1d,
+                               quadrature_projected_vol, sample_exact)
 from basketproj.rng import derive_seed
 from support import vol_sq_at
+
+STRESS_C_LEVELS = (40.0, 120.0, 200.0, 300.0, 500.0)
+
+
+def stress_c(vols=(0.9, 0.3)):
+    """Two assets at 100, correlation 0.3, r = 0.05, T = 3: a skewed hyperplane law."""
+    return ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.05,
+                     sigma=correlation_to_sigma(list(vols), [[1.0, 0.3], [0.3, 1.0]]),
+                     x0=[100.0, 100.0], T=3.0)
 
 
 class TestQuadrature:
@@ -15,20 +23,29 @@ class TestQuadrature:
         got = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0)
         assert got == pytest.approx(200.98, abs=0.02)
 
-    def test_coordinate_invariance(self, appendix_model, appendix_portfolio):
-        a = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                     coords=ExpansionCoords.PRICE)
-        b = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                     coords=ExpansionCoords.LOG_PRICE)
-        assert abs(a - b) <= 1e-6 * abs(a)
+    def test_asset_order_invariance(self, appendix_portfolio):
+        # the law does not know the asset order, so neither may its reference
+        for s in STRESS_C_LEVELS:
+            a = quadrature_projected_vol(stress_c((0.9, 0.3)), appendix_portfolio, 3.0, s)
+            b = quadrature_projected_vol(stress_c((0.3, 0.9)), appendix_portfolio, 3.0, s)
+            assert abs(a - b) <= 1e-12 * abs(a), s
 
-    def test_node_doubling_invariance(self, appendix_model, appendix_portfolio):
-        base = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                        coords=ExpansionCoords.PRICE)
-        spec = QuadratureSpec(lo=30.0, hi=170.0, panels=16, nodes_per_panel=64)
-        fine = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                        spec=spec, coords=ExpansionCoords.PRICE)
-        assert abs(base - fine) <= 1e-6 * abs(base)
+    def _on_reference_points(self, appendix_model, appendix_portfolio):
+        points = [(appendix_model, 1.0, 200.0)] + [(stress_c(), 3.0, s) for s in STRESS_C_LEVELS]
+        return [quadrature_projected_vol(m, appendix_portfolio, t, s) for m, t, s in points]
+
+    def test_node_halving_invariance(self, appendix_model, appendix_portfolio, monkeypatch):
+        base = self._on_reference_points(appendix_model, appendix_portfolio)
+        monkeypatch.setattr(oracle, "U_NODES", (oracle.U_NODES + 1) // 2)
+        coarse = self._on_reference_points(appendix_model, appendix_portfolio)
+        assert np.allclose(coarse, base, rtol=1e-14, atol=0.0)
+
+    def test_interval_doubling_invariance(self, appendix_model, appendix_portfolio, monkeypatch):
+        base = self._on_reference_points(appendix_model, appendix_portfolio)
+        monkeypatch.setattr(oracle, "U_HALF_WIDTH", 2.0 * oracle.U_HALF_WIDTH)
+        monkeypatch.setattr(oracle, "U_NODES", 2 * oracle.U_NODES - 1)  # the same spacing
+        wide = self._on_reference_points(appendix_model, appendix_portfolio)
+        assert np.allclose(wide, base, rtol=1e-14, atol=0.0)
 
     def test_bachelier_2d_exact(self):
         m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0, sigma=np.diag([20.0, 25.0]),
@@ -46,11 +63,11 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature_projected_vol(bs3d_model, bs3d_portfolio, 0.5, 300.0)
 
-    def test_interval_must_contain_mode(self, appendix_model, appendix_portfolio):
-        spec = QuadratureSpec(lo=150.0, hi=190.0)
-        with pytest.raises(ValueError):
-            quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0,
-                                     spec=spec, coords=ExpansionCoords.PRICE)
+    def test_requires_positive_weights_and_level(self, appendix_model, appendix_portfolio):
+        with pytest.raises(ValueError, match="positive weights"):
+            quadrature_projected_vol(appendix_model, Portfolio([1.0, -1.0]), 1.0, 50.0)
+        with pytest.raises(ValueError, match="s > 0"):
+            quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 0.0)
 
 
 class TestBinomial:

@@ -25,9 +25,6 @@ PACKAGE = ROOT / "src" / "basketproj"
 UNPASSED_DEFAULTS = {
     # the console script calls main() with no argument; the tests pass argument lists
     "cli.main": {"argv"},
-    # the tests vary the reference's rule and coordinates to check the reference
-    # itself (node doubling, coordinate invariance)
-    "oracle.quadrature_projected_vol": {"spec", "coords"},
 }
 
 
