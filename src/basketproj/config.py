@@ -114,8 +114,12 @@ class ExperimentConfig:
         if not self.strikes:
             raise ConfigError("at least one strike is required")
         tiers = list(self.nt_tiers)
+        if not tiers or not all(isinstance(n_t, int) and n_t > 0 for n_t in tiers):
+            raise ConfigError(f"nt_tiers must be positive integers, got {self.nt_tiers!r}")
         if any(b <= a for a, b in zip(tiers, tiers[1:])):
             raise ConfigError("nt_tiers must be strictly increasing")
+        if self.m_paths < 1:
+            raise ConfigError(f"m_paths must be at least 1, got {self.m_paths}")
         if self.sigma is None and self.vols is None:
             raise ConfigError("provide either sigma or vols+correlation")
         if self.vols is not None and self.correlation is None:

@@ -1,10 +1,12 @@
 """Transition densities and hyperplane-restricted log-integrands.
 
 The projected squared volatility is a ratio of two integrals over the
-hyperplane {P x = s}.  This module supplies the closed-form log densities of
-the forward process, the affine chart that eliminates one coordinate, and the
-two log-integrands (density alone, density times the basket quadratic form)
-with exact gradients and Hessians in price or log-price coordinates.
+hyperplane {P x = s}.  This module supplies the Gaussian transition law of
+the forward process (either model), the affine chart that eliminates one
+coordinate, and the two log-integrands of a Black-Scholes model (density
+alone, density times the basket quadratic form) with exact gradients and
+Hessians in price or log-price coordinates.  A Bachelier model needs no
+integral: its projected coefficient is the constant quadratic form.
 
 Shapes: one LogIntegrands serves one time t.  Its integrands take a stack of
 n basket levels s, shape (n,), and chart points z, shape (n, d-1), one row
@@ -132,39 +134,29 @@ def transition_law(model: ModelSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 class LogIntegrands:
     """f = log(density * PbbtP), ftilde = log(density), on the chart coordinates
-    of every hyperplane {P x = s} at one time t.
+    of every hyperplane {P x = s} at one time t, for a Black-Scholes model.
 
-    Gradients and Hessians are exact for both model kinds.  In log-price
-    coordinates the change-of-variables Jacobian is part of the integrand, so
-    that integrals (and their Laplace approximations) refer to the same
-    underlying surface integral as in price coordinates.  Each method takes
-    basket levels s (n,) and chart points z (n, d-1); see the module docstring.
+    Gradients and Hessians are exact.  In log-price coordinates the
+    change-of-variables Jacobian is part of the integrand, so that integrals
+    (and their Laplace approximations) refer to the same underlying surface
+    integral as in price coordinates.  Each method takes basket levels s (n,)
+    and chart points z (n, d-1); see the module docstring.
     """
 
-    def __init__(self, model: ModelSpec, p: Portfolio, t: float, coords=None):
-        """coords: an ExpansionCoords or its value; None picks log-price for
-        Black-Scholes and price for Bachelier."""
+    def __init__(self, model: ModelSpec, p: Portfolio, t: float,
+                 coords: ExpansionCoords = ExpansionCoords.LOG_PRICE):
+        if model.kind is ModelKind.BACHELIER:
+            raise ValueError("Bachelier's coefficient is exact; projected_vol_sq returns it")
         if not t > 0:
             raise ValueError("t must be positive")
-        if coords is None:
-            coords = ExpansionCoords.PRICE if model.kind is ModelKind.BACHELIER else ExpansionCoords.LOG_PRICE
-        coords = ExpansionCoords(coords)
-        if coords is ExpansionCoords.LOG_PRICE and model.kind is ModelKind.BACHELIER:
-            raise ValueError("log-price coordinates undefined for Bachelier (prices may be negative)")
         self.model = model
         self.portfolio = p
-        self.t = float(t)
         self.coords = coords
         self.chart = chart(p)
         self._omega = model.omega
-        # the transition law of the state (Bachelier) or of its log-returns
-        # (Black-Scholes); the Newton start conditions it on the basket
+        # the transition law of the log-returns; the Newton start conditions it on the basket
         self.gauss = _Gaussian(*transition_law(model, t))
-        if model.kind is ModelKind.BACHELIER:
-            row = p.weights @ model.sigma
-            self._const_q = float(row @ row)
-        else:
-            self._d2q = 2.0 * np.outer(p.weights, p.weights) * self._omega
+        self._d2q = 2.0 * np.outer(p.weights, p.weights) * self._omega
         self._cinv = self.gauss.inv()
         if coords is ExpansionCoords.LOG_PRICE:
             self._log_x0_free = np.sum(np.log(model.x0[self.chart.free]))
@@ -178,12 +170,8 @@ class LogIntegrands:
 
     def _defined(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of x where the log density is defined, and the Gaussian's
-        argument there: x itself (Bachelier) or the log-returns."""
-        ok = np.all(np.isfinite(x), axis=1)
-        if self.model.kind is ModelKind.BACHELIER:
-            rows = np.flatnonzero(ok)
-            return rows, x[rows]
-        rows = np.flatnonzero(ok & np.all(x > 0.0, axis=1))
+        argument there, the log-returns."""
+        rows = np.flatnonzero(np.all(np.isfinite(x) & (x > 0.0), axis=1))
         y = np.log(x[rows] / self.model.x0)
         keep = np.all(np.isfinite(y), axis=1)
         return rows[keep], y[keep]
@@ -191,22 +179,17 @@ class LogIntegrands:
     def _logphi_parts(self, x: np.ndarray, y: np.ndarray):
         """Value, gradient and Hessian of log density in x, y as from _defined."""
         val, a = self.gauss.logpdf_alpha(y)
-        n, d = x.shape
-        if self.model.kind is ModelKind.BACHELIER:
-            return val, -a, np.repeat(-self._cinv[None], n, axis=0)
         val -= np.sum(np.log(x), axis=1)
         grad = -(a + 1.0) / x
         hess = x[:, :, None] * x[:, None, :]  # stacks are formed in place to bound peak memory
         np.divide(-self._cinv, hess, out=hess)
-        diag = np.arange(d)
+        diag = np.arange(x.shape[1])
         hess[:, diag, diag] += (a + 1.0) / x**2
         return val, grad, hess
 
     def _logq_parts(self, x: np.ndarray):
         """Rows with a positive basket quadratic form q = P b b^T P^T, and the
         value, gradient and Hessian of log q in x on those rows."""
-        if self.model.kind is ModelKind.BACHELIER:
-            return np.ones(x.shape[0], dtype=bool), np.log(self._const_q), 0.0, 0.0
         pw = self.portfolio.weights
         v = pw * x
         ov = matvec(self._omega, v)

@@ -86,7 +86,7 @@ class _System:
         self.g = np.array([p(grid.s_nodes) for p in payoffs])
         self.conv = surf.r * interior / (2.0 * grid.ds)
         # every slice's polynomial at the interior nodes, once per sweep
-        self.slices = surf.slice_b2(np.arange(surf.slice_times.size), interior)
+        self.slices = surf.slice_b2(interior)
         self.warned = False
 
     def coefficients(self, lo: int, top: int):

@@ -24,7 +24,7 @@ from . import __version__, hjb, mc, oracle, surface as surface_mod
 from .config import ConfigError, ExperimentConfig, config_hash, serialize_config
 from .density import ExpansionCoords
 from .model import ModelSpec, Portfolio, PutPayoff
-from .projection import projected_vol_sq
+from .projection import laplace_point, projected_vol_sq
 from .rng import derive_seed
 
 log = logging.getLogger(__name__)
@@ -165,8 +165,8 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
     """Laplace and quadrature values of the hand-checkable 2d case, both coordinate systems."""
     t, s = 1.0, 200.0
     # a failed level is NaN, so its checks fail and show it
-    (lap_price,), _ = projected_vol_sq(model, p, t, np.array([s]), coords=ExpansionCoords.PRICE)
-    (lap_log,), _ = projected_vol_sq(model, p, t, np.array([s]), coords=ExpansionCoords.LOG_PRICE)
+    (lap_price,) = laplace_point(model, p, t, [s], ExpansionCoords.PRICE).value
+    (lap_log,) = laplace_point(model, p, t, [s], ExpansionCoords.LOG_PRICE).value
     quad = oracle.quadrature_projected_vol(model, p, t, s)
     return [
         CheckResult("laplace-price", abs(lap_price - 200.99) <= 0.05,

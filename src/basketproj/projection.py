@@ -3,8 +3,9 @@
 The surrogate basket SDE has drift r*s exactly; its squared volatility is the
 conditional expectation of the basket quadratic form, approximated here by the
 ratio of two Laplace-approximated hyperplane integrals.  The Bachelier model
-bypasses the approximation: the conditional expectation is the constant
-quadratic form itself.
+bypasses the approximation in projected_vol_sq: the conditional expectation
+is the constant quadratic form itself, so newton_start and laplace_point take
+Black-Scholes models only.
 
 Shapes and failures: newton_start, laplace_point and projected_vol_sq take
 a 1-D array of basket levels s, all at one time t, as one stack: each Newton
@@ -147,46 +148,39 @@ def _logdet_neg(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def newton_start(li: LogIntegrands, s: np.ndarray) -> tuple[np.ndarray, dict]:
     """Interior Newton starts: conditional-mean points of the integrands' Gaussian.
 
-    Bachelier conditions the exact Gaussian on the basket; Black-Scholes
-    conditions the Gaussian log-returns on the linearized basket constraint.
-    Returns the starts (n, d-1) and {index: reason}, NaN at the levels with
-    no interior start.
+    The Gaussian log-returns are conditioned on the linearized basket
+    constraint.  Returns the starts (n, d-1) and {index: reason}, NaN at the
+    levels with no interior start.
     """
     model, ch, g = li.model, li.chart, li.gauss
     levels = np.asarray(s, dtype=float)
     w = li.portfolio.weights
-    failed = np.zeros(levels.size, dtype=bool)
-    if model.kind is ModelKind.BACHELIER:
-        cp = g.cov @ w
-        point = g.mean + cp * (levels - float(w @ g.mean))[:, None] / float(w @ cp)
-        z0 = point[:, ch.free]
-    else:
-        a = w * model.x0
-        ca = g.cov @ a
-        target = levels - float(w @ model.x0)
-        what = g.mean + ca * (target - float(a @ g.mean))[:, None] / float(a @ ca)
-        x = model.x0 * np.exp(what)
-        # the eliminated coordinate implied by the constraint must stay positive
-        x_piv = (levels - rowdot(x[:, ch.free], w[ch.free])) / w[ch.pivot]
-        wx0 = float(w @ model.x0)
-        off = x_piv <= 0.0
-        failed = off & ((levels <= 0.0) | (wx0 <= 0.0))
-        prop = off & ~failed  # the proportional point, always on the hyperplane
-        x[prop] = model.x0 * (levels[prop] / wx0)[:, None]
-        z0 = x[:, ch.free]
-        if li.coords is ExpansionCoords.LOG_PRICE:
-            z0 = np.log(z0 / model.x0[ch.free])
+    a = w * model.x0
+    ca = g.cov @ a
+    target = levels - float(w @ model.x0)
+    what = g.mean + ca * (target - float(a @ g.mean))[:, None] / float(a @ ca)
+    x = model.x0 * np.exp(what)
+    # the eliminated coordinate implied by the constraint must stay positive
+    x_piv = (levels - rowdot(x[:, ch.free], w[ch.free])) / w[ch.pivot]
+    wx0 = float(w @ model.x0)
+    off = x_piv <= 0.0
+    failed = off & ((levels <= 0.0) | (wx0 <= 0.0))
+    prop = off & ~failed  # the proportional point, always on the hyperplane
+    x[prop] = model.x0 * (levels[prop] / wx0)[:, None]
+    z0 = x[:, ch.free]
+    if li.coords is ExpansionCoords.LOG_PRICE:
+        z0 = np.log(z0 / model.x0[ch.free])
     z0[failed] = np.nan
     return z0, dict.fromkeys(np.flatnonzero(failed).tolist(),
                              "no interior Newton start exists for this (t, s)")
 
 
 def laplace_point(model: ModelSpec, p: Portfolio, t: float, s: np.ndarray,
-                  coords=None) -> LaplacePoint:
-    """Run both Newton maximizations on the levels s and take the Laplace ratio.
+                  coords: ExpansionCoords = ExpansionCoords.LOG_PRICE) -> LaplacePoint:
+    """Run both Newton maximizations on the levels s of a Black-Scholes model
+    and take the Laplace ratio in the chart coords.
 
-    coords is as in LogIntegrands.  iterations is the most Newton iterations
-    (both maximizations) any level took.
+    iterations is the most Newton iterations (both maximizations) any level took.
     """
     li = LogIntegrands(model, p, t, coords)
     levels = np.asarray(s, dtype=float)
@@ -204,16 +198,17 @@ def laplace_point(model: ModelSpec, p: Portfolio, t: float, s: np.ndarray,
     )
 
 
-def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float, s: np.ndarray,
-                     coords=None) -> tuple[np.ndarray, dict]:
+def projected_vol_sq(model: ModelSpec, p: Portfolio, t: float,
+                     s: np.ndarray) -> tuple[np.ndarray, dict]:
     """Projected squared volatility of the basket at time t and levels s.
 
     Bachelier: the exact constant P Sigma Sigma^T P^T.  Black-Scholes: the
-    Laplace-approximated ratio exp(f* - ftilde*) sqrt(det|H ftilde| / det|H f|).
+    Laplace-approximated ratio exp(f* - ftilde*) sqrt(det|H ftilde| / det|H f|)
+    in log-price coordinates.
     Returns (values, {index: reason}), the values NaN at the failed levels.
     """
     if model.kind is ModelKind.BACHELIER:
         row = p.weights @ model.sigma
         return np.full(np.shape(s), float(row @ row)), {}
-    lp = laplace_point(model, p, t, s, coords=coords)
+    lp = laplace_point(model, p, t, s)
     return lp.value, lp.failures

@@ -124,18 +124,18 @@ class CoefficientSurface:
         if self.residual_rms is None:
             object.__setattr__(self, "residual_rms", np.zeros(st.size))
 
-    def slice_b2(self, i: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Raw (unfloored) polynomial values of the slices i, an index array, at
-        the 1-D s: (i.size, s.size) rows, by Horner in u."""
-        u = (s - self.centers[i, None]) / self.halfwidths[i, None]
+    def slice_b2(self, s: np.ndarray) -> np.ndarray:
+        """Raw (unfloored) polynomial values of every slice at the 1-D s:
+        (n_slices, s.size) rows, by Horner in u."""
+        u = (s - self.centers[:, None]) / self.halfwidths[:, None]
         out = np.zeros_like(u)
-        for c in self.coeffs[i, ::-1].T:
+        for c in self.coeffs[:, ::-1].T:
             out = out * u + c[:, None]
         return out
 
     def blend(self, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Floored squared volatility at the (L,) times t, as (L, n) rows, from
-        rows, the (n_slices, n) raw slice values (slice_b2 of every slice):
+        rows, the (n_slices, n) raw slice values from slice_b2:
         eval_b2 computes them, the backward sweep caches them.  A time outside
         [slice_times[0], slice_times[-1]] takes the nearest slice as it is; one
         inside is linear between the two slices around it."""
@@ -154,7 +154,7 @@ class CoefficientSurface:
         if t < -1e-12 or t > self.t_max * (1 + 1e-12):
             raise ValueError(f"t={t} outside [0, {self.t_max}]")
         s = np.asarray(s, dtype=float)
-        rows = self.slice_b2(np.arange(self.slice_times.size), s.ravel())
+        rows = self.slice_b2(s.ravel())
         return self.blend(np.array([t], dtype=float), rows)[0].reshape(s.shape)[()]
 
     def save(self, path) -> None:

@@ -14,9 +14,9 @@ from scipy.linalg import solve_banded
 from scipy.stats import norm
 
 from basketproj import hjb
-from basketproj.density import LogIntegrands
+from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.mc import BoundTask, diffusion, step
-from basketproj.projection import projected_vol_sq
+from basketproj.projection import laplace_point, projected_vol_sq
 from basketproj.rng import normal_matrix
 from basketproj.surface import CoefficientSurface
 
@@ -56,7 +56,7 @@ class AtLevel:
     """The log-integrands of one time slice at a single basket level s, as
     scalar functions of a 1-D chart point z: a stack of one row each call."""
 
-    def __init__(self, model, p, t: float, s: float, coords=None):
+    def __init__(self, model, p, t: float, s: float, coords=ExpansionCoords.LOG_PRICE):
         self.stack = LogIntegrands(model, p, t, coords)
         self.chart, self.coords = self.stack.chart, self.stack.coords
         self.s = np.array([float(s)])
@@ -77,8 +77,14 @@ class AtLevel:
 
 
 def vol_sq_at(model, p, t: float, s: float, coords=None) -> float:
-    """projected_vol_sq at one level, as a stack of one that must not fail."""
-    (value,), failures = projected_vol_sq(model, p, t, np.array([float(s)]), coords=coords)
+    """projected_vol_sq at one level, or with coords the Laplace value in that
+    chart, as a stack of one that must not fail."""
+    level = np.array([float(s)])
+    if coords is None:
+        (value,), failures = projected_vol_sq(model, p, t, level)
+    else:
+        lp = laplace_point(model, p, t, level, coords)
+        (value,), failures = lp.value, lp.failures
     assert not failures, failures
     return value
 

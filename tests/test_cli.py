@@ -274,6 +274,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "config error" in err and named in err
 
+    @pytest.mark.parametrize("new", ["nt_tiers = []", "nt_tiers = [0, 16]", "nt_tiers = [16.0, 32.0]",
+                                     "m_paths = 0"])
+    def test_bad_tiers_or_paths_exit_before_any_output(self, tmp_path, capsys, new):
+        # rejected as the config is read, before the run writes anything
+        path = tmp_path / "bad.cfg"
+        old = "m_paths = 2000" if new.startswith("m_paths") else "nt_tiers = [32, 64, 128]"
+        path.write_text(TINY_BACHELIER.replace(old, new), encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"config error: {new.split()[0]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_no_config_exit_code(self):
         assert main(["run"]) == EXIT_CONFIG
 
@@ -511,11 +522,11 @@ class TestSurfaceCommand:
         laplace = pipeline.surface_mod.projected_vol_sq
         calls = []
 
-        def failing_slices(model, p, t, s, coords=None):
+        def failing_slices(model, p, t, s):
             calls.append(t)
             if failing == "every slice" or len(calls) == 4:
                 return np.full(s.shape, np.nan), dict.fromkeys(range(s.size), "injected fault")
-            return laplace(model, p, t, s, coords=coords)
+            return laplace(model, p, t, s)
 
         monkeypatch.setattr(pipeline.surface_mod, "projected_vol_sq", failing_slices)
         rc = main(["surface", "--preset", "bs3d", "--out-dir", str(tmp_path)])

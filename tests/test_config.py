@@ -66,6 +66,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[numerics]\nnt_tiers = [512, 256]\n")
 
+    @pytest.mark.parametrize("line", ["nt_tiers = []", "nt_tiers = [0, 16]", "nt_tiers = [-16, 32]",
+                                      "nt_tiers = [16.0, 32.0]", "m_paths = 0"])
+    def test_tiers_and_paths_must_be_positive_integers(self, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config(MINIMAL + f"\n[numerics]\n{line}\n")
+
     def test_malformed_matrix_rejected(self):
         bad = MINIMAL.replace("[[1, 0.5], [0.5, 1]]", "[[1, 0.5], [0.5]]")
         cfg = parse_config(bad)

@@ -24,10 +24,6 @@ def pbbt(m, p, t, x):
 
 
 class TestLogDensity:
-    def test_bachelier_1d_peak(self):
-        m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0, sigma=[[2.0]], x0=[7.0], T=1.0)
-        assert log_density(m, 1.0, np.array([7.0])) == pytest.approx(-0.5 * np.log(2 * np.pi * 4.0))
-
     def test_lognormal_matches_direct_formula(self, appendix_model):
         # independent hand-coded lognormal density: log Y_i ~ N(log x0 - sig^2/2, sig^2)
         sig = 0.1
@@ -53,9 +49,6 @@ class TestLogDensity:
             assert log_density(appendix_model, 1.0, y) == pytest.approx(driftless + correction, rel=1e-12)
 
     def test_normalization_1d(self):
-        mb = ModelSpec(kind=ModelKind.BACHELIER, r=0.03, sigma=[[3.0]], x0=[10.0], T=1.0)
-        val, _ = quad(lambda y: np.exp(log_density(mb, 0.7, np.array([y]))), -40.0, 60.0)
-        assert abs(val - 1.0) < 1e-6
         ms = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.03, sigma=[[0.25]], x0=[10.0], T=1.0)
         val, _ = quad(lambda y: np.exp(log_density(ms, 0.7, np.array([y]))), 1e-6, 100.0)
         assert abs(val - 1.0) < 1e-6
@@ -69,10 +62,10 @@ class TestLogDensity:
             log_density(appendix_model, 0.0, np.array([100.0, 100.0]))
 
     def test_singular_covariance(self):
-        m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0,
-                      sigma=[[1.0], [1.0]], x0=[0.0, 0.0], T=1.0)  # rank-1 in d=2
-        with pytest.raises(ValueError):
-            log_density(m, 1.0, np.array([0.0, 0.0]))
+        m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.0,
+                      sigma=[[0.2], [0.2]], x0=[100.0, 100.0], T=1.0)  # rank-1 in d=2
+        with pytest.raises(ValueError, match="singular covariance"):
+            log_density(m, 1.0, np.array([100.0, 100.0]))
 
 
 class TestChart:
@@ -105,13 +98,6 @@ class TestChart:
 
 
 class TestPbbt:
-    def test_bachelier_constant(self):
-        m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0, sigma=np.diag([20.0, 20.0]),
-                      x0=[0.0, 0.0], T=1.0)
-        p = Portfolio([1.0, 1.0])
-        for x in ([0.0, 0.0], [123.0, -9.0]):
-            assert pbbt(m, p, 0.5, np.array(x)) == pytest.approx(800.0)
-
     def test_appendix_point(self, appendix_model, appendix_portfolio):
         got = pbbt(appendix_model, appendix_portfolio, 1.0, np.array([100.0, 100.0]))
         assert got == pytest.approx(200.0)
@@ -162,21 +148,6 @@ class TestLogIntegrands:
             n_checked += 1
         assert n_checked >= 90
 
-    def test_derivatives_match_finite_differences_bachelier(self, bachelier5_model, bachelier5_portfolio):
-        li = AtLevel(bachelier5_model, bachelier5_portfolio, 0.25, 500.0)
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            z = rng.uniform(60.0, 140.0, 4)
-            _, grad, _ = li.ftilde_derivs(z)
-            fd_g = fd_gradient(li.ftilde, z, scale=100.0)
-            assert np.linalg.norm(grad - fd_g) <= 1e-5 * max(1.0, np.linalg.norm(grad))
-
-    def test_bachelier_f_minus_ftilde_constant(self, bachelier5_model, bachelier5_portfolio):
-        li = AtLevel(bachelier5_model, bachelier5_portfolio, 0.25, 480.0)
-        rng = np.random.default_rng(8)
-        diffs = [li.f(z) - li.ftilde(z) for z in rng.uniform(50.0, 150.0, (20, 4))]
-        assert max(diffs) - min(diffs) < 1e-12
-
     def test_outside_support(self, appendix_model, appendix_portfolio):
         li = LogIntegrands(appendix_model, appendix_portfolio, 1.0, ExpansionCoords.PRICE)
         s = np.array([200.0, 200.0])
@@ -199,6 +170,11 @@ class TestLogIntegrands:
                 one = fun(s[i:i + 1], z[i:i + 1])
                 assert all(np.array_equal(a[i], b[0]) for a, b in zip(stacked, one))
 
+    # Bachelier's coefficient is the constant quadratic form: no chart integrates it
     def test_log_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="projected_vol_sq returns it"):
             LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, ExpansionCoords.LOG_PRICE)
+
+    def test_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
+        with pytest.raises(ValueError, match="projected_vol_sq returns it"):
+            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, PRICE)

@@ -5,7 +5,7 @@ from basketproj import density, projection, surface
 from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from basketproj.oracle import binned_conditional_vol, quadrature_projected_vol
-from basketproj.projection import laplace_point, newton_maximize, newton_start, projected_vol_sq
+from basketproj.projection import laplace_point, newton_maximize, projected_vol_sq
 from basketproj.presets import get_preset
 from basketproj.rng import derive_seed
 from support import vol_sq_at
@@ -44,12 +44,20 @@ class TestNewton:
         assert res.z[0, 0] == pytest.approx(100.0, abs=1e-8)
 
     def test_bachelier_maximizer_is_conditional_mean(self, bachelier5_model, bachelier5_portfolio):
+        # the Gaussian log density of the Bachelier state on {P x = s}, in the
+        # price chart, peaks at the conditional mean of the state given P x = s
         m, p = bachelier5_model, bachelier5_portfolio
         t, s = 0.25, 460.0
-        li = LogIntegrands(m, p, t, ExpansionCoords.PRICE)
-        z0, failures = newton_start(li, np.array([s]))
-        assert not failures
-        res = newton_maximize(li.ftilde_derivs, np.array([s]), z0 + 30.0)
+        ch = density.chart(p)
+        law_mean, law_cov = density.transition_law(m, t)
+        cinv, b = np.linalg.inv(law_cov), ch.basis
+
+        def point(z):
+            dev = ch.x_of(s, z) - law_mean
+            return float(-0.5 * dev @ cinv @ dev), -b.T @ cinv @ dev, -b.T @ cinv @ b
+
+        res = newton_maximize(_stacked(point), np.array([s]), m.x0[None, ch.free] + 30.0)
+        assert not res.failures
         # closed-form Gaussian conditioning
         scale = np.expm1(2 * m.r * t) / (2 * m.r)
         cov = m.omega * scale
@@ -57,7 +65,7 @@ class TestNewton:
         w = p.weights
         cp = cov @ w
         cond = mean + cp * (s - w @ mean) / (w @ cp)
-        assert np.allclose(res.z[0], cond[li.chart.free], atol=1e-8)
+        assert np.allclose(res.z[0], cond[ch.free], atol=1e-8)
 
     def test_terminal_minimum_rejected(self):
         # a stationary start with positive curvature: converged, but not a maximum
@@ -195,21 +203,24 @@ class TestCoords:
         li = LogIntegrands(bs3d_model, bs3d_portfolio, 0.5)
         assert li.coords is ExpansionCoords.LOG_PRICE
 
-    def test_default_price_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
-        li = LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25)
-        assert li.coords is ExpansionCoords.PRICE
-
+    # projected_vol_sq returns Bachelier's constant before any Laplace call
     def test_log_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
-        with pytest.raises(ValueError):
-            LogIntegrands(bachelier5_model, bachelier5_portfolio, 0.25, "log-price")
+        with pytest.raises(ValueError, match="projected_vol_sq returns it"):
+            laplace_point(bachelier5_model, bachelier5_portfolio, 0.25, np.array([500.0]),
+                          ExpansionCoords.LOG_PRICE)
+
+    def test_price_rejected_for_bachelier(self, bachelier5_model, bachelier5_portfolio):
+        with pytest.raises(ValueError, match="projected_vol_sq returns it"):
+            laplace_point(bachelier5_model, bachelier5_portfolio, 0.25, np.array([500.0]),
+                          ExpansionCoords.PRICE)
 
 
 class TestOneSetUpPerPoint:
-    # float.hex of projected_vol_sq at one level (a stack of one) before the
-    # Laplace set-up was shared per point
+    # float.hex at one level (a stack of one) before the Laplace set-up was
+    # shared per point: laplace_point in the named chart, else projected_vol_sq
     PINNED = {
-        "appendix": [(1.0, 200.0, "price", "0x1.920bc9e09e190p+7"),
-                     (1.0, 200.0, "log-price", "0x1.92064971f90c6p+7")],
+        "appendix": [(1.0, 200.0, ExpansionCoords.PRICE, "0x1.920bc9e09e190p+7"),
+                     (1.0, 200.0, ExpansionCoords.LOG_PRICE, "0x1.92064971f90c6p+7")],
         "bs3d": [(0.5, 300.0, None, "0x1.4ea224b45da8ep+10"),
                  (0.125, 290.0, None, "0x1.36c400dda66a9p+10"),
                  (0.375, 320.0, None, "0x1.8941cebecdd8ep+10")],
@@ -249,7 +260,7 @@ class TestOneSetUpPerPoint:
             m, p = models[name]
             for t, s, coords, _ in points:
                 calls.update(dict.fromkeys(calls, 0))
-                projected_vol_sq(m, p, t, np.array([s]), coords=coords)
+                vol_sq_at(m, p, t, s, coords=coords)
                 assert calls["cho_factor"] == 1           # the transition covariance
                 assert calls["cholesky"] == 2             # one per Newton maximization
                 # one solve per derivative evaluation, one for the inverse covariance

@@ -179,7 +179,7 @@ class TestTwoSliceEval:
             times = np.sort(np.concatenate(([0.0, 0.5 * st[0]], st, 0.5 * (st[1:] + st[:-1]),
                                             np.linspace(0.0, surf.t_max, 37))))
             ss = np.linspace(surf.s_min, surf.s_max, 57)
-            slices = surf.slice_b2(np.arange(st.size), ss)
+            slices = surf.slice_b2(ss)
             rows = surf.blend(times, slices)
             assert np.array_equal(rows, [all_slice_b2(surf, float(t), ss) for t in times])
 
