@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .pipeline import StageError, convergence_study, run_experiment, validation_checks
+from .pipeline import (StageError, build_surface_from_config, convergence_study,
+                       run_experiment, validation_checks)
 from .presets import PRESETS, get_preset
 
 EXIT_OK = 0
@@ -86,13 +87,11 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    from .pipeline import build_surface_from_config
-
     cfg = _resolve_config(args)
-    out = _resolve_out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()
     p = cfg.build_portfolio()
+    out = _resolve_out_dir(args, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     surf, _ = build_surface_from_config(cfg, model, p)
     path = out / "surface.txt"
     surf.save(path)

@@ -118,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError(f"nt_tiers must be positive integers, got {self.nt_tiers!r}")
         if any(b <= a for a, b in zip(tiers, tiers[1:])):
             raise ConfigError("nt_tiers must be strictly increasing")
+        bad = [n_t for n_t in tiers if tiers[-1] % n_t]
+        if bad:
+            raise ConfigError(f"nt_tiers {tiers}: {bad} do not divide {tiers[-1]}, "
+                              "the step count of the coupled Monte Carlo pass")
         if self.m_paths < 1:
             raise ConfigError(f"m_paths must be at least 1, got {self.m_paths}")
         if self.sigma is None and self.vols is None:
@@ -129,19 +133,18 @@ class ExperimentConfig:
 
     def build_model(self) -> ModelSpec:
         self.validate()
-        kind = ModelKind(self.kind)
         x0 = np.array(self.x0, dtype=float)
         d = x0.size
-        if self.sigma is not None:
-            sig = self._build_sigma(d)
-        else:
-            vols = np.array(self.vols, dtype=float)
-            corr = self._build_correlation(d)
-            if vols.size != d:
-                raise ConfigError(f"{vols.size} vols for {d} assets")
-            sig = correlation_to_sigma(vols, corr)
         try:
-            return ModelSpec(kind=kind, r=self.r, sigma=sig, x0=x0, T=self.T)
+            if self.sigma is not None:
+                sig = self._build_sigma(d)
+            else:
+                vols = np.array(self.vols, dtype=float)
+                corr = self._build_correlation(d)
+                if vols.size != d:
+                    raise ConfigError(f"{vols.size} vols for {d} assets")
+                sig = correlation_to_sigma(vols, corr)
+            return ModelSpec(kind=ModelKind(self.kind), r=self.r, sigma=sig, x0=x0, T=self.T)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -153,14 +153,6 @@ def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str
     return {n_t: (hjb_values[n_t], results) for n_t, results in zip(tiers, per_tier)}
 
 
-def _check_tiers_divide(tiers, finest: int) -> None:
-    """ConfigError naming the tiers unless each divides finest, the coupled pass's step count."""
-    bad = [n_t for n_t in tiers if finest % n_t]
-    if bad:
-        raise ConfigError(f"nt_tiers {list(tiers)}: {bad} do not divide {finest}, "
-                          "the step count of the coupled Monte Carlo pass")
-
-
 def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
     """Laplace and quadrature values of the hand-checkable 2d case, both coordinate systems."""
     t, s = 1.0, 200.0
@@ -183,22 +175,20 @@ def appendix_checks(model: ModelSpec, p: Portfolio) -> list[CheckResult]:
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None) -> RunReport:
     """Full pipeline for one configuration.
 
-    Writes config.cfg, then surface.txt and the top tier's plotting files as
-    their stages finish, and results.csv once the coupled Monte Carlo pass is
-    done.  Every tier must divide the top tier, which is checked before any
-    work.  threads caps the Monte Carlo threads, chunk workers and the fill
-    thread together (None: every CPU this process may run on); the outputs do
-    not depend on it.
+    Builds the model, portfolio and payoffs first, so a config error is a
+    ConfigError before any file is written.  Then writes config.cfg, surface.txt
+    and the top tier's plotting files as their stages finish, and results.csv
+    once the coupled Monte Carlo pass is done.  threads caps the Monte Carlo
+    threads, chunk workers and the fill thread together (None: every CPU this
+    process may run on); the outputs do not depend on it.
     """
-    _check_tiers_divide(cfg.nt_tiers, max(cfg.nt_tiers))
+    model = cfg.build_model()
+    p = cfg.build_portfolio()
+    payoffs = cfg.build_payoffs()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     (out / "config.cfg").write_text(serialize_config(cfg), encoding="utf-8")
-
-    model = cfg.build_model()
-    p = cfg.build_portfolio()
-    payoffs = cfg.build_payoffs()
 
     t0 = time.time()
     surf, _ = build_surface_from_config(cfg, model, p)
@@ -249,30 +239,31 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
                       threads: int | None = None) -> ConvergenceReport:
     """Coupled-path bias decay across time-step tiers for the near-the-money strike.
 
-    All tiers consume the same fine Brownian increments so the step-doubling
-    differences measure discretization bias, not statistical noise.  threads
-    is as in run_experiment.  Fewer than 3 tiers, or a tier that does not
-    divide twice the top tier, is a ConfigError before any work.
+    All tiers, and the finest at twice the top tier, consume the same fine
+    Brownian increments so the step-doubling differences measure discretization
+    bias, not statistical noise.  threads is as in run_experiment.  A config
+    error, or tiers that are not a doubling ladder (at least 3, each twice the
+    one before), is a ConfigError before any file is written.
     """
-    if len(cfg.nt_tiers) < 3:
-        raise ConfigError(f"nt_tiers {list(cfg.nt_tiers)}: convergence needs at least 3 tiers")
-    finest = 2 * max(cfg.nt_tiers)
-    _check_tiers_divide(cfg.nt_tiers, finest)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()
     p = cfg.build_portfolio()
     px0 = float(p.weights @ model.x0)
     g = min(cfg.build_payoffs(), key=lambda g: abs(g.strike - px0))
+    tiers = list(cfg.nt_tiers)
+    if len(tiers) < 3 or any(b != 2 * a for a, b in zip(tiers, tiers[1:])):
+        raise ConfigError(f"nt_tiers {tiers}: convergence needs at least 3 tiers, "
+                          "each twice the one before")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     surf, _ = build_surface_from_config(cfg, model, p)
 
-    priced = _price_tiers(cfg, model, p, surf, [g], [*cfg.nt_tiers, finest], "convergence",
+    priced = _price_tiers(cfg, model, p, surf, [g], [*tiers, 2 * tiers[-1]], "convergence",
                           True, threads)
     by_nt = {n_t: results[0] for n_t, (_, results) in priced.items()}
 
     rows = []
-    for n_t in cfg.nt_tiers:
+    for n_t in tiers:
         res, fine = by_nt[n_t], by_nt[2 * n_t]
         rows.append([
             n_t,
@@ -301,7 +292,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
         writer.writerows(rows)
         for name, val in slopes.items():
             fh.write(f"# slope_{name} = {'undefined' if val is None else f'{val:.4f}'}\n")
-    return ConvergenceReport(strike=g.strike, tiers=list(cfg.nt_tiers), table=table, slopes=slopes)
+    return ConvergenceReport(strike=g.strike, tiers=tiers, table=table, slopes=slopes)
 
 
 # -- validation suite ---------------------------------------------------------

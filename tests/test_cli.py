@@ -68,6 +68,27 @@ m_paths = 50
 seed = 1
 """
 
+TWO_ASSET_BS = """
+[model]
+kind = black-scholes
+r = 0.05
+T = 0.25
+x0 = [100, 100]
+vols = [0.2, 0.3]
+correlation = [[1.0, 0.5], [0.5, 1.0]]
+
+[portfolio]
+weights = [1, 1]
+
+[payoff]
+strikes = [200]
+
+[numerics]
+nt_tiers = [32, 64]
+m_paths = 2000
+seed = 6
+"""
+
 
 class TestRunCommand:
     def test_appendix_preset_passes(self, tmp_path, capsys):
@@ -125,10 +146,11 @@ class TestRunCommand:
         path.write_text(TINY_BACHELIER.replace("nt_tiers = [32, 64, 128]", "nt_tiers = [24, 64]"),
                         encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error" in err and "[24]" in err and "64" in err
-        assert not out.exists()  # nothing was written
+        for command in ("run", "surface"):  # surface, too, reads the config's one rule set
+            assert main([command, str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error" in err and "[24]" in err and "64" in err
+            assert not out.exists()  # nothing was written
 
     def test_bounds_failure_names_stage_and_tiers(self, tmp_path, monkeypatch, capsys):
         def broken_pass(*args, **kwargs):
@@ -273,6 +295,43 @@ class TestRunCommand:
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["convergence", "surface"])
+    def test_zero_weight_writes_nothing(self, tmp_path, capsys, command):
+        # the run command takes this case in test_config_mistake_exit_code
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_BACHELIER.replace("weights = [1, 1, 1]", "weights = [1, 0, 1]"),
+                        encoding="utf-8")
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error: portfolio weights must all be nonzero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("corr, named", [
+        ("[[1.0, 0.5], [0.4, 1.0]]", "must be symmetric"),
+        ("[[1, 1], [1, 1]]", "not positive definite"),
+        ("[[1.0, 0.5], [0.5, 2.0]]", "unit diagonal"),
+    ], ids=["non-symmetric", "singular", "non-unit-diagonal"])
+    def test_correlation_mistake_exit_code(self, tmp_path, capsys, corr, named):
+        old = "correlation = [[1.0, 0.5], [0.5, 1.0]]"
+        assert old in TWO_ASSET_BS
+        path = tmp_path / "bad.cfg"
+        path.write_text(TWO_ASSET_BS.replace(old, f"correlation = {corr}"), encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: correlation matrix" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry", [run_experiment, convergence_study],
+                             ids=["run", "convergence"])
+    @pytest.mark.parametrize("tiers", [[], [0, 16]], ids=["empty", "zero"])
+    def test_code_built_bad_tiers_write_nothing(self, tmp_path, entry, tiers):
+        # a config built in code never passed parse_config's validate
+        cfg = appendix2d()
+        cfg.nt_tiers = tiers
+        with pytest.raises(ConfigError, match="nt_tiers must be positive integers"):
+            entry(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("new", ["nt_tiers = []", "nt_tiers = [0, 16]", "nt_tiers = [16.0, 32.0]",
                                      "m_paths = 0"])
@@ -432,8 +491,8 @@ class TestConvergenceCommand:
 
         monkeypatch.setattr(pipeline, "build_surface_from_config", no_surface)
         cfg = get_preset("bachelier-exact")
-        cfg.nt_tiers = [6, 8, 10]  # 6 and 8 do not divide the doubled top tier 20
-        with pytest.raises(ConfigError, match=r"nt_tiers \[6, 8, 10\]: \[6, 8\] do not divide 20"):
+        cfg.nt_tiers = [6, 8, 10]  # 6 and 8 do not divide the top tier 10
+        with pytest.raises(ConfigError, match=r"nt_tiers \[6, 8, 10\]: \[6, 8\] do not divide 10"):
             convergence_study(cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
         # the command exits as run does on the same mistake
@@ -441,6 +500,20 @@ class TestConvergenceCommand:
         path.write_text(DETERMINISTIC.replace("16, 32, 64", "24, 64, 128"), encoding="utf-8")
         rc = main(["convergence", str(path), "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_a_ladder_that_does_not_double(self, tmp_path, monkeypatch, capsys):
+        # every tier divides the top tier, but 12 is not twice 8: no A(2 N_t) to compare
+        def no_surface(*args):
+            raise AssertionError("the surface was built before the tiers were checked")
+
+        monkeypatch.setattr(pipeline, "build_surface_from_config", no_surface)
+        path = tmp_path / "uneven.cfg"
+        path.write_text(DETERMINISTIC.replace("16, 32, 64", "8, 12, 24"), encoding="utf-8")
+        rc = main(["convergence", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert ("config error: nt_tiers [8, 12, 24]: convergence needs at least 3 tiers, "
+                "each twice the one before") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_surface_failure_names_its_stage(self, tmp_path, monkeypatch, capsys):
