@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .hjb import DEFAULT_COUPLING
+from .hjb import DEFAULT_COUPLING, make_grid
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
 from .rng import derive_seed
-from .surface import DEFAULT_ABSCISSAE, DEFAULT_SLICES
+from .surface import DEFAULT_ABSCISSAE, DEFAULT_DEGREE, DEFAULT_SLICES
 
 _GEN_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
 # eigenvalue floor of random_correlation before the diagonal is renormalized
@@ -35,38 +35,40 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _generator_args(key: str, text: str, name: str, *required: str) -> dict:
-    """Numeric keyword arguments of the `name(k=v, ...)` value given for config key `key`.
+def _generator_args(key: str, text: str, name: str, **numbers) -> dict:
+    """The arguments of the `name(k=v, ...)` value given for config key `key`.
 
-    Every generator draws from a seeded stream, so `seed` is required and integral.
+    numbers maps each float argument to its default (None: required); every
+    generator draws from a seeded stream, so an integer `seed` is required too.
     """
     m = _GEN_RE.match(text)
     if not m:
         raise ConfigError(f"cannot parse {key} {text!r}")
     if m.group(1) != name:
         raise ConfigError(f"unknown {key} generator {m.group(1)!r}")
-    kwargs = {}
-    for part in m.group(2).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
+    kwargs = {"seed": None, **numbers}
+    for part in filter(None, map(str.strip, m.group(2).split(","))):
+        k, eq, v = (x.strip() for x in part.partition("="))
+        if not eq:
             raise ConfigError(f"{key} generator {name}: argument {part!r} must be key=value")
-        k, v = (x.strip() for x in part.split("=", 1))
-        try:
-            kwargs[k] = float(v) if "." in v or "e" in v.lower() else int(v)
-        except ValueError as exc:
-            raise ConfigError(f"{key} generator {name}: {k} must be a number, got {v!r}") from exc
-    for k in ("seed",) + required:
         if k not in kwargs:
+            raise ConfigError(f"{key} generator {name}: unknown argument {k!r}")
+        try:
+            kwargs[k] = int(v) if k == "seed" else float(v)
+            if not np.isfinite(kwargs[k]):
+                raise ValueError(v)
+        except ValueError as exc:
+            kind = "an integer" if k == "seed" else "a finite number"
+            raise ConfigError(f"{key} generator {name}: {k} must be {kind}, got {v!r}") from exc
+    for k, v in kwargs.items():
+        if v is None:
             raise ConfigError(f"{key} generator {name}: {k} is required")
-    seed = kwargs["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError(f"{key} generator {name}: seed must be an integer, got {seed!r}")
     return kwargs
 
 
 def _parse_list(text: str):
+    if re.search(r"\b(true|false)\b", text):
+        raise ConfigError(f"list value {text!r} holds true or false where numbers belong")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -75,7 +77,7 @@ def _parse_list(text: str):
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; build() turns it into model objects."""
+    """Parsed experiment description; validate() checks it, the build_*() methods realize it."""
 
     # model (required)
     kind: str = ""
@@ -114,7 +116,7 @@ class ExperimentConfig:
         if not self.strikes:
             raise ConfigError("at least one strike is required")
         tiers = list(self.nt_tiers)
-        if not tiers or not all(isinstance(n_t, int) and n_t > 0 for n_t in tiers):
+        if not tiers or not all(type(n_t) is int and n_t > 0 for n_t in tiers):
             raise ConfigError(f"nt_tiers must be positive integers, got {self.nt_tiers!r}")
         if any(b <= a for a, b in zip(tiers, tiers[1:])):
             raise ConfigError("nt_tiers must be strictly increasing")
@@ -122,8 +124,17 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"nt_tiers {tiers}: {bad} do not divide {tiers[-1]}, "
                               "the step count of the coupled Monte Carlo pass")
-        if self.m_paths < 1:
-            raise ConfigError(f"m_paths must be at least 1, got {self.m_paths}")
+        for key, least in (("m_paths", 1), ("surface_slices", 1),
+                           ("surface_abscissae", DEFAULT_DEGREE + 1)):
+            value = getattr(self, key)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
+        if not self.c_coupling > 0:
+            raise ConfigError(f"c_coupling must be positive, got {self.c_coupling!r}")
+        try:
+            make_grid(0.0, 1.0, self.T, tiers[0], c=self.c_coupling)
+        except ValueError as exc:
+            raise ConfigError(f"c_coupling at the smallest tier {tiers[0]}: {exc}") from exc
         if self.sigma is None and self.vols is None:
             raise ConfigError("provide either sigma or vols+correlation")
         if self.vols is not None and self.correlation is None:
@@ -150,12 +161,11 @@ class ExperimentConfig:
 
     def build_portfolio(self) -> Portfolio:
         if isinstance(self.weights, str):
-            kw = _generator_args("weights", self.weights, "random")
             d = len(self.x0)
-            total = float(kw.get("total", d))
+            kw = _generator_args("weights", self.weights, "random", total=float(d))
             rng = np.random.Generator(np.random.Philox(key=derive_seed(kw["seed"], "weights")))
             w = rng.uniform(0.5, 1.5, size=d)
-            w *= total / w.sum()
+            w *= kw["total"] / w.sum()
         else:
             w = np.array(self.weights, dtype=float)
         try:
@@ -171,9 +181,9 @@ class ExperimentConfig:
 
     def _build_sigma(self, d: int) -> np.ndarray:
         if isinstance(self.sigma, str):
-            kw = _generator_args("sigma", self.sigma, "upper_random", "diag")
+            kw = _generator_args("sigma", self.sigma, "upper_random", diag=None)
             rng = np.random.Generator(np.random.Philox(key=derive_seed(kw["seed"], "sigma")))
-            sig = np.diag(np.full(d, float(kw["diag"])))
+            sig = np.diag(np.full(d, kw["diag"]))
             iu = np.triu_indices(d, 1)
             sig[iu] = rng.standard_normal(iu[0].size)
             return sig
@@ -184,8 +194,8 @@ class ExperimentConfig:
 
     def _build_correlation(self, d: int) -> np.ndarray:
         if isinstance(self.correlation, str):
-            kw = _generator_args("correlation", self.correlation, "random")
-            return random_correlation(d, kw["seed"], float(kw.get("base", 0.2)))
+            kw = _generator_args("correlation", self.correlation, "random", base=0.2)
+            return random_correlation(d, kw["seed"], kw["base"])
         corr = np.array(self.correlation, dtype=float)
         if corr.shape != (d, d):
             raise ConfigError(f"correlation shape {corr.shape} for {d} assets")

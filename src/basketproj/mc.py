@@ -86,22 +86,19 @@ class BoundsResult:
 
 @dataclass
 class BoundTask:
-    """Per-strike inputs for the bound estimators.
+    """One strike's inputs for the bound estimators: row `index` of its tier's sweep `source`.
 
-    boundary_levels[n] is the basket level at grid time n below which the path
-    stops (-inf when the exercise region is empty there).  The delta of the
-    projected value function is read a segment at a time:
-    source.segment_delta(j) gives the (L, K', n_s) finite-difference delta rows
-    of time levels j * source.span onward of every strike the source holds (an
-    hjb.Sweep), and this strike's are [:, index].  The rows are on s_nodes,
-    which are uniform and the same for every task of one tier.
+    source.levels[index][n] is the basket level at grid time n below which the
+    path stops (-inf when the exercise region is empty there).  The delta of the
+    projected value function is read a segment at a time: source.segment_delta(j)
+    gives the (L, K', n_s) finite-difference delta rows of time levels j * span
+    onward of every strike of the sweep, on its uniform grid.s_nodes, and this
+    strike's are [:, index].
     """
 
     payoff: PutPayoff
-    boundary_levels: np.ndarray
     source: object
     index: int
-    s_nodes: np.ndarray
 
 
 @dataclass
@@ -226,34 +223,27 @@ def _interp(rows: np.ndarray, slope: np.ndarray, j: np.ndarray, dx: np.ndarray) 
     return out
 
 
-def _gather(tasks: list[BoundTask], j: int) -> np.ndarray:
-    """Segment j's (L, K, n_s) delta rows of the K tasks' strikes, in order;
-    each source computes the segment once."""
-    sources = {id(t.source): t.source for t in tasks}
-    segs = {key: source.segment_delta(j) for key, source in sources.items()}
-    return np.stack([segs[id(t.source)][:, t.index] for t in tasks], axis=1)
-
-
 class _Tier:
     """One tier's strikes, stacked, with their full-length (K, m) per-path values.
 
     Chunks write disjoint column slices, and each strike's statistics reduce
-    its contiguous row.  Each chunk gathers the delta rows it reads from the
-    tasks' sources a segment at a time.
+    its contiguous row.  Every strike is a row of the one sweep, which each
+    chunk reads a segment at a time.
     """
 
     def __init__(self, tier: TierTask, m: int):
         tasks = tier.tasks
         if not tasks:
             raise ValueError(f"tier n_t={tier.n_t} has no strikes")
-        if any(not np.array_equal(task.s_nodes, tasks[0].s_nodes) for task in tasks):
-            raise ValueError(f"tier n_t={tier.n_t}: every strike must share the tier's s_nodes")
+        self.source = tasks[0].source
+        if any(task.source is not self.source for task in tasks):
+            raise ValueError(f"tier n_t={tier.n_t}: every strike must be a row of one sweep")
         self.n_t = tier.n_t
-        self.nodes = _Nodes(tasks[0].s_nodes)
+        self.index = [task.index for task in tasks]
+        self.nodes = _Nodes(self.source.grid.s_nodes)
         self.strikes = np.array([[task.payoff.strike] for task in tasks])  # (K, 1)
-        self.levels = np.array([task.boundary_levels for task in tasks])   # (K, n_t + 1)
-        self.tasks = tasks
-        self.span = tasks[0].source.span
+        self.levels = self.source.levels[self.index]                      # (K, n_t + 1)
+        self.span = self.source.span
         k = len(tasks)
         self.lowval = np.zeros((k, m))          # payoff at the stopping time
         self.umax = np.full((k, m), -np.inf)    # running max of payoff minus martingale
@@ -339,7 +329,7 @@ class _TierChunk:
         disc = np.exp(-model.r * t)
         j = n // self.tier.span
         if j != self.j:
-            self.j, self.seg = j, _gather(self.tier.tasks, j)
+            self.j, self.seg = j, self.tier.source.segment_delta(j)[:, self.tier.index]
         rows = self.seg[n - j * self.tier.span]
         slope = _slopes(self.tier.nodes, rows)
         for c in self.blocks:

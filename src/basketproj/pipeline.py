@@ -105,10 +105,8 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
 
 
 def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
-    """Each strike's bound task: its American boundary and delta rows from the tier's sweep."""
-    return [mc.BoundTask(payoff=g, boundary_levels=sol.levels[k], source=sol, index=k,
-                         s_nodes=sol.grid.s_nodes)
-            for k, g in enumerate(payoffs)]
+    """Each strike's bound task: its row of the tier's sweep."""
+    return [mc.BoundTask(payoff=g, source=sol, index=k) for k, g in enumerate(payoffs)]
 
 
 def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str,

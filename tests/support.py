@@ -5,9 +5,11 @@ level-by-level backward sweep and a reader for the surface table.
 Nothing here is part of the package.  The finite-difference derivatives are
 the reference the analytic Laplace derivatives are checked against, and the
 level-by-level sweep the one ``hjb.solve`` is held to; the task builders feed
-``simulate_bounds`` the way the pipeline does, or with a flat stopping level
-and a zero martingale to isolate one estimator.
+``simulate_bounds`` the way the pipeline does, or, on a stand-in sweep, with a
+flat stopping level and a zero martingale to isolate one estimator.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -96,30 +98,37 @@ def confidence_interval(mean: float, se: float, level: float) -> tuple[float, fl
 
 
 class ArrayRows:
-    """A delta source over a whole (n_t + 1, K, n_s) array, cut into the
-    sweep's segments, for tasks whose delta the test sets itself."""
+    """A stand-in sweep over whole arrays, for tasks whose boundary and delta
+    the test sets itself: (K, n_t + 1) levels, and (n_t + 1, K, n_s) delta
+    rows on s_nodes, cut into the sweep's segments."""
 
     span = hjb.BLOCK_LEVELS
 
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
+    def __init__(self, levels: np.ndarray, rows: np.ndarray, s_nodes: np.ndarray):
+        self.levels, self.rows = levels, rows
+        self.grid = SimpleNamespace(s_nodes=s_nodes)
 
     def segment_delta(self, j: int) -> np.ndarray:
         return self.rows[j * self.span:(j + 1) * self.span]
 
 
-def flat_task(payoff, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> BoundTask:
-    """Stop below a constant level; zero delta, so the upper bound is the running max."""
+def flat_tasks(payoffs, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> list[BoundTask]:
+    """Rows of one stand-in sweep that stop below a constant level; zero
+    delta, so each upper bound is its running max."""
     s_nodes = np.asarray(s_nodes, dtype=float)
-    zeros = ArrayRows(np.zeros((n_t + 1, 1, s_nodes.size)))
-    return BoundTask(payoff=payoff, boundary_levels=np.full(n_t + 1, level),
-                     source=zeros, index=0, s_nodes=s_nodes)
+    k = len(payoffs)
+    sweep = ArrayRows(np.full((k, n_t + 1), level), np.zeros((n_t + 1, k, s_nodes.size)), s_nodes)
+    return [BoundTask(payoff=g, source=sweep, index=i) for i, g in enumerate(payoffs)]
+
+
+def flat_task(payoff, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> BoundTask:
+    """One strike's flat_tasks, alone on its stand-in sweep."""
+    return flat_tasks([payoff], n_t, level, s_nodes)[0]
 
 
 def solved_tasks(sol: hjb.Sweep, payoffs) -> list[BoundTask]:
-    """The pipeline's tasks for one tier's sweep: each strike's boundary and delta."""
-    return [BoundTask(payoff=g, boundary_levels=sol.levels[k], source=sol, index=k,
-                      s_nodes=sol.grid.s_nodes) for k, g in enumerate(payoffs)]
+    """The pipeline's tasks for one tier's sweep: each strike's row of it."""
+    return [BoundTask(payoff=g, source=sol, index=k) for k, g in enumerate(payoffs)]
 
 
 def streamed(sol: hjb.Sweep) -> tuple[np.ndarray, np.ndarray]:

@@ -285,9 +285,26 @@ class TestRunCommand:
          "sigma generator upper_random: seed"),
         ("weights = [1, 1, 1]", "weights = random(seed=1.5)",
          "weights generator random: seed must be an integer"),
+        ("weights = [1, 1, 1]", "weights = random(seed=11, totl=50)",
+         "weights generator random: unknown argument 'totl'"),
+        ("sigma = [[20, 1, 0], [0, 20, 2], [0, 0, 20]]",
+         "vols = [20, 20, 20]\ncorrelation = random(seed=11, bsae=0.9)",
+         "correlation generator random: unknown argument 'bsae'"),
+        ("seed = 6", "seed = 6\nsurface_slices = 0",
+         "surface_slices must be an integer of at least 1"),
+        ("seed = 6", "seed = 6\nsurface_abscissae = 3",
+         "surface_abscissae must be an integer of at least 4"),
+        ("seed = 6", "seed = 6\nc_coupling = 0", "c_coupling must be positive"),
+        ("seed = 6", "seed = 6\nc_coupling = -1", "c_coupling must be positive"),
+        ("seed = 6", "seed = 6\nc_coupling = 0.05",
+         "c_coupling at the smallest tier 32: need at least 3 space nodes"),
+        ("nt_tiers = [32, 64, 128]", "nt_tiers = [true, 2, 4]", "true or false"),
+        ("strikes = [310]", "strikes = [true]", "true or false"),
     ], ids=["weights-length", "zero-weight", "strike", "non-numeric", "bool-word",
             "generator-not-a-number", "generator-without-seed", "sigma-generator-without-seed",
-            "generator-fractional-seed"])
+            "generator-fractional-seed", "generator-misspelled-total", "generator-misspelled-base",
+            "zero-slices", "too-few-abscissae", "zero-coupling", "negative-coupling",
+            "coupling-too-small-for-the-first-tier", "bool-tier", "bool-strike"])
     def test_config_mistake_exit_code(self, tmp_path, capsys, old, new, named):
         assert old in TINY_BACHELIER
         path = tmp_path / "bad.cfg"

@@ -72,6 +72,25 @@ class TestParsing:
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config(MINIMAL + f"\n[numerics]\n{line}\n")
 
+    def test_bool_tier_rejected(self):
+        # json reads true as True, which isinstance(..., int) takes for a one-step tier
+        with pytest.raises(ConfigError, match="true or false"):
+            parse_config(MINIMAL + "\n[numerics]\nnt_tiers = [true, 2, 4]\n")
+        cfg = parse_config(MINIMAL)
+        cfg.nt_tiers = [True, 2, 4]
+        with pytest.raises(ConfigError, match="nt_tiers must be positive integers"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("old, new, build", [
+        ("correlation = [[1, 0.5], [0.5, 1]]", "correlation = random(seed=11, bsae=0.9)",
+         "build_model"),
+        ("weights = [1, 1]", "weights = random(seed=11, totl=50)", "build_portfolio"),
+    ], ids=["correlation", "weights"])
+    def test_misspelled_generator_argument_rejected(self, old, new, build):
+        cfg = parse_config(MINIMAL.replace(old, new))
+        with pytest.raises(ConfigError, match="unknown argument"):
+            getattr(cfg, build)()
+
     def test_malformed_matrix_rejected(self):
         bad = MINIMAL.replace("[[1, 0.5], [0.5, 1]]", "[[1, 0.5], [0.5]]")
         cfg = parse_config(bad)

@@ -13,7 +13,8 @@ from basketproj import hjb, mc
 from basketproj.mc import BoundTask, BoundsResult, bias_estimate, diffusion, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import CHUNK, derive_seed, normal_matrix
-from support import basket_euler, confidence_interval, euler_states, flat_task, solved_tasks
+from support import (ArrayRows, basket_euler, confidence_interval, euler_states, flat_task,
+                     solved_tasks, streamed)
 
 
 def _flat_run(model, p, g, n_t, level, n_paths, seed):
@@ -117,9 +118,10 @@ class TestUpperBound:
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, 128, c=16)
         g = PutPayoff(500.0)
         payoffs = [g, PutPayoff(480.0)]
-        task, other = solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
-        upper_only = BoundTask(payoff=g, boundary_levels=np.full(129, -np.inf),
-                               source=task.source, index=task.index, s_nodes=task.s_nodes)
+        sol = hjb.solve(surf, payoffs, grid)
+        task, other = solved_tasks(sol, payoffs)
+        never = dataclasses.replace(sol, levels=np.full_like(sol.levels, -np.inf))
+        upper_only = BoundTask(payoff=g, source=never, index=task.index)
         solo = simulate_bounds(m, p, [upper_only], 128, 4000, seed=55)[0]
         combined = simulate_bounds(m, p, [task, other], 128, 4000, seed=55)[0]
         assert solo.a_plus == combined.a_plus
@@ -303,7 +305,7 @@ class TestCoupledTiers:
             surf, _ = bachelier5_surface
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
             (task,) = solved_tasks(hjb.solve(surf, [g], grid), [g])
-            assert np.isfinite(task.boundary_levels).any()
+            assert np.isfinite(task.source.levels[0]).any()
             assert np.any(task.source.segment_delta(0) != 0.0)
         plain = simulate_bounds(m, p, [task], n_t, 1000, seed=9)[0]
         tiers = mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=n_t, tasks=[task])],
@@ -362,7 +364,7 @@ class TestCoupledTiers:
         m, p, surf, strikes = _case(request, kind)
         n_paths, seed = CHUNK + 1000, derive_seed(13, "bounds", 64)
         tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes)) for n in (16, 32, 64)]
-        assert np.isfinite(tiers[-1].tasks[1].boundary_levels).any()
+        assert np.isfinite(tiers[-1].tasks[1].source.levels[1]).any()
         coupled = mc.simulate_tiers_coupled(m, p, tiers, n_paths, seed, threads=threads)
         alone = _one_tier(m, p, tiers[-1].tasks, 64, n_paths, seed, threads=threads)
         assert coupled[-1] == alone  # every BoundsResult field of every strike
@@ -449,7 +451,7 @@ class TestChunkParallelKernel:
                                        bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
         tasks = _tasks(m, bachelier5_surface[0], 16)
-        assert np.isfinite(tasks[1].boundary_levels).any()
+        assert np.isfinite(tasks[1].source.levels[1]).any()
         one = _one_tier(m, p, tasks, 16, self.M, seed=21, threads=1)
         two = _one_tier(m, p, tasks, 16, self.M, seed=21, threads=2)
         assert one == two  # every BoundsResult field
@@ -511,13 +513,17 @@ class TestChunkParallelKernel:
             assert sorted(calls) == sorted(read * 2)  # self.M is two chunks
         assert results[0] == results[1]
 
-    def test_mismatched_s_nodes_in_a_tier_raise(self, bachelier5_model, bachelier5_portfolio,
-                                                bachelier5_surface):
+    @pytest.mark.parametrize("nodes", ["shifted", "equal"])
+    def test_tasks_from_two_sweeps_in_a_tier_raise(self, bachelier5_model, bachelier5_portfolio,
+                                                   bachelier5_surface, nodes):
         m, p = bachelier5_model, bachelier5_portfolio
         surf, _ = bachelier5_surface
         task = _tasks(m, surf, 16, (500.0,))[0]
-        other = BoundTask(payoff=task.payoff, boundary_levels=task.boundary_levels,
-                          source=task.source, index=task.index, s_nodes=task.s_nodes + 1.0)
+        sol = task.source
+        shift = 1.0 if nodes == "shifted" else 0.0
+        copy = dataclasses.replace(sol, grid=dataclasses.replace(sol.grid,
+                                                                 s_nodes=sol.grid.s_nodes + shift))
+        other = BoundTask(payoff=task.payoff, source=copy, index=task.index)
         with pytest.raises(ValueError, match="n_t=16"):
             simulate_bounds(m, p, [task, other], 16, 100, seed=1)
 
@@ -531,20 +537,22 @@ class TestStackedStrikes:
     def _tasks(self, model, p, surf, strikes):
         grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, 16, c=16)
         payoffs = [PutPayoff(k) for k in strikes]
-        solved = solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
-        # an always-empty region that keeps its delta, and a flat stop level
-        empty = BoundTask(payoff=PutPayoff(strikes[0] + 5.0),
-                          boundary_levels=np.full(17, -np.inf),
-                          source=solved[0].source, index=solved[0].index, s_nodes=grid.s_nodes)
-        flat = flat_task(PutPayoff(strikes[-1]), 16, strikes[-1] - 20.0, grid.s_nodes)
-        return solved + [empty, flat]
+        sol = hjb.solve(surf, payoffs, grid)
+        _, delta = streamed(sol)  # the sweep's own delta bits, (K, 17, n_s)
+        # one stand-in sweep: the solved strikes, an always-empty region that
+        # keeps the first strike's delta, and a flat stop level with zero delta
+        levels = np.vstack([sol.levels, np.full(17, -np.inf), np.full(17, strikes[-1] - 20.0)])
+        rows = np.concatenate([delta, delta[:1], np.zeros_like(delta[:1])]).swapaxes(0, 1)
+        sweep = ArrayRows(levels, rows, grid.s_nodes)
+        extra = [PutPayoff(strikes[0] + 5.0), PutPayoff(strikes[-1])]
+        return [BoundTask(payoff=g, source=sweep, index=k) for k, g in enumerate(payoffs + extra)]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
     def test_tier_equals_one_strike_runs(self, request, kind, threads):
         m, p, surf, strikes = _case(request, kind)
         tasks = self._tasks(m, p, surf, strikes)
-        assert np.isfinite(tasks[1].boundary_levels).any()
+        assert np.isfinite(tasks[1].source.levels[1]).any()
         together = _one_tier(m, p, tasks, 16, self.M, seed=41, threads=threads)
         assert mc.BLOCK_ROWS < CHUNK and len(together) == len(tasks)
         for task, res in zip(tasks, together):
@@ -586,7 +594,7 @@ class TestRunAheadFill:
         # the step reads its scaled block to the end, while the next fill runs
         m, p = bs3d_model, bs3d_portfolio
         tasks = _tasks(m, bs3d_surface[0], 16, (290.0, 300.0))
-        assert np.isfinite(tasks[1].boundary_levels).any()
+        assert np.isfinite(tasks[1].source.levels[1]).any()
         ahead = _one_tier(m, p, tasks, 16, CHUNK, seed=32, threads=2)
         inline = _one_tier(m, p, tasks, 16, CHUNK, seed=32, threads=1)
         assert pools == [1]

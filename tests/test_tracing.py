@@ -14,7 +14,7 @@ import numpy as np
 from basketproj import hjb, mc, pipeline, projection, surface
 from basketproj.model import PutPayoff
 from basketproj.presets import appendix2d, bs3d
-from support import flat_task
+from support import flat_task, flat_tasks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -62,7 +62,7 @@ def test_each_bound_entry_point_is_one_mc_span(bachelier5_model, bachelier5_port
     g = PutPayoff(500.0)
 
     def call():
-        mc.simulate_bounds(m, p, [flat_task(g, 4), flat_task(g, 4)], 4, 16, seed=1)
+        mc.simulate_bounds(m, p, flat_tasks([g, g], 4), 4, 16, seed=1)
         mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=2, tasks=[flat_task(g, 2)]),
                                          mc.TierTask(n_t=4, tasks=[flat_task(g, 4)])],
                                   16, seed=1)
