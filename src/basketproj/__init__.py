@@ -12,7 +12,7 @@ from .density import ExpansionCoords, LogIntegrands, chart
 from .hjb import ExerciseBoundary, Grid, Sweep, exercise_boundary, make_grid, solve, value_at
 from .mc import BoundTask, BoundsResult, bias_estimate, diffusion, simulate_bounds, step
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
-from .oracle import binned_conditional_vol, binomial_american_put_1d, quadrature_projected_vol
+from .oracle import binomial_american_put_1d, quadrature_projected_vol
 from .projection import LaplacePoint, newton_maximize, projected_vol_sq
 from .surface import CoefficientSurface, Envelope, build_surface, estimate_envelope, fit_surface
 
@@ -26,5 +26,5 @@ __all__ = [
     "Grid", "Sweep", "ExerciseBoundary",
     "make_grid", "solve", "exercise_boundary", "value_at",
     "BoundTask", "BoundsResult", "simulate_bounds", "diffusion", "step", "bias_estimate",
-    "quadrature_projected_vol", "binomial_american_put_1d", "binned_conditional_vol",
+    "quadrature_projected_vol", "binomial_american_put_1d",
 ]

@@ -66,6 +66,15 @@ def _generator_args(key: str, text: str, name: str, **numbers) -> dict:
     return kwargs
 
 
+def _numbers(value):
+    """The entries of a scalar or of a (nested) list, one at a time."""
+    if isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+    else:
+        yield value
+
+
 def _parse_list(text: str):
     if re.search(r"\b(true|false)\b", text):
         raise ConfigError(f"list value {text!r} holds true or false where numbers belong")
@@ -105,6 +114,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in ("bachelier", "black-scholes"):
             raise ConfigError(f"model kind must be bachelier or black-scholes, got {self.kind!r}")
+        for key in ("r", "T", "c_coupling", "x0", "vols", "correlation", "sigma", "weights",
+                    "strikes"):
+            value = getattr(self, key)
+            if any(isinstance(v, float) and not np.isfinite(v) for v in _numbers(value)):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if not self.x0:
             raise ConfigError("model x0 is required")
         if not self.T > 0:
@@ -133,7 +147,7 @@ class ExperimentConfig:
             raise ConfigError(f"c_coupling must be positive, got {self.c_coupling!r}")
         try:
             make_grid(0.0, 1.0, self.T, tiers[0], c=self.c_coupling)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"c_coupling at the smallest tier {tiers[0]}: {exc}") from exc
         if self.sigma is None and self.vols is None:
             raise ConfigError("provide either sigma or vols+correlation")

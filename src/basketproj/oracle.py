@@ -1,56 +1,73 @@
 """Independent reference computations used only for validation.
 
-Three oracles: the exact hyperplane integral of the projected squared
-volatility (d = 2), a CRR binomial tree for one-dimensional American puts, and
-a binned conditional-expectation estimator of the projected squared volatility
-from exact-in-law samples of the forward process.  None of them shares code
-with the Laplace stage they check.
+Two oracles: the exact hyperplane integral of the projected squared volatility
+(d <= 3) and a CRR binomial tree for one-dimensional American puts.  Neither
+shares code with the Laplace stage it checks.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
 from .density import transition_law
 from .model import ModelKind, ModelSpec, Portfolio
-from .rng import normal_matrix
 
-# the trapezoid grid of quadrature_projected_vol's line coordinate u; halving
-# the nodes moves its value by less than 1e-15 relative for every t >= 0.01
-# tried (vols 0.1-0.9, T <= 3)
-U_HALF_WIDTH = 40.0
-U_NODES = 32001
-MIN_BIN_COUNT = 50  # binned_conditional_vol drops bins with fewer samples
+# the trapezoid grid of quadrature_projected_vol on every chart axis.  Within
+# 2.5 sd of the basket, halving the spacing or widening the interval moves the
+# value by less than 1e-12 relative on bs3d for t >= 0.3, and with vols 0.1-0.9
+# over T = 3 for t >= 0.25 (d = 2) and t >= 1 (d = 3).  At small t the law on
+# the plane is too narrow for the spacing: bs3d at t = 0.05 is off by 1.7e-4.
+U_HALF_WIDTH = 30.0
+U_SPACING = 0.05
 
 
-def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s: float) -> float:
-    """E[P b b^T P^T | P X(t) = s] for d = 2 by integrating over the whole line {P x = s}.
+def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s):
+    """E[P b b^T P^T | P X(t) = s] for d <= 3 at each level s (a float or an
+    array), by integrating over the whole hyperplane {P x = s}.
 
     Bachelier: the constant P Sigma Sigma^T P^T.  Black-Scholes with positive
-    weights and s > 0: the line is x = (s / w) * (theta, 1 - theta) with
-    theta = logistic(u), on which the lognormal density times the line element
-    is the Gaussian density of the log-returns alone (the line element
-    |dx/du|, proportional to theta (1 - theta), cancels the density's
-    1 / (x1 x2)).  The ratio of the two integrals in u is taken by the
-    trapezoid rule on U_NODES nodes over [-U_HALF_WIDTH, U_HALF_WIDTH].
+    weights and s > 0: the plane is x = s theta / w with theta = softmax(u, 0),
+    u in R^(d-1), on which the lognormal density times the area element is the
+    Gaussian density of the log-returns alone (the area element, proportional
+    to prod(theta), cancels the density's 1 / prod(x)).  The ratio of the two
+    integrals in u is taken by the trapezoid rule on every axis, spacing
+    U_SPACING over [-U_HALF_WIDTH, U_HALF_WIDTH], one grid for every level.
     """
-    if model.d != 2 or not t > 0:
-        raise ValueError("quadrature oracle needs d = 2 and t > 0")
+    d = model.d
+    if d > 3 or not t > 0:
+        raise ValueError("quadrature oracle needs d <= 3 and t > 0")
     w = p.weights
+    levels = np.asarray(s, dtype=float)
     if model.kind is ModelKind.BACHELIER:
         row = w @ model.sigma
-        return float(row @ row)
-    if not (np.all(w > 0.0) and s > 0.0):
+        return np.full(levels.shape, float(row @ row))[()]
+    if not (np.all(w > 0.0) and np.all(levels > 0.0)):
         raise ValueError("quadrature oracle needs positive weights and s > 0 for Black-Scholes")
-    u = np.linspace(-U_HALF_WIDTH, U_HALF_WIDTH, U_NODES)
-    frac = 1.0 / (1.0 + np.exp(-np.column_stack((u, -u))))  # (theta, 1 - theta) = w x / s
+    u = np.linspace(-U_HALF_WIDTH, U_HALF_WIDTH, int(round(2.0 * U_HALF_WIDTH / U_SPACING)) + 1)
+    z = [*np.meshgrid(*[u] * (d - 1), indexing="ij", sparse=True), 0.0]  # the logits of theta
+    lse = reduce(np.logaddexp, z)
     mean, cov = transition_law(model, t)
-    dev = np.log(s * frac / (w * model.x0)) - mean
-    logw = -0.5 * np.sum(dev @ np.linalg.inv(cov) * dev, axis=1)
-    weight = np.exp(logw - logw.max())
-    weight[[0, -1]] *= 0.5  # trapezoid end weights; the uniform spacing cancels in the ratio
-    q = s * s * np.sum(frac @ model.omega * frac, axis=1)
-    return float(q @ weight / weight.sum())
+    a = [zi - lse - ci for zi, ci in zip(z, np.log(w * model.x0) + mean)]
+    k = np.linalg.inv(cov)
+    # a + log s is the log-return deviation, a = log theta - log(w x0) - mean, and
+    # -0.5 (a + log s)' K (a + log s) = base - log s * slope + a constant on the plane;
+    # the trapezoid end weights, halved on every axis, enter base as logs
+    ends = np.zeros(u.size)
+    ends[[0, -1]] = np.log(0.5)
+    base = sum(np.meshgrid(*[ends] * (d - 1), indexing="ij", sparse=True)) \
+        - 0.5 * sum(k[i, j] * a[i] * a[j] for i in range(d) for j in range(d))
+    slope = sum(kc * ai for kc, ai in zip(k.sum(axis=1), a))
+    del a  # d grid-sized arrays, freed before q's
+    # theta' omega theta = P b b^T P^T / s^2, with theta_i theta_j = exp(z_i + z_j - 2 lse)
+    q = sum(model.omega[i, j] * np.exp(z[i] + z[j] - 2.0 * lse) for i in range(d) for j in range(d))
+    out = np.empty(levels.shape)
+    for idx, log_s in np.ndenumerate(np.log(levels)):
+        logw = base - log_s * slope
+        weight = np.exp(logw - logw.max())
+        out[idx] = np.vdot(weight, q) / weight.sum()
+    return (levels * levels * out)[()]
 
 
 def binomial_american_put_1d(spot: float, vol: float, r: float, strike: float,
@@ -73,46 +90,3 @@ def binomial_american_put_1d(spot: float, vol: float, r: float, strike: float,
         values = disc * (q * values[1 : i + 2] + (1.0 - q) * values[: i + 1])
         np.maximum(values, strike - prices, out=values)
     return float(values[0])
-
-
-def sample_exact(model: ModelSpec, t: float, m: int, seed: int) -> np.ndarray:
-    """Draw m exact-in-law samples of X(t) (no time stepping)."""
-    xi = normal_matrix(seed, 0, m, model.d)
-    mean, cov = transition_law(model, t)
-    y = mean + xi @ np.linalg.cholesky(cov).T
-    return y if model.kind is ModelKind.BACHELIER else model.x0 * np.exp(y)
-
-
-def binned_conditional_vol(model: ModelSpec, p: Portfolio, t: float, m: int,
-                           bins: int, seed: int) -> np.ndarray:
-    """Monte Carlo estimate of E[P b b^T P^T | P X(t) = s] on basket-value bins.
-
-    Samples X(t) from its closed-form law so the estimate carries no
-    time-stepping bias.  Returns rows (bin center, estimate, standard error);
-    bins holding fewer than MIN_BIN_COUNT samples are dropped.
-    """
-    if m < 10_000:
-        raise ValueError("need at least 10^4 samples for the binned estimator")
-    x = sample_exact(model, t, m, seed)
-    basket = x @ p.weights
-    if model.kind is ModelKind.BACHELIER:
-        row = p.weights @ model.sigma
-        vals = np.full(m, float(row @ row))
-    else:
-        rows = (x * p.weights) @ model.sigma
-        vals = np.einsum("ij,ij->i", rows, rows)
-    edges = np.linspace(basket.min(), basket.max(), bins + 1)
-    idx = np.clip(np.digitize(basket, edges) - 1, 0, bins - 1)
-    out = []
-    for b in range(bins):
-        sel = idx == b
-        n = int(sel.sum())
-        if n < MIN_BIN_COUNT:
-            continue
-        v = vals[sel]
-        # report at the realized mean basket level, not the bin midpoint, so
-        # sloping-density bins do not carry a systematic offset
-        center = float(basket[sel].mean())
-        se = float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        out.append((center, float(v.mean()), se))
-    return np.array(out)

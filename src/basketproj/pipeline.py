@@ -297,7 +297,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir,
 
 
 def validation_checks() -> list[CheckResult]:
-    """Oracle cross-checks: quadrature vs Laplace, tree vs PDE, exactness, binned MC.
+    """Oracle cross-checks: quadrature vs Laplace at d = 2 and 3, tree vs PDE, exactness.
 
     Each check runs on its own: one that raises is a failed check showing the error.
     """
@@ -311,7 +311,7 @@ def validation_checks() -> list[CheckResult]:
                         ("bachelier-exact-surface", check_bachelier_surface),
                         ("bachelier-bracket", check_bachelier_bracket),
                         ("hjb-dominance", check_dominance),
-                        ("binned-vs-laplace", check_binned_vs_laplace)):
+                        ("exact-vs-laplace", check_exact_vs_laplace)):
         try:
             result = check()
         except Exception as exc:
@@ -402,23 +402,19 @@ def check_dominance() -> CheckResult:
                        f"min(u_A - g) = {obstacle:.2e}, min(u_A - u_E) = {dominance:.2e}")
 
 
-def check_binned_vs_laplace() -> CheckResult:
+def check_exact_vs_laplace() -> CheckResult:
+    """Laplace against the exact hyperplane integral on bs3d at t = 0.5: every
+    level inside the basket's central range within 1e-4 relative."""
     from .presets import bs3d
 
     cfg = bs3d()
     model = cfg.build_model()
     p = cfg.build_portfolio()
-    t = 0.5
-    table = oracle.binned_conditional_vol(model, p, t, 200_000, bins=30,
-                                          seed=derive_seed(cfg.seed, "binned"))
-    lap, _ = projected_vol_sq(model, p, t, table[:, 0])  # a failed bin is NaN: not within
-    est, se = table[:, 1], table[:, 2]
-    n_ok = int(np.count_nonzero(np.abs(lap - est) <= 3.0 * se + 1e-3 * est))
-    frac = n_ok / len(table)
-    # skew: both estimates must slope the same way across the basket range
-    lap_lo, lap_hi = lap[2], lap[-3]
-    binned_slope = np.polyfit(table[:, 0], table[:, 1], 1)[0]
-    same_skew = np.sign(lap_hi - lap_lo) == np.sign(binned_slope)
-    ok = frac >= 0.8 and bool(same_skew)
-    return CheckResult("binned-vs-laplace", ok,
-                       f"{n_ok}/{len(table)} bins within 3 se; skew sign match: {same_skew}")
+    levels = np.array([230.0, 265.0, 300.0, 335.0, 375.0, 415.0])
+    exact = oracle.quadrature_projected_vol(model, p, 0.5, levels)
+    lap, _ = projected_vol_sq(model, p, 0.5, levels)  # a failed level is NaN: not within
+    err = np.abs(lap - exact) / exact
+    n_ok = int(np.count_nonzero(err <= 1e-4))
+    return CheckResult("exact-vs-laplace", n_ok == len(levels),
+                       f"{n_ok}/{len(levels)} levels in [230, 415] within 1e-4 of exact; "
+                       f"worst {np.max(err):.2e}")

@@ -300,11 +300,20 @@ class TestRunCommand:
          "c_coupling at the smallest tier 32: need at least 3 space nodes"),
         ("nt_tiers = [32, 64, 128]", "nt_tiers = [true, 2, 4]", "true or false"),
         ("strikes = [310]", "strikes = [true]", "true or false"),
+        ("x0 = [100, 100, 100]", "x0 = [Infinity, 100, 100]", "x0 must be finite"),
+        ("r = 0.05", "r = nan", "r must be finite"),
+        ("T = 0.25", "T = inf", "T must be finite"),
+        ("weights = [1, 1, 1]", "weights = [NaN, 1, 1]", "weights must be finite"),
+        ("strikes = [310]", "strikes = [Infinity]", "strikes must be finite"),
+        ("seed = 6", "seed = 6\nc_coupling = inf", "c_coupling must be finite"),
+        ("seed = 6", "seed = 6\nc_coupling = 1e308", "c_coupling at the smallest tier 32"),
     ], ids=["weights-length", "zero-weight", "strike", "non-numeric", "bool-word",
             "generator-not-a-number", "generator-without-seed", "sigma-generator-without-seed",
             "generator-fractional-seed", "generator-misspelled-total", "generator-misspelled-base",
             "zero-slices", "too-few-abscissae", "zero-coupling", "negative-coupling",
-            "coupling-too-small-for-the-first-tier", "bool-tier", "bool-strike"])
+            "coupling-too-small-for-the-first-tier", "bool-tier", "bool-strike",
+            "infinite-x0", "nan-rate", "infinite-maturity", "nan-weight", "infinite-strike",
+            "infinite-coupling", "coupling-overflowing-the-grid"])
     def test_config_mistake_exit_code(self, tmp_path, capsys, old, new, named):
         assert old in TINY_BACHELIER
         path = tmp_path / "bad.cfg"
@@ -394,7 +403,7 @@ class TestValidatePieces:
         assert "FAIL" not in out
         for name in ("laplace-price", "quadrature", "solver-1d",
                      "bachelier-exact-surface", "bachelier-bracket",
-                     "hjb-dominance", "binned-vs-laplace"):
+                     "hjb-dominance", "exact-vs-laplace"):
             assert name in out
 
     def test_appendix_checks_pass(self):
@@ -437,7 +446,7 @@ class TestValidatePieces:
         status = {line.split()[1]: line.split()[0] for line in lines[:-1]}
         assert list(status) == ["laplace-price", "laplace-log-price", "quadrature",
                                 "coords-agreement", "solver-1d", "bachelier-exact-surface",
-                                "bachelier-bracket", "hjb-dominance", "binned-vs-laplace"]
+                                "bachelier-bracket", "hjb-dominance", "exact-vs-laplace"]
         for name in ("quadrature", "solver-1d", "bachelier-exact-surface", "bachelier-bracket"):
             assert status[name] == "PASS", name
         assert status["hjb-dominance"] == "FAIL"

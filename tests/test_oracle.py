@@ -3,12 +3,13 @@ import pytest
 
 from basketproj import oracle
 from basketproj.model import ModelKind, ModelSpec, Portfolio, correlation_to_sigma
-from basketproj.oracle import (binned_conditional_vol, binomial_american_put_1d,
-                               quadrature_projected_vol, sample_exact)
-from basketproj.rng import derive_seed
+from basketproj.oracle import binomial_american_put_1d, quadrature_projected_vol
+from basketproj.presets import bs3d
 from support import vol_sq_at
 
 STRESS_C_LEVELS = (40.0, 120.0, 200.0, 300.0, 500.0)
+BS3D_LEVELS = np.array([240.0, 300.0, 380.0])
+STRESS_B_LEVELS = np.array([150.0, 300.0, 700.0])
 
 
 def stress_c(vols=(0.9, 0.3)):
@@ -16,6 +17,21 @@ def stress_c(vols=(0.9, 0.3)):
     return ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.05,
                      sigma=correlation_to_sigma(list(vols), [[1.0, 0.3], [0.3, 1.0]]),
                      x0=[100.0, 100.0], T=3.0)
+
+
+def bs3d_model(order=(0, 1, 2), vols=(0.2, 0.15, 0.1), T=0.5):
+    """The bs3d preset's model with the assets taken in the given order."""
+    cfg = bs3d()
+    i = list(order)
+    return ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=cfg.r,
+                     sigma=correlation_to_sigma(np.array(vols)[i],
+                                                np.array(cfg.correlation)[np.ix_(i, i)]),
+                     x0=np.array(cfg.x0)[i], T=T)
+
+
+def stress_b(order=(0, 1, 2)):
+    """bs3d with vols (0.9, 0.1, 0.5) over T = 3: a strongly skewed plane law in d = 3."""
+    return bs3d_model(order, vols=(0.9, 0.1, 0.5), T=3.0)
 
 
 class TestQuadrature:
@@ -29,23 +45,50 @@ class TestQuadrature:
             a = quadrature_projected_vol(stress_c((0.9, 0.3)), appendix_portfolio, 3.0, s)
             b = quadrature_projected_vol(stress_c((0.3, 0.9)), appendix_portfolio, 3.0, s)
             assert abs(a - b) <= 1e-12 * abs(a), s
+        # at d = 3 each order pins a different asset's logit at 0: another grid on the plane
+        weights = np.array([1.0, 2.0, 0.5])
+        for model, t, levels in ((bs3d_model, 0.5, BS3D_LEVELS), (stress_b, 1.5, STRESS_B_LEVELS)):
+            base = quadrature_projected_vol(model(), Portfolio(weights), t, levels)
+            for order in ((2, 0, 1), (1, 2, 0)):
+                got = quadrature_projected_vol(model(order), Portfolio(weights[list(order)]), t,
+                                               levels)
+                assert np.allclose(got, base, rtol=1e-12, atol=0.0), (model.__name__, order)
 
     def _on_reference_points(self, appendix_model, appendix_portfolio):
-        points = [(appendix_model, 1.0, 200.0)] + [(stress_c(), 3.0, s) for s in STRESS_C_LEVELS]
-        return [quadrature_projected_vol(m, appendix_portfolio, t, s) for m, t, s in points]
+        """The values at the d = 2 points, then at the d = 3 points."""
+        p3 = Portfolio(np.ones(3))
+        return (np.array([quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0),
+                          *quadrature_projected_vol(stress_c(), appendix_portfolio, 3.0,
+                                                    np.array(STRESS_C_LEVELS))]),
+                np.concatenate([quadrature_projected_vol(bs3d_model(), p3, 0.5, BS3D_LEVELS),
+                                quadrature_projected_vol(stress_b(), p3, 1.5, STRESS_B_LEVELS),
+                                quadrature_projected_vol(stress_b(), p3, 2.7, STRESS_B_LEVELS)]))
 
     def test_node_halving_invariance(self, appendix_model, appendix_portfolio, monkeypatch):
-        base = self._on_reference_points(appendix_model, appendix_portfolio)
-        monkeypatch.setattr(oracle, "U_NODES", (oracle.U_NODES + 1) // 2)
-        coarse = self._on_reference_points(appendix_model, appendix_portfolio)
-        assert np.allclose(coarse, base, rtol=1e-14, atol=0.0)
+        base_2d, base_3d = self._on_reference_points(appendix_model, appendix_portfolio)
+        monkeypatch.setattr(oracle, "U_SPACING", 0.5 * oracle.U_SPACING)
+        fine_2d, fine_3d = self._on_reference_points(appendix_model, appendix_portfolio)
+        assert np.allclose(fine_2d, base_2d, rtol=1e-14, atol=0.0)
+        assert np.allclose(fine_3d, base_3d, rtol=1e-12, atol=0.0)
 
     def test_interval_doubling_invariance(self, appendix_model, appendix_portfolio, monkeypatch):
-        base = self._on_reference_points(appendix_model, appendix_portfolio)
+        base_2d, base_3d = self._on_reference_points(appendix_model, appendix_portfolio)
         monkeypatch.setattr(oracle, "U_HALF_WIDTH", 2.0 * oracle.U_HALF_WIDTH)
-        monkeypatch.setattr(oracle, "U_NODES", 2 * oracle.U_NODES - 1)  # the same spacing
-        wide = self._on_reference_points(appendix_model, appendix_portfolio)
-        assert np.allclose(wide, base, rtol=1e-14, atol=0.0)
+        wide_2d, wide_3d = self._on_reference_points(appendix_model, appendix_portfolio)
+        assert np.allclose(wide_2d, base_2d, rtol=1e-14, atol=0.0)
+        assert np.allclose(wide_3d, base_3d, rtol=1e-12, atol=0.0)
+
+    def test_levels_at_once_equal_levels_one_by_one(self):
+        p = Portfolio(np.ones(3))
+        together = quadrature_projected_vol(stress_b(), p, 1.5, STRESS_B_LEVELS)
+        alone = [quadrature_projected_vol(stress_b(), p, 1.5, s) for s in STRESS_B_LEVELS]
+        assert together.tolist() == alone
+
+    def test_one_asset_is_its_own_basket(self):
+        m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.05, sigma=np.array([[0.3]]),
+                      x0=[100.0], T=1.0)
+        got = quadrature_projected_vol(m, Portfolio([2.0]), 0.5, np.array([150.0, 250.0]))
+        assert np.allclose(got, 0.09 * np.array([150.0, 250.0]) ** 2, rtol=1e-15)
 
     def test_bachelier_2d_exact(self):
         m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0, sigma=np.diag([20.0, 25.0]),
@@ -59,9 +102,11 @@ class TestQuadrature:
         lap = vol_sq_at(appendix_model, appendix_portfolio, 1.0, 200.0)
         assert abs(lap - quad) / quad < 5e-4
 
-    def test_requires_two_assets(self, bs3d_model, bs3d_portfolio):
-        with pytest.raises(ValueError):
-            quadrature_projected_vol(bs3d_model, bs3d_portfolio, 0.5, 300.0)
+    def test_at_most_three_assets(self):
+        m = ModelSpec(kind=ModelKind.BLACK_SCHOLES, r=0.05, sigma=np.diag(np.full(4, 0.2)),
+                      x0=np.full(4, 100.0), T=0.5)
+        with pytest.raises(ValueError, match="d <= 3"):
+            quadrature_projected_vol(m, Portfolio(np.ones(4)), 0.5, 400.0)
 
     def test_requires_positive_weights_and_level(self, appendix_model, appendix_portfolio):
         with pytest.raises(ValueError, match="positive weights"):
@@ -96,70 +141,3 @@ class TestBinomial:
     def test_needs_two_steps(self):
         with pytest.raises(ValueError):
             binomial_american_put_1d(100.0, 0.2, 0.05, 100.0, 0.5, 1)
-
-
-class TestBinnedConditionalVol:
-    def test_bachelier_bins_equal_constant(self, bachelier5_model, bachelier5_portfolio):
-        m, p = bachelier5_model, bachelier5_portfolio
-        row = p.weights @ m.sigma
-        const = float(row @ row)
-        table = binned_conditional_vol(m, p, 0.25, 20_000, bins=12, seed=1)
-        assert len(table) >= 5
-        assert np.allclose(table[:, 1], const, rtol=1e-12)
-        assert np.allclose(table[:, 2], 0.0, atol=1e-9)
-
-    def test_appendix_bin_matches_reference(self, appendix_model, appendix_portfolio):
-        table = binned_conditional_vol(appendix_model, appendix_portfolio, 1.0,
-                                       400_000, bins=30, seed=derive_seed(1, "binned"))
-        idx = int(np.argmin(np.abs(table[:, 0] - 200.0)))
-        s, est, se = table[idx]
-        assert abs(s - 200.0) < 4.0
-        # the conditional-expectation target at the realized bin level; at
-        # s=200 exactly this is the 200.98 reference
-        target = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, float(s))
-        assert abs(est - target) <= 3.0 * se + 0.02
-        assert quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0) == \
-            pytest.approx(200.98, abs=0.02)
-
-    def test_3d_skew_sign_matches_laplace(self, bs3d_model, bs3d_portfolio):
-        m, p = bs3d_model, bs3d_portfolio
-        table = binned_conditional_vol(m, p, 0.5, 200_000, bins=24,
-                                       seed=derive_seed(3, "binned"))
-        binned_slope = np.polyfit(table[:, 0], table[:, 1], 1)[0]
-        lap_lo = vol_sq_at(m, p, 0.5, table[2, 0])
-        lap_hi = vol_sq_at(m, p, 0.5, table[-3, 0])
-        assert np.sign(binned_slope) == np.sign(lap_hi - lap_lo)
-
-    def test_convergence_rate_in_samples(self, appendix_model, appendix_portfolio):
-        ses = []
-        for m_samples, seed in ((50_000, 21), (200_000, 22)):
-            table = binned_conditional_vol(appendix_model, appendix_portfolio, 1.0,
-                                           m_samples, bins=20, seed=seed)
-            idx = int(np.argmin(np.abs(table[:, 0] - 200.0)))
-            s, est, se = table[idx]
-            target = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, float(s))
-            assert abs(est - target) <= 3.0 * se + 0.02
-            ses.append(se)
-        assert 1.4 <= ses[0] / ses[1] <= 2.8  # ~ M^{-1/2}
-
-    def test_small_bins_dropped(self, appendix_model, appendix_portfolio):
-        table = binned_conditional_vol(appendix_model, appendix_portfolio, 1.0,
-                                       20_000, bins=200, seed=5)
-        # extreme bins hold < 50 samples and must be gone
-        assert len(table) < 200
-
-    def test_sample_size_floor(self, appendix_model, appendix_portfolio):
-        with pytest.raises(ValueError):
-            binned_conditional_vol(appendix_model, appendix_portfolio, 1.0, 5000,
-                                   bins=10, seed=1)
-
-    def test_exact_sampling_moments(self, bachelier5_model):
-        m = bachelier5_model
-        x = sample_exact(m, 0.25, 200_000, seed=8)
-        scale = np.expm1(2 * m.r * 0.25) / (2 * m.r)
-        target_cov = m.omega * scale
-        target_mean = m.x0 * np.exp(m.r * 0.25)
-        se = np.sqrt(np.diag(target_cov) / x.shape[0])
-        assert np.all(np.abs(x.mean(axis=0) - target_mean) < 5 * se)
-        # entrywise cov noise ~ sqrt(C_ii C_jj / n) ~ 0.23 here
-        assert np.allclose(np.cov(x.T), target_cov, rtol=0.05, atol=1.5)

@@ -4,7 +4,7 @@ import pytest
 from basketproj import density, projection, surface
 from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.model import ModelKind, ModelSpec, Portfolio
-from basketproj.oracle import binned_conditional_vol, quadrature_projected_vol
+from basketproj.oracle import quadrature_projected_vol
 from basketproj.projection import laplace_point, newton_maximize, projected_vol_sq
 from basketproj.presets import get_preset
 from basketproj.rng import derive_seed
@@ -179,17 +179,13 @@ class TestProjectedVolSq:
             v = vol_sq_at(bs3d_model, bs3d_portfolio, 0.4, s)
             assert np.isfinite(v) and v > 0.0
 
-    def test_binned_mc_agreement_3d(self, bs3d_model, bs3d_portfolio):
-        # exact-in-law conditional expectation vs Laplace at envelope points
-        t = 0.5
-        table = binned_conditional_vol(bs3d_model, bs3d_portfolio, t, 400_000, bins=30,
-                                       seed=derive_seed(3, "binned-test"))
-        assert len(table) >= 20
-        n_ok = 0
-        for s, est, se in table:
-            lap = vol_sq_at(bs3d_model, bs3d_portfolio, t, s)
-            n_ok += abs(lap - est) <= 3.0 * se + 1e-3 * est
-        assert n_ok >= 0.85 * len(table)
+    def test_exact_agreement_3d(self, bs3d_model, bs3d_portfolio):
+        # Laplace against the exact hyperplane integral, every level gated, as validate does
+        levels = np.linspace(230.0, 415.0, 12)
+        for t in (0.3, 0.5):
+            exact = quadrature_projected_vol(bs3d_model, bs3d_portfolio, t, levels)
+            lap, _ = projected_vol_sq(bs3d_model, bs3d_portfolio, t, levels)
+            assert np.all(np.abs(lap - exact) <= 1e-4 * exact), t
 
     def test_laplace_point_record(self, appendix_model, appendix_portfolio):
         lp = laplace_point(appendix_model, appendix_portfolio, 1.0, np.array([200.0]))
