@@ -1,9 +1,11 @@
 """Flat INI-style experiment configuration.
 
-Sections [model], [portfolio], [payoff], [numerics], [outputs]; vectors and
-matrices are bracketed JSON-style lists.  Volatility structure is given either
-as per-asset vols plus a correlation matrix (factored internally), an explicit
-loading matrix, or one of the seeded generators used by the shipped presets:
+Sections [model], [portfolio], [payoff], [numerics], [outputs].  `_KEYS` is the
+one declaration of every key: its section, its kind and its lower bound, read
+by parse_config, ExperimentConfig.validate and serialize_config.  Lists are
+bracketed JSON-style lists.  Volatility structure is given either as per-asset
+vols plus a correlation matrix (factored internally), an explicit loading
+matrix, or one of the seeded generators used by the shipped presets:
 
     correlation = random(seed=3, base=0.2)      # noisy correlation, eigenvalue-clipped
     sigma = upper_random(diag=20, seed=5)       # Bachelier upper-triangular mixing
@@ -14,10 +16,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
+import itertools
 import json
 import re
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +32,37 @@ from .surface import DEFAULT_ABSCISSAE, DEFAULT_DEGREE, DEFAULT_SLICES
 _GEN_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
 # eigenvalue floor of random_correlation before the diagonal is renormalized
 CORRELATION_CLIP = 1e-3
+
+# The kinds of value a key takes, worded as its errors name them.  Every number
+# must be finite as a float, and true and false are not numbers.  A generator is
+# the text of a call, such as random(seed=3, base=0.2), that build_*() realizes.
+STRING, BOOL, NUMBER, INTEGER = "a string", "true or false", "a number", "an integer"
+NUMBERS, INTEGERS = "a list of numbers", "a list of integers"
+NUMBERS_OR_GENERATOR = "a list of numbers or a generator"
+MATRIX_OR_GENERATOR = "a list of equal-length lists of numbers or a generator"
+
+# key -> (section, kind, bound): the numbers of a bounded key must exceed its bound.
+# Sections and keys are written in this order.
+_KEYS = {
+    "kind": ("model", STRING, None),
+    "r": ("model", NUMBER, None),
+    "T": ("model", NUMBER, 0),
+    "x0": ("model", NUMBERS, None),
+    "vols": ("model", NUMBERS, None),
+    "correlation": ("model", MATRIX_OR_GENERATOR, None),
+    "sigma": ("model", MATRIX_OR_GENERATOR, None),
+    "weights": ("portfolio", NUMBERS_OR_GENERATOR, None),
+    "strikes": ("payoff", NUMBERS, None),
+    "nt_tiers": ("numerics", INTEGERS, 0),
+    "c_coupling": ("numerics", NUMBER, 0),
+    "m_paths": ("numerics", INTEGER, 0),
+    "surface_slices": ("numerics", INTEGER, 0),
+    "surface_abscissae": ("numerics", INTEGER, DEFAULT_DEGREE),
+    "seed": ("numerics", INTEGER, None),
+    "out_dir": ("outputs", STRING, None),
+    "export_value_grids": ("outputs", BOOL, None),
+}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class ConfigError(ValueError):
@@ -66,13 +100,19 @@ def _generator_args(key: str, text: str, name: str, **numbers) -> dict:
     return kwargs
 
 
-def _numbers(value):
-    """The entries of a scalar or of a (nested) list, one at a time."""
-    if isinstance(value, list):
-        for v in value:
-            yield from _numbers(v)
-    else:
-        yield value
+def _entries(kind: str, value) -> list | None:
+    """The numbers that value holds as a value of this kind, or None if it is not one."""
+    if isinstance(value, str) and kind in (STRING, NUMBERS_OR_GENERATOR, MATRIX_OR_GENERATOR):
+        return []
+    if kind in (STRING, BOOL):
+        return [] if kind == BOOL and isinstance(value, bool) else None
+    array = np.array(value, dtype=object)  # a ragged list is a 1-d array of lists
+    depth = 0 if kind in (NUMBER, INTEGER) else 2 if kind == MATRIX_OR_GENERATOR else 1
+    number = int if kind in (INTEGER, INTEGERS) else (int, float)
+    if (array.ndim == depth and (depth == 0 or isinstance(value, list))
+            and all(isinstance(v, number) and not isinstance(v, bool) for v in array.flat)):
+        return list(array.flat)
+    return None
 
 
 def _parse_list(text: str):
@@ -88,7 +128,6 @@ def _parse_list(text: str):
 class ExperimentConfig:
     """Parsed experiment description; validate() checks it, the build_*() methods realize it."""
 
-    # model (required)
     kind: str = ""
     r: float = 0.0
     T: float = 0.0
@@ -96,55 +135,47 @@ class ExperimentConfig:
     vols: list | None = None
     correlation: list | str | None = None
     sigma: list | str | None = None
-    # portfolio (required)
     weights: list | str = ""
-    # payoff
     strikes: list = field(default_factory=list)
-    # numerics
     nt_tiers: list = field(default_factory=lambda: [512, 1024, 2048, 4096])
     c_coupling: float = DEFAULT_COUPLING
     m_paths: int = 100_000
     surface_slices: int = DEFAULT_SLICES
     surface_abscissae: int = DEFAULT_ABSCISSAE
     seed: int = 1
-    # outputs
     out_dir: str = ""
     export_value_grids: bool = False
 
     def validate(self) -> None:
         if self.kind not in ("bachelier", "black-scholes"):
             raise ConfigError(f"model kind must be bachelier or black-scholes, got {self.kind!r}")
-        for key in ("r", "T", "c_coupling", "x0", "vols", "correlation", "sigma", "weights",
-                    "strikes"):
-            value = getattr(self, key)
-            if any(isinstance(v, float) and not np.isfinite(v) for v in _numbers(value)):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
+        for f in fields(self):
+            _, kind, bound = _KEYS[f.name]
+            value = getattr(self, f.name)
+            # None, where it is the default, is a key left out
+            entries = [] if value is None and f.default is None else _entries(kind, value)
+            if entries is not None and any(not abs(v) <= sys.float_info.max for v in entries):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if entries is None or (bound is not None and not (entries and min(entries) > bound)):
+                if bound is not None:  # every bound but an integer's is 0
+                    kind = (f"{kind} of at least {bound + 1}" if kind == INTEGER
+                            else "positive integers" if kind == INTEGERS else "positive")
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if not self.x0:
             raise ConfigError("model x0 is required")
-        if not self.T > 0:
-            raise ConfigError("model T must be positive")
         if not self.weights:
             raise ConfigError("portfolio weights are required")
         if not isinstance(self.weights, str) and len(self.weights) != len(self.x0):
             raise ConfigError(f"{len(self.weights)} weights for {len(self.x0)} assets")
         if not self.strikes:
             raise ConfigError("at least one strike is required")
-        tiers = list(self.nt_tiers)
-        if not tiers or not all(type(n_t) is int and n_t > 0 for n_t in tiers):
-            raise ConfigError(f"nt_tiers must be positive integers, got {self.nt_tiers!r}")
+        tiers = self.nt_tiers
         if any(b <= a for a, b in zip(tiers, tiers[1:])):
             raise ConfigError("nt_tiers must be strictly increasing")
         bad = [n_t for n_t in tiers if tiers[-1] % n_t]
         if bad:
             raise ConfigError(f"nt_tiers {tiers}: {bad} do not divide {tiers[-1]}, "
                               "the step count of the coupled Monte Carlo pass")
-        for key, least in (("m_paths", 1), ("surface_slices", 1),
-                           ("surface_abscissae", DEFAULT_DEGREE + 1)):
-            value = getattr(self, key)
-            if type(value) is not int or value < least:
-                raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
-        if not self.c_coupling > 0:
-            raise ConfigError(f"c_coupling must be positive, got {self.c_coupling!r}")
         try:
             make_grid(0.0, 1.0, self.T, tiers[0], c=self.c_coupling)
         except (ValueError, OverflowError) as exc:
@@ -236,22 +267,6 @@ def random_correlation(d: int, seed: int, base: float) -> np.ndarray:
 
 # -- text round trip ---------------------------------------------------------
 
-_SECTIONS = {
-    "model": ["kind", "r", "T", "x0", "vols", "correlation", "sigma"],
-    "portfolio": ["weights"],
-    "payoff": ["strikes"],
-    "numerics": ["nt_tiers", "c_coupling", "m_paths", "surface_slices",
-                 "surface_abscissae", "seed"],
-    "outputs": ["out_dir", "export_value_grids"],
-}
-
-_LIST_KEYS = {"x0", "vols", "correlation", "sigma", "weights", "strikes", "nt_tiers"}
-_INT_KEYS = {"m_paths", "surface_slices", "surface_abscissae", "seed"}
-_FLOAT_KEYS = {"r", "T", "c_coupling"}
-_BOOL_KEYS = {"export_value_grids"}
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str  # keys are case-sensitive (T vs t)
@@ -260,12 +275,11 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     cfg = ExperimentConfig()
-    known = {k: sec for sec, keys in _SECTIONS.items() for k in keys}
     for sec in cp.sections():
-        if sec not in _SECTIONS:
+        if sec not in {section for section, _, _ in _KEYS.values()}:
             raise ConfigError(f"unknown section [{sec}]")
         for key, raw in cp.items(sec):
-            if key not in known or known[key] != sec:
+            if key not in _KEYS or _KEYS[key][0] != sec:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
             setattr(cfg, key, _parse_value(key, raw.strip()))
     cfg.validate()
@@ -273,46 +287,30 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _parse_value(key: str, raw: str):
-    if key in _LIST_KEYS:
-        if raw.startswith("["):
-            return _parse_list(raw)
-        return raw  # generator expression or symbolic value
-    if key in _INT_KEYS or key in _FLOAT_KEYS:
-        cast = int if key in _INT_KEYS else float
+    """The text of a key's value as a Python value; validate() checks its kind."""
+    kind = _KEYS[key][1]
+    if kind in (NUMBER, INTEGER):
         try:
-            return cast(raw)
+            return int(raw) if kind == INTEGER else float(raw)
         except ValueError as exc:
-            raise ConfigError(f"{key} must be {cast.__name__}, got {raw!r}") from exc
-    if key in _BOOL_KEYS:
+            raise ConfigError(f"{key} must be {kind}, got {raw!r}") from exc
+    if kind == BOOL:
         if raw.lower() not in _BOOL_WORDS:
             raise ConfigError(f"{key} = {raw!r} is not one of {', '.join(_BOOL_WORDS)}")
         return _BOOL_WORDS[raw.lower()]
+    if kind != STRING and raw.startswith("["):
+        return _parse_list(raw)
     return raw
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    out = io.StringIO()
-    values = asdict(cfg)
-    for sec, keys in _SECTIONS.items():
-        lines = []
-        for key in keys:
-            val = values[key]
-            if val is None or val == "" or (key in _BOOL_KEYS and not val):
-                continue
-            lines.append(f"{key} = {_format_value(val)}")
+    text = ""
+    for sec, keys in itertools.groupby(_KEYS, key=lambda key: _KEYS[key][0]):
+        lines = [f"{key} = {val if isinstance(val, str) else json.dumps(val)}" for key in keys
+                 if not ((val := getattr(cfg, key)) is None or val == "" or val is False)]
         if lines:
-            out.write(f"[{sec}]\n")
-            out.write("\n".join(lines))
-            out.write("\n\n")
-    return out.getvalue()
-
-
-def _format_value(val) -> str:
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, (list, tuple)):
-        return json.dumps(val)
-    return str(val)
+            text += f"[{sec}]\n" + "\n".join(lines) + "\n\n"
+    return text
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -307,13 +307,19 @@ class TestRunCommand:
         ("strikes = [310]", "strikes = [Infinity]", "strikes must be finite"),
         ("seed = 6", "seed = 6\nc_coupling = inf", "c_coupling must be finite"),
         ("seed = 6", "seed = 6\nc_coupling = 1e308", "c_coupling at the smallest tier 32"),
+        ("strikes = [310]", "strikes = 315", "strikes must be a list of numbers"),
+        ("x0 = [100, 100, 100]", "x0 = 100", "x0 must be a list of numbers"),
+        ("strikes = [310]", "strikes = [[310]]", "strikes must be a list of numbers"),
+        ("x0 = [100, 100, 100]", 'x0 = ["100", 100, 100]', "x0 must be a list of numbers"),
+        ("strikes = [310]", f"strikes = [1{'0' * 400}]", "strikes must be finite"),
     ], ids=["weights-length", "zero-weight", "strike", "non-numeric", "bool-word",
             "generator-not-a-number", "generator-without-seed", "sigma-generator-without-seed",
             "generator-fractional-seed", "generator-misspelled-total", "generator-misspelled-base",
             "zero-slices", "too-few-abscissae", "zero-coupling", "negative-coupling",
             "coupling-too-small-for-the-first-tier", "bool-tier", "bool-strike",
             "infinite-x0", "nan-rate", "infinite-maturity", "nan-weight", "infinite-strike",
-            "infinite-coupling", "coupling-overflowing-the-grid"])
+            "infinite-coupling", "coupling-overflowing-the-grid", "unbracketed-strikes",
+            "unbracketed-x0", "nested-strikes", "quoted-x0", "strike-past-the-largest-float"])
     def test_config_mistake_exit_code(self, tmp_path, capsys, old, new, named):
         assert old in TINY_BACHELIER
         path = tmp_path / "bad.cfg"

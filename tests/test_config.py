@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from basketproj.config import (ConfigError, config_hash, load_config, parse_config,
-                               random_correlation, serialize_config)
+from basketproj import config
+from basketproj.config import (ConfigError, ExperimentConfig, config_hash, load_config,
+                               parse_config, random_correlation, serialize_config)
 from basketproj.model import ModelKind
 from basketproj.presets import PRESETS, get_preset
 
@@ -41,6 +45,32 @@ class TestParsing:
         for name in PRESETS:
             cfg = get_preset(name)
             assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name, digest", [
+        ("appendix2d", "421fd9df09ca1f57"), ("bachelier-exact", "ef82fdb3b40f7dde"),
+        ("bachelier50d", "22d82e3daebc1d43"), ("bs3d", "78d7dc8ee62d3e41"),
+        ("bs10d", "d38ea726692747ec"), ("bs25d", "53d62ad8a8590f09"),
+    ])
+    def test_preset_hash_pinned(self, name, digest):
+        # the hash names every output directory's config; a change to the text moves it
+        assert config_hash(get_preset(name)) == digest
+
+    def test_key_table_declares_every_field_once(self):
+        assert set(config._KEYS) == {f.name for f in fields(ExperimentConfig)}
+        # serialize_config writes a section header per run of keys, so a section is one run
+        sections = [sec for sec, _ in itertools.groupby(s for s, _, _ in config._KEYS.values())]
+        assert len(sections) == len(set(sections))
+
+    @pytest.mark.parametrize("key, value", [("strikes", 315.0), ("x0", [[100], [100]]),
+                                            ("x0", np.array([100.0, 100.0])), ("strikes", (200,)),
+                                            ("r", "0.05"), ("seed", 1.5),
+                                            ("export_value_grids", "yes"), ("sigma", [0.2, 0.2]),
+                                            ("weights", [1, True])])
+    def test_code_built_value_of_the_wrong_kind_rejected(self, key, value):
+        cfg = parse_config(MINIMAL)
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            cfg.validate()
 
     def test_hash_stable_and_sensitive(self):
         cfg = parse_config(MINIMAL)
@@ -93,9 +123,8 @@ class TestParsing:
 
     def test_malformed_matrix_rejected(self):
         bad = MINIMAL.replace("[[1, 0.5], [0.5, 1]]", "[[1, 0.5], [0.5]]")
-        cfg = parse_config(bad)
-        with pytest.raises((ConfigError, ValueError)):
-            cfg.build_model()
+        with pytest.raises(ConfigError, match="correlation must be"):
+            parse_config(bad)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
