@@ -6,7 +6,10 @@ the forward process (either model), the affine chart that eliminates one
 coordinate, and the two log-integrands of a Black-Scholes model (density
 alone, density times the basket quadratic form) with exact gradients and
 Hessians in price or log-price coordinates.  A Bachelier model needs no
-integral: its projected coefficient is the constant quadratic form.
+integral: its projected coefficient is the constant quadratic form.  The
+transition covariance is factored and solved by LAPACK's ``dpotrf``/``dpotrs``
+from ``lapack``, with the arguments ``cho_factor``/``cho_solve`` pass, so the
+bits are theirs without their per-call checks.
 
 Shapes: one LogIntegrands serves one time t.  Its integrands take a stack of
 n basket levels s, shape (n,), and chart points z, shape (n, d-1), one row
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from .lapack import dpotrf, dpotrs
 from .model import ModelKind, ModelSpec, Portfolio
 
 WEIGHT_FLOOR = 1e-150
@@ -92,28 +95,40 @@ def chart(p: Portfolio) -> HyperplaneChart:
 
 
 class _Gaussian:
-    """Multivariate normal with cached Cholesky solve."""
+    """Multivariate normal with cached Cholesky solve.  The covariance is
+    checked finite once here; the right-hand sides come finite from
+    ``LogIntegrands._defined``."""
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray):
         self.mean = mean
         self.cov = cov
-        try:
-            self._cf = cho_factor(cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("singular covariance") from exc
-        diag = np.diag(self._cf[0])
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("non-finite covariance")
+        self._c, info = dpotrf(cov, lower=1, clean=0)
+        if info > 0:
+            raise ValueError("singular covariance")
+        if info < 0:
+            raise ValueError(f"LAPACK dpotrf info={info}")
+        diag = np.diag(self._c)
         if np.min(diag) <= 0 or not np.all(np.isfinite(diag)):
             raise ValueError("singular covariance")
         self.logdet = 2.0 * float(np.sum(np.log(diag)))
         self.dim = mean.size
 
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """cov^{-1} b for b (d, k)."""
+        x, info = dpotrs(self._c, b, lower=1)
+        if info != 0:
+            raise ValueError(f"LAPACK dpotrs info={info}")
+        return x
+
     def inv(self) -> np.ndarray:
-        return cho_solve(self._cf, np.eye(self.dim))
+        return self._solve(np.eye(self.dim))
 
     def logpdf_alpha(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log pdf, cov^{-1} (y - mean)) of each row of y (n, d), from one multi-RHS solve."""
         dev = y - self.mean
-        alpha = cho_solve(self._cf, dev.T).T
+        alpha = self._solve(dev.T).T
         val = rowdot(-0.5 * dev, alpha) - 0.5 * (self.dim * np.log(2 * np.pi) + self.logdet)
         return val, alpha
 

@@ -3,10 +3,11 @@
 Projected backward Euler: each time level solves one implicit tridiagonal
 system, then the American flavor projects onto the obstacle.  The system does
 not depend on the payoff, so one sweep serves every strike and both flavors
-with one LAPACK ``?gtsv`` call per level (``solve_banded``'s routine, minus its
-checks).  Each surface slice is evaluated at the interior nodes once per
-sweep, and the coefficients of a segment of ``BLOCK_LEVELS`` levels come from
-one ``CoefficientSurface.blend`` call.  Dirichlet rows carry the payoff at
+with one LAPACK ``dgtsv`` call per level (``solve_banded``'s routine, minus its
+checks, loaded by ``lapack`` without the ``scipy.linalg`` package).  Each
+surface slice is evaluated at the interior nodes once per sweep, and the
+coefficients of a segment of ``BLOCK_LEVELS`` levels come from one
+``CoefficientSurface.blend`` call.  Dirichlet rows carry the payoff at
 both ends of the rectangle.
 
 The sweep keeps what is small: the exercise boundary of every level, the
@@ -26,8 +27,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as gtsv
 
+from .lapack import dgtsv as gtsv
 from .model import PutPayoff
 from .surface import CoefficientSurface
 

@@ -30,7 +30,8 @@ from .rng import derive_seed
 log = logging.getLogger(__name__)
 
 # two-sided 95% normal quantile, norm.ppf(0.975) to the bit; kept as a literal
-# so a CLI run never imports scipy.stats
+# because a CLI run imports no scipy Python package beyond scipy itself (its
+# LAPACK wrappers come from `lapack`)
 BOUND_ORDERING_Z = 1.959963984540054
 
 RESULTS_COLUMNS = ["strike", "n_t", "m", "euro_mc", "se_euro", "a_minus", "se_minus",

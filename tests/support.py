@@ -1,6 +1,7 @@
 """Reference helpers for the tests: finite differences, one-level views of the
 stacked log-integrands and of projected_vol_sq, intervals, bound tasks, the
-level-by-level backward sweep and a reader for the surface table.
+level-by-level backward sweep, a reader for the surface table and a fresh
+interpreter for import-graph checks.
 
 Nothing here is part of the package.  The finite-difference derivatives are
 the reference the analytic Laplace derivatives are checked against, and the
@@ -9,12 +10,17 @@ level-by-level sweep the one ``hjb.solve`` is held to; the task builders feed
 flat stopping level and a zero martingale to isolate one estimator.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.stats import norm
 
+import basketproj
 from basketproj import hjb
 from basketproj.density import ExpansionCoords, LogIntegrands
 from basketproj.mc import BoundTask, diffusion, step
@@ -211,3 +217,10 @@ def load_surface(path) -> CoefficientSurface:
                               floor=float(head["floor"]), s_min=s_min, s_max=s_max,
                               t_max=t_max, r=float(head["r"]), centers=rows[:, 1],
                               halfwidths=rows[:, 2], residual_rms=rows[:, -1])
+
+
+def fresh_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(basketproj.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()

@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import basketproj
 from basketproj import hjb, pipeline, projection
 from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from basketproj.config import ConfigError
@@ -16,7 +11,7 @@ from basketproj.pipeline import (BOUND_ORDERING_Z, StageError, appendix_checks,
                                  convergence_study, run_experiment)
 from basketproj.presets import appendix2d, get_preset
 from basketproj.rng import CHUNK
-from support import load_surface, reference_sweep
+from support import fresh_python, load_surface, reference_sweep
 
 
 def _value_table(grid, values, path):
@@ -651,14 +646,24 @@ class TestSurfaceCommand:
 class TestImportGraph:
     def test_cli_import_leaves_scipy_stats_out(self):
         # every CLI run pays the import time and memory of whatever this graph
-        # pulls in; the oracles need no quadrature or special-function library
-        env = dict(os.environ, PYTHONPATH=str(Path(basketproj.__file__).parents[1]))
+        # pulls in; the oracles need no quadrature or special-function library,
+        # and of scipy.linalg only the compiled LAPACK wrappers are loaded
         modules = ["scipy.stats", "scipy.integrate", "scipy.special", "scipy.optimize",
-                   "scipy.interpolate"]
-        code = f"import sys, basketproj.cli; print([m for m in {modules!r} if m in sys.modules])"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+                   "scipy.interpolate", "scipy.linalg", "scipy._lib.array_api_compat"]
+        code = ("import sys, basketproj.cli; "
+                f"print([m for m in {modules!r} if m in sys.modules], "
+                "'scipy.linalg._flapack' in sys.modules)")
+        assert fresh_python(code) == "[] True"
+
+    @pytest.mark.parametrize("first, second", [("basketproj.cli", "scipy.linalg"),
+                                               ("scipy.linalg", "basketproj.cli")])
+    def test_one_lapack_extension_in_either_import_order(self, first, second):
+        code = (f"import sys, {first}, {second}, basketproj.hjb, basketproj.density; "
+                "flapack = sys.modules['scipy.linalg._flapack']; "
+                "print(scipy.linalg.lapack.dgtsv is basketproj.hjb.gtsv, "
+                "scipy.linalg.lapack._flapack is flapack, "
+                "basketproj.density.dpotrs is flapack.dpotrs)")
+        assert fresh_python(code) == "True True True"
 
     def test_bound_ordering_z_is_the_normal_quantile(self):
         from scipy.stats import norm

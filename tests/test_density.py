@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from basketproj.density import ExpansionCoords, LogIntegrands, chart
+from basketproj.density import ExpansionCoords, LogIntegrands, _Gaussian, chart
 from basketproj.model import ModelKind, ModelSpec, Portfolio
 from support import AtLevel, fd_gradient, fd_hessian
 
@@ -66,6 +66,13 @@ class TestLogDensity:
                       sigma=[[0.2], [0.2]], x0=[100.0, 100.0], T=1.0)  # rank-1 in d=2
         with pytest.raises(ValueError, match="singular covariance"):
             log_density(m, 1.0, np.array([100.0, 100.0]))
+
+
+    def test_non_finite_covariance(self):
+        cov = np.diag([0.04, 0.04])
+        cov[0, 1] = np.nan  # the triangle the factorization does not read
+        with pytest.raises(ValueError, match="non-finite covariance"):
+            _Gaussian(np.zeros(2), cov)
 
 
 class TestChart:

@@ -8,7 +8,7 @@ from basketproj.oracle import quadrature_projected_vol
 from basketproj.projection import laplace_point, newton_maximize, projected_vol_sq
 from basketproj.presets import get_preset
 from basketproj.rng import derive_seed
-from support import vol_sq_at
+from support import fresh_python, vol_sq_at
 
 
 def _stacked(fun):
@@ -237,8 +237,30 @@ class TestOneSetUpPerPoint:
             for t, s, coords, hexval in points:
                 assert vol_sq_at(m, p, t, s, coords=coords) == float.fromhex(hexval)
 
+    def test_public_lapack_gives_the_same_bits(self):
+        # with the extension file not found where the loader looks, the public
+        # scipy.linalg.lapack serves, and its routines give the pinned bits
+        t, s, _, hexval = self.PINNED["bs25d"][0]
+        code = f"""if True:
+            import sys, tempfile
+            import numpy as np, scipy
+            with tempfile.TemporaryDirectory() as empty:
+                scipy.__path__.insert(0, empty)
+                from basketproj import lapack
+                scipy.__path__.remove(empty)
+            fell_back = "scipy.linalg" in sys.modules
+            from scipy.linalg.lapack import dgtsv
+            from basketproj.presets import get_preset
+            from basketproj.projection import projected_vol_sq
+            cfg = get_preset("bs25d")
+            (value,), failures = projected_vol_sq(cfg.build_model(), cfg.build_portfolio(),
+                                                  {t!r}, np.array([{s!r}]))
+            print(fell_back, lapack.dgtsv is dgtsv, failures, value.hex())
+        """
+        assert fresh_python(code) == f"True True {{}} {hexval}"
+
     def test_one_factorization_per_point(self, models, monkeypatch):
-        calls = {"cho_factor": 0, "cho_solve": 0, "cholesky": 0, "derivs": 0}
+        calls = {"dpotrf": 0, "dpotrs": 0, "cholesky": 0, "derivs": 0}
 
         def counted(name, fun):
             def wrapper(*args, **kwargs):
@@ -246,8 +268,8 @@ class TestOneSetUpPerPoint:
                 return fun(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(density, "cho_factor", counted("cho_factor", density.cho_factor))
-        monkeypatch.setattr(density, "cho_solve", counted("cho_solve", density.cho_solve))
+        monkeypatch.setattr(density, "dpotrf", counted("dpotrf", density.dpotrf))
+        monkeypatch.setattr(density, "dpotrs", counted("dpotrs", density.dpotrs))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         for attr in ("f_derivs", "ftilde_derivs"):
             monkeypatch.setattr(LogIntegrands, attr,
@@ -257,15 +279,15 @@ class TestOneSetUpPerPoint:
             for t, s, coords, _ in points:
                 calls.update(dict.fromkeys(calls, 0))
                 vol_sq_at(m, p, t, s, coords=coords)
-                assert calls["cho_factor"] == 1           # the transition covariance
+                assert calls["dpotrf"] == 1               # the transition covariance
                 assert calls["cholesky"] == 2             # one per Newton maximization
                 # one solve per derivative evaluation, one for the inverse covariance
-                assert calls["cho_solve"] == calls["derivs"] + 1
+                assert calls["dpotrs"] == calls["derivs"] + 1
 
     def test_one_factorization_per_slice(self, models, monkeypatch):
         # a 48-level bs25d slice shares one set-up; each derivative call is one
         # multi-right-hand-side solve for the whole stack, not one per level
-        calls = {"cho_factor": 0, "cho_solve": 0, "cholesky": 0, "derivs": 0}
+        calls = {"dpotrf": 0, "dpotrs": 0, "cholesky": 0, "derivs": 0}
 
         def counted(name, fun):
             def wrapper(*args, **kwargs):
@@ -273,8 +295,8 @@ class TestOneSetUpPerPoint:
                 return fun(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(density, "cho_factor", counted("cho_factor", density.cho_factor))
-        monkeypatch.setattr(density, "cho_solve", counted("cho_solve", density.cho_solve))
+        monkeypatch.setattr(density, "dpotrf", counted("dpotrf", density.dpotrf))
+        monkeypatch.setattr(density, "dpotrs", counted("dpotrs", density.dpotrs))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         for attr in ("f_derivs", "ftilde_derivs"):
             monkeypatch.setattr(LogIntegrands, attr,
@@ -282,9 +304,9 @@ class TestOneSetUpPerPoint:
         m, p = models["bs25d"]
         values, failures = projected_vol_sq(m, p, 0.25, np.linspace(2300.0, 2700.0, 48))
         assert not failures and np.all(np.isfinite(values))
-        assert calls["cho_factor"] == 1
+        assert calls["dpotrf"] == 1
         assert calls["cholesky"] == 2
-        assert calls["cho_solve"] == calls["derivs"] + 1
+        assert calls["dpotrs"] == calls["derivs"] + 1
         # a stack iterates as long as its slowest level, far fewer calls than levels
         assert calls["derivs"] < 48
 
