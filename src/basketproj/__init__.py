@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .density import ExpansionCoords, LogIntegrands, chart
 from .hjb import ExerciseBoundary, Grid, Sweep, exercise_boundary, make_grid, solve, value_at
-from .mc import BoundTask, BoundsResult, bias_estimate, diffusion, simulate_bounds, step
+from .mc import BoundsResult, bias_estimate, diffusion, simulate_bounds, step
 from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, correlation_to_sigma
 from .oracle import binomial_american_put_1d, quadrature_projected_vol
 from .projection import LaplacePoint, newton_maximize, projected_vol_sq
@@ -25,6 +25,6 @@ __all__ = [
     "CoefficientSurface", "Envelope", "build_surface", "estimate_envelope", "fit_surface",
     "Grid", "Sweep", "ExerciseBoundary",
     "make_grid", "solve", "exercise_boundary", "value_at",
-    "BoundTask", "BoundsResult", "simulate_bounds", "diffusion", "step", "bias_estimate",
+    "BoundsResult", "simulate_bounds", "diffusion", "step", "bias_estimate",
     "quadrature_projected_vol", "binomial_american_put_1d",
 ]

@@ -134,15 +134,8 @@ class _Gaussian:
 
 
 def transition_law(model: ModelSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the Gaussian law at time t: of X(t) itself
-    (Bachelier) or of the log-returns log(X(t) / x0) (Black-Scholes)."""
-    if model.kind is ModelKind.BACHELIER:
-        # Solution of dX = rX dt + Sigma dW: Gaussian with the integrated covariance.
-        if abs(model.r) < 1e-12:
-            scale = t
-        else:
-            scale = np.expm1(2.0 * model.r * t) / (2.0 * model.r)
-        return model.x0 * np.exp(model.r * t), model.omega * scale
+    """Mean and covariance of the Gaussian log-returns log(X(t) / x0) of a
+    Black-Scholes model at time t."""
     omega = model.omega
     return (model.r - 0.5 * np.diag(omega)) * t, omega * t
 

@@ -154,16 +154,18 @@ class _System:
 class Sweep:
     """What one backward sweep over K strikes keeps, and the rows it gives back.
 
-    Segment j holds time levels j * span up to span of them, the last segment
-    ending at n_t.  checkpoints[j] is the (2K, n_s) row of both flavors
-    (American per strike, then European) at level min((j + 1) * span, n_t),
-    the one segment j is solved backward from.  american and european are
-    the (K, n_s) t = 0 rows.
+    Row k of every array is strike strikes[k].  Segment j holds time levels
+    j * span up to span of them, the last segment ending at n_t.
+    checkpoints[j] is the (2K, n_s) row of both flavors (American per
+    strike, then European) at level min((j + 1) * span, n_t), the one
+    segment j is solved backward from.  american and european are the
+    (K, n_s) t = 0 rows.
     """
 
     span = BLOCK_LEVELS   # time levels per segment
 
     grid: Grid
+    strikes: np.ndarray      # (K,) the strike of each row
     levels: np.ndarray       # (K, n_t + 1) American exercise frontier, -inf where the region is empty
     american: np.ndarray
     european: np.ndarray
@@ -218,10 +220,10 @@ def solve(surf: CoefficientSurface, payoffs: list[PutPayoff], grid: Grid) -> Swe
         lo = j * BLOCK_LEVELS
         levels[:, lo:lo + len(rows)] = exercise_boundary(
             rows[:, :k].swapaxes(0, 1), g, strikes, s).levels
-    for out in (levels, checkpoints):
+    for out in (strikes, levels, checkpoints):
         out.setflags(write=False)
-    return Sweep(grid=grid, levels=levels, american=u[:k].copy(), european=u[k:].copy(),
-                 checkpoints=checkpoints, system=system)
+    return Sweep(grid=grid, strikes=strikes, levels=levels, american=u[:k].copy(),
+                 european=u[k:].copy(), checkpoints=checkpoints, system=system)
 
 
 def exercise_boundary(u: np.ndarray, g: np.ndarray, strikes: np.ndarray,

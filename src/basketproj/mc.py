@@ -43,12 +43,13 @@ rows through one interval lookup, with ``np.interp``'s bits on the uniform
 ``make_grid`` nodes.  Every operation is elementwise, so K strikes equal K
 one-strike runs.
 
-A tier reads its delta rows a segment of time levels at a time (the sweep
-recomputes a segment from its checkpoint, ``hjb.Sweep.segment_delta``); a
-``BoundTask`` names its sweep and its strike's row there.  Each chunk
-recomputes the segments it reads, so a tier holds one segment per running
-chunk, not its whole delta grid, and chunks share nothing but the column
-slices they write.  Each strike's result is one flat ``BoundsResult``.
+A tier is one ``hjb.Sweep`` and the rows of it that it prices: each row's
+strike, exercise levels and delta, the step count and the horizon all come
+off that sweep.  Its delta rows are read a segment of time levels at a time
+(``hjb.Sweep.segment_delta`` recomputes a segment from its checkpoint).
+Each chunk recomputes the segments it reads, so a tier holds one segment per
+running chunk, not its whole delta grid, and chunks share nothing but the
+column slices they write.  Each strike's result is one flat ``BoundsResult``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelKind, ModelSpec, Portfolio, PutPayoff, put_value
+from .model import ModelKind, ModelSpec, Portfolio, put_value
 from .rng import BLOCK_ROWS, CHUNK, normal_matrix
 
 # steps queued on the fill thread beyond the one the kernel takes next
@@ -85,33 +86,26 @@ class BoundsResult:
 
 
 @dataclass
-class BoundTask:
-    """One strike's inputs for the bound estimators: row `index` of its tier's sweep `source`.
-
-    source.levels[index][n] is the basket level at grid time n below which the
-    path stops (-inf when the exercise region is empty there).  The delta of the
-    projected value function is read a segment at a time: source.segment_delta(j)
-    gives the (L, K', n_s) finite-difference delta rows of time levels j * span
-    onward of every strike of the sweep, on its uniform grid.s_nodes, and this
-    strike's are [:, index].
-    """
-
-    payoff: PutPayoff
-    source: object
-    index: int
-
-
-@dataclass
 class TierTask:
-    """One refinement level of a coupled run.
+    """One refinement level of a coupled run: the rows `tasks` of one sweep.
+
+    Row k prices strike sweep.strikes[k]; its path stops below the basket
+    level sweep.levels[k][n] at grid time n (-inf: an empty exercise region).
+    sweep.segment_delta(j) gives the (L, K', n_s) delta rows of time levels
+    j * span onward, on the uniform grid.s_nodes.  The tier takes the grid's
+    n_t steps to its horizon grid.t_grid[-1], which must be the model's T.
 
     functionals asks for the mean stopping time and the mean running maximum
     of the payoff; a tier without them keeps no per-path arrays for them.
     """
 
-    n_t: int
-    tasks: list[BoundTask]
+    sweep: object
+    tasks: list[int]
     functionals: bool = True
+
+    @property
+    def n_t(self) -> int:
+        return self.sweep.grid.n_t
 
 
 def diffusion(model: ModelSpec, x: np.ndarray, dws: np.ndarray) -> np.ndarray:
@@ -144,11 +138,15 @@ def bias_estimate(run_coarse: BoundsResult, run_fine: BoundsResult) -> tuple[flo
             abs(run_fine.a_plus - run_coarse.a_plus))
 
 
-def simulate_bounds(model: ModelSpec, p: Portfolio, tasks: list[BoundTask],
+def simulate_bounds(model: ModelSpec, p: Portfolio, sweep, tasks: list[int],
                     n_t: int, m: int, seed: int) -> list[BoundsResult]:
-    """One forward-Euler batch evaluating all strikes' bounds on shared paths:
-    simulate_tiers_coupled with the one tier, on every CPU this process may run on."""
-    return _simulate(model, p, [TierTask(n_t=n_t, tasks=tasks)], m, seed, None)[0]
+    """One forward-Euler batch evaluating the bounds of the sweep's rows tasks
+    on shared paths: simulate_tiers_coupled with the one tier, on every CPU
+    this process may run on.  n_t must be the sweep's step count."""
+    tier = TierTask(sweep=sweep, tasks=tasks)
+    if n_t != tier.n_t:
+        raise ValueError(f"n_t={n_t} is not the sweep's step count {tier.n_t}")
+    return _simulate(model, p, [tier], m, seed, None)[0]
 
 
 def simulate_tiers_coupled(model: ModelSpec, p: Portfolio, tiers: list[TierTask],
@@ -227,24 +225,19 @@ class _Tier:
     """One tier's strikes, stacked, with their full-length (K, m) per-path values.
 
     Chunks write disjoint column slices, and each strike's statistics reduce
-    its contiguous row.  Every strike is a row of the one sweep, which each
+    its contiguous row.  Every strike is a row of the tier's sweep, which each
     chunk reads a segment at a time.
     """
 
     def __init__(self, tier: TierTask, m: int):
-        tasks = tier.tasks
-        if not tasks:
+        if not tier.tasks:
             raise ValueError(f"tier n_t={tier.n_t} has no strikes")
-        self.source = tasks[0].source
-        if any(task.source is not self.source for task in tasks):
-            raise ValueError(f"tier n_t={tier.n_t}: every strike must be a row of one sweep")
-        self.n_t = tier.n_t
-        self.index = [task.index for task in tasks]
-        self.nodes = _Nodes(self.source.grid.s_nodes)
-        self.strikes = np.array([[task.payoff.strike] for task in tasks])  # (K, 1)
-        self.levels = self.source.levels[self.index]                      # (K, n_t + 1)
-        self.span = self.source.span
-        k = len(tasks)
+        self.sweep, self.n_t, self.index = tier.sweep, tier.n_t, list(tier.tasks)
+        self.nodes = _Nodes(self.sweep.grid.s_nodes)
+        self.strikes = self.sweep.strikes[self.index, None]  # (K, 1)
+        self.levels = self.sweep.levels[self.index]          # (K, n_t + 1)
+        self.span = self.sweep.span
+        k = len(self.index)
         self.lowval = np.zeros((k, m))          # payoff at the stopping time
         self.umax = np.full((k, m), -np.inf)    # running max of payoff minus martingale
         self.mart = np.zeros((k, m))            # the martingale; at maturity, the European payoff
@@ -329,7 +322,7 @@ class _TierChunk:
         disc = np.exp(-model.r * t)
         j = n // self.tier.span
         if j != self.j:
-            self.j, self.seg = j, self.tier.source.segment_delta(j)[:, self.tier.index]
+            self.j, self.seg = j, self.tier.sweep.segment_delta(j)[:, self.tier.index]
         rows = self.seg[n - j * self.tier.span]
         slope = _slopes(self.tier.nodes, rows)
         for c in self.blocks:
@@ -443,6 +436,9 @@ def _simulate(model: ModelSpec, p: Portfolio, tiers: list[TierTask], m: int, see
     for t in tiers:
         if n_fine % t.n_t != 0:
             raise ValueError(f"tier n_t={t.n_t} does not divide the finest tier {n_fine}")
+        if t.sweep.grid.t_grid[-1] != model.T:
+            raise ValueError(f"tier n_t={t.n_t}: sweep horizon {t.sweep.grid.t_grid[-1]} "
+                             f"is not the model's T={model.T}")
     stacked = [_Tier(t, m) for t in tiers]
     spans = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 

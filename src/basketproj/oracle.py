@@ -27,8 +27,9 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s):
     """E[P b b^T P^T | P X(t) = s] for d <= 3 at each level s (a float or an
     array), by integrating over the whole hyperplane {P x = s}.
 
-    Bachelier: the constant P Sigma Sigma^T P^T.  Black-Scholes with positive
-    weights and s > 0: the plane is x = s theta / w with theta = softmax(u, 0),
+    Black-Scholes only (Bachelier's value is the constant P Sigma Sigma^T P^T,
+    which projection.projected_vol_sq returns), with positive weights and
+    s > 0.  The plane is x = s theta / w with theta = softmax(u, 0),
     u in R^(d-1), on which the lognormal density times the area element is the
     Gaussian density of the log-returns alone (the area element, proportional
     to prod(theta), cancels the density's 1 / prod(x)).  The ratio of the two
@@ -36,15 +37,12 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s):
     U_SPACING over [-U_HALF_WIDTH, U_HALF_WIDTH], one grid for every level.
     """
     d = model.d
-    if d > 3 or not t > 0:
-        raise ValueError("quadrature oracle needs d <= 3 and t > 0")
+    if model.kind is not ModelKind.BLACK_SCHOLES or d > 3 or not t > 0:
+        raise ValueError("quadrature oracle needs a Black-Scholes model, d <= 3 and t > 0")
     w = p.weights
     levels = np.asarray(s, dtype=float)
-    if model.kind is ModelKind.BACHELIER:
-        row = w @ model.sigma
-        return np.full(levels.shape, float(row @ row))[()]
     if not (np.all(w > 0.0) and np.all(levels > 0.0)):
-        raise ValueError("quadrature oracle needs positive weights and s > 0 for Black-Scholes")
+        raise ValueError("quadrature oracle needs positive weights and s > 0")
     u = np.linspace(-U_HALF_WIDTH, U_HALF_WIDTH, int(round(2.0 * U_HALF_WIDTH / U_SPACING)) + 1)
     z = [*np.meshgrid(*[u] * (d - 1), indexing="ij", sparse=True), 0.0]  # the logits of theta
     lse = reduce(np.logaddexp, z)

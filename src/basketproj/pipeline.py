@@ -5,9 +5,10 @@ sweep per time-step tier (every strike, American and European, with the
 boundary extracted as it goes and a checkpoint row kept per segment of
 levels) -> one coupled Monte Carlo pass that bounds every strike on every
 tier, the coarse tiers stepping on sums of the top tier's fine increments and
-each chunk recomputing the American delta segments it reads (a strike's
-``mc.BoundTask`` names its tier's sweep and its row there) -> machine-readable
-CSV output, one row per strike and tier read off its flat ``mc.BoundsResult``.
+each chunk recomputing the American delta segments it reads (an
+``mc.TierTask`` is a tier's sweep and the rows of it priced: every strike) ->
+machine-readable CSV output, one row per strike and tier read off its flat
+``mc.BoundsResult``.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ def build_surface_from_config(cfg: ExperimentConfig, model, p):
         raise StageError("surface", exc) from exc
 
 
-def _bound_tasks(sol: hjb.Sweep, payoffs) -> list[mc.BoundTask]:
-    """Each strike's bound task: its row of the tier's sweep."""
-    return [mc.BoundTask(payoff=g, source=sol, index=k) for k, g in enumerate(payoffs)]
-
-
 def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str,
                  functionals: bool, threads: int | None,
                  export_dir: Path | None = None) -> dict[int, tuple]:
@@ -139,7 +135,7 @@ def _price_tiers(cfg: ExperimentConfig, model, p, surf, payoffs, tiers, tag: str
                     hjb.export_values(sol, [export / f"values_K{g.strike:g}.txt"
                                             for g in payoffs])
             hjb_values[n_t] = hjb.value_at(sol, s0)
-            tier_tasks.append(mc.TierTask(n_t=n_t, tasks=_bound_tasks(sol, payoffs),
+            tier_tasks.append(mc.TierTask(sweep=sol, tasks=list(range(len(payoffs))),
                                           functionals=functionals))
         except Exception as exc:
             raise StageError(f"tier-{n_t}", exc) from exc
@@ -371,7 +367,7 @@ def check_bachelier_bracket() -> CheckResult:
     g = PutPayoff(cfg.strikes[0])
     sol = hjb.solve(surf, [g], grid)
     (value,), _ = hjb.value_at(sol, float(p.weights @ model.x0))
-    res = mc.simulate_bounds(model, p, _bound_tasks(sol, [g]), n_t, m,
+    res = mc.simulate_bounds(model, p, sol, [0], n_t, m,
                              derive_seed(cfg.seed, "validate", n_t))[0]
     mid = 0.5 * (res.a_minus + res.a_plus)
     tol = max(3.0 * (res.se_minus + res.se_plus), 0.02 * mid)

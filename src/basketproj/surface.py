@@ -174,28 +174,29 @@ class CoefficientSurface:
                          f"{float(self.residual_rms[i])!r}\n")
 
 
-def fit_surface(slices, degree: int, floor: float, rect: tuple[float, float],
+def fit_surface(slices, floor: float, rect: tuple[float, float],
                 t_max: float, r: float) -> CoefficientSurface:
-    """Least-squares polynomial per time slice from (t, levels, values) per
-    slice, in increasing t.
+    """Least-squares polynomial of degree DEFAULT_DEGREE per time slice from
+    (t, levels, values) per slice, in increasing t.
 
     Each slice is fitted in its centered coordinate (s - center)/halfwidth so
     narrow slices at large basket levels stay well conditioned.
     """
+    n_coef = DEFAULT_DEGREE + 1
     times = np.array([float(t) for t, _, _ in slices])
-    coeffs = np.empty((times.size, degree + 1))
+    coeffs = np.empty((times.size, n_coef))
     centers = np.empty(times.size)
     halfwidths = np.empty(times.size)
     rms = np.empty(times.size)
     for i, (t, s, v) in enumerate(slices):
-        if s.size < degree + 1:
-            raise ValueError(f"slice t={t}: need at least {degree + 1} points, got {s.size}")
+        if s.size < n_coef:
+            raise ValueError(f"slice t={t}: need at least {n_coef} points, got {s.size}")
         centers[i] = 0.5 * (s.max() + s.min())
         halfwidths[i] = max(0.5 * (s.max() - s.min()), 1e-300)
         u = (s - centers[i]) / halfwidths[i]
-        vand = np.vander(u, degree + 1, increasing=True)
+        vand = np.vander(u, n_coef, increasing=True)
         sol, _, rank, _ = np.linalg.lstsq(vand, v, rcond=None)
-        if rank < degree + 1:
+        if rank < n_coef:
             raise ValueError(f"slice t={t}: collinear abscissae (rank {rank})")
         coeffs[i] = sol
         rms[i] = float(np.sqrt(np.mean((vand @ sol - v) ** 2)))
@@ -242,6 +243,5 @@ def build_surface(model: ModelSpec, p: Portfolio, seed: int = 0,
     if n_failed:
         log.warning("Laplace evaluation failed at %d of %d points", n_failed,
                     idx.size * n_abscissae)
-    surf = fit_surface(slices, degree=DEFAULT_DEGREE, floor=floor, rect=rect,
-                       t_max=model.T, r=model.r)
+    surf = fit_surface(slices, floor=floor, rect=rect, t_max=model.T, r=model.r)
     return surf, env

@@ -5,9 +5,10 @@ interpreter for import-graph checks.
 
 Nothing here is part of the package.  The finite-difference derivatives are
 the reference the analytic Laplace derivatives are checked against, and the
-level-by-level sweep the one ``hjb.solve`` is held to; the task builders feed
-``simulate_bounds`` the way the pipeline does, or, on a stand-in sweep, with a
-flat stopping level and a zero martingale to isolate one estimator.
+level-by-level sweep the one ``hjb.solve`` is held to; the task builders give
+``simulate_bounds`` a sweep and its rows the way the pipeline does, or a
+stand-in sweep with a flat stopping level and a zero martingale to isolate
+one estimator.
 """
 
 import os
@@ -23,7 +24,7 @@ from scipy.stats import norm
 import basketproj
 from basketproj import hjb
 from basketproj.density import ExpansionCoords, LogIntegrands
-from basketproj.mc import BoundTask, diffusion, step
+from basketproj.mc import diffusion, step
 from basketproj.projection import laplace_point, projected_vol_sq
 from basketproj.rng import normal_matrix
 from basketproj.surface import CoefficientSurface
@@ -104,37 +105,43 @@ def confidence_interval(mean: float, se: float, level: float) -> tuple[float, fl
 
 
 class ArrayRows:
-    """A stand-in sweep over whole arrays, for tasks whose boundary and delta
-    the test sets itself: (K, n_t + 1) levels, and (n_t + 1, K, n_s) delta
-    rows on s_nodes, cut into the sweep's segments."""
+    """A stand-in sweep over whole arrays, for rows whose boundary and delta
+    the test sets itself: (K,) strikes, (K, n_t + 1) levels, and
+    (n_t + 1, K, n_s) delta rows on s_nodes, cut into the sweep's segments,
+    on a grid of n_t steps up to t_max."""
 
     span = hjb.BLOCK_LEVELS
 
-    def __init__(self, levels: np.ndarray, rows: np.ndarray, s_nodes: np.ndarray):
+    def __init__(self, strikes, levels: np.ndarray, rows: np.ndarray, s_nodes: np.ndarray,
+                 t_max: float):
+        self.strikes = np.array(strikes, dtype=float)
         self.levels, self.rows = levels, rows
-        self.grid = SimpleNamespace(s_nodes=s_nodes)
+        n_t = levels.shape[1] - 1
+        self.grid = SimpleNamespace(s_nodes=s_nodes, n_t=n_t,
+                                    t_grid=np.linspace(0.0, t_max, n_t + 1))
 
     def segment_delta(self, j: int) -> np.ndarray:
         return self.rows[j * self.span:(j + 1) * self.span]
 
 
-def flat_tasks(payoffs, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> list[BoundTask]:
-    """Rows of one stand-in sweep that stop below a constant level; zero
-    delta, so each upper bound is its running max."""
+def flat_tasks(model, payoffs, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)):
+    """A stand-in sweep up to the model's T whose rows stop below a constant
+    level, and its rows; zero delta, so each upper bound is its running max."""
     s_nodes = np.asarray(s_nodes, dtype=float)
     k = len(payoffs)
-    sweep = ArrayRows(np.full((k, n_t + 1), level), np.zeros((n_t + 1, k, s_nodes.size)), s_nodes)
-    return [BoundTask(payoff=g, source=sweep, index=i) for i, g in enumerate(payoffs)]
+    sweep = ArrayRows([g.strike for g in payoffs], np.full((k, n_t + 1), level),
+                      np.zeros((n_t + 1, k, s_nodes.size)), s_nodes, model.T)
+    return sweep, list(range(k))
 
 
-def flat_task(payoff, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)) -> BoundTask:
-    """One strike's flat_tasks, alone on its stand-in sweep."""
-    return flat_tasks([payoff], n_t, level, s_nodes)[0]
+def flat_task(model, payoff, n_t: int, level: float = -np.inf, s_nodes=(0.0, 1.0)):
+    """flat_tasks of one strike: a stand-in sweep and its one row."""
+    return flat_tasks(model, [payoff], n_t, level, s_nodes)
 
 
-def solved_tasks(sol: hjb.Sweep, payoffs) -> list[BoundTask]:
-    """The pipeline's tasks for one tier's sweep: each strike's row of it."""
-    return [BoundTask(payoff=g, source=sol, index=k) for k, g in enumerate(payoffs)]
+def solved_tasks(sol: hjb.Sweep):
+    """The pipeline's tasks for one tier's sweep: the sweep and every row of it."""
+    return sol, list(range(len(sol.strikes)))
 
 
 def streamed(sol: hjb.Sweep) -> tuple[np.ndarray, np.ndarray]:

@@ -133,11 +133,11 @@ def test_criterion_5_convergence_orders(tmp_path, bachelier5_model, bachelier5_p
     m, p = bachelier5_model, bachelier5_portfolio
     g = PutPayoff(500.0)
     n_t = 512
-    task = flat_task(g, n_t)
+    sweep, tasks = flat_task(m, g, n_t)
     ratios = []
     for seed in (101, 202):
-        small = simulate_bounds(m, p, [task], n_t, 8000, seed=seed)[0]
-        big = simulate_bounds(m, p, [task], n_t, 32_000, seed=seed + 1)[0]
+        small = simulate_bounds(m, p, sweep, tasks, n_t, 8000, seed=seed)[0]
+        big = simulate_bounds(m, p, sweep, tasks, n_t, 32_000, seed=seed + 1)[0]
         ratios.append(small.se_minus / big.se_minus)
     se_ok = all(1.6 <= r <= 2.4 for r in ratios)
     ok = slopes_ok and se_ok
@@ -168,8 +168,7 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     bgrid = hjb.make_grid(bsurf.s_min, bsurf.s_max, m.T, 512, c=16)
     gb = PutPayoff(500.0)
     sol = hjb.solve(bsurf, [gb], bgrid)
-    (task,) = solved_tasks(sol, [gb])
-    res = simulate_bounds(m, p, [task], 512, 16_000, seed=derive_seed(2, "acc6"))[0]
+    res = simulate_bounds(m, p, *solved_tasks(sol), 512, 16_000, seed=derive_seed(2, "acc6"))[0]
     z = norm.ppf(0.975)
     ordered = res.a_minus <= res.a_plus + z * (res.se_minus + res.se_plus)
     details.append(f"A-={res.a_minus:.4f} <= A+={res.a_plus:.4f} + z se")
@@ -208,7 +207,7 @@ def test_criterion_6_property_suite(bs3d_surface, bachelier5_model, bachelier5_p
     assert worst_rt < 1e-10
 
     # seed-stable reruns are bit-identical
-    res2 = simulate_bounds(m, p, [task], 512, 16_000, seed=derive_seed(2, "acc6"))[0]
+    res2 = simulate_bounds(m, p, *solved_tasks(sol), 512, 16_000, seed=derive_seed(2, "acc6"))[0]
     identical = (res2.a_minus == res.a_minus and res2.a_plus == res.a_plus
                  and res2.european == res.european)
     details.append("bit-identical rerun")

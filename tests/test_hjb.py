@@ -29,7 +29,8 @@ def bs_put(spot, strike, r, vol, t):
 def t0_sweep(grid, american, european):
     """A sweep holding only the given (K, n_s) t = 0 rows."""
     k = american.shape[0]
-    return hjb.Sweep(grid=grid, levels=np.full((k, grid.n_t + 1), -np.inf),
+    return hjb.Sweep(grid=grid, strikes=np.full(k, 100.0),
+                     levels=np.full((k, grid.n_t + 1), -np.inf),
                      american=american, european=european,
                      checkpoints=np.empty((0, 2 * k, grid.n_s)), system=None)
 
@@ -133,6 +134,7 @@ class TestOneSweep:
         grid = make_grid(surf.s_min, surf.s_max, 0.5, 256, c=16)
         payoffs = [PutPayoff(k) for k in BS3D_STRIKES]
         sol = solve(surf, payoffs, grid)
+        assert sol.strikes.tolist() == list(BS3D_STRIKES) and not sol.strikes.flags.writeable
         values, delta = streamed(sol)
         k_all = len(payoffs)
         for k, g in enumerate(payoffs):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from basketproj import hjb, mc
-from basketproj.mc import BoundTask, BoundsResult, bias_estimate, diffusion, simulate_bounds, step
+from basketproj.mc import BoundsResult, bias_estimate, diffusion, simulate_bounds, step
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import CHUNK, derive_seed, normal_matrix
 from support import (ArrayRows, basket_euler, confidence_interval, euler_states, flat_task,
@@ -19,12 +19,12 @@ from support import (ArrayRows, basket_euler, confidence_interval, euler_states,
 
 def _flat_run(model, p, g, n_t, level, n_paths, seed):
     """Bounds for a constant stopping level and a zero martingale."""
-    return simulate_bounds(model, p, [flat_task(g, n_t, level)], n_t, n_paths, seed)[0]
+    return simulate_bounds(model, p, *flat_task(model, g, n_t, level), n_t, n_paths, seed)[0]
 
 
-def _one_tier(model, p, tasks, n_t, n_paths, seed, *, threads):
+def _one_tier(model, p, sweep, tasks, n_paths, seed, *, threads):
     """simulate_bounds under a thread cap: the coupled run with the one tier."""
-    return mc.simulate_tiers_coupled(model, p, [mc.TierTask(n_t=n_t, tasks=tasks)], n_paths,
+    return mc.simulate_tiers_coupled(model, p, [mc.TierTask(sweep, tasks)], n_paths,
                                      seed, threads=threads)[0]
 
 
@@ -106,7 +106,7 @@ class TestUpperBound:
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
         n_t = 64
-        res = simulate_bounds(m, p, [flat_task(g, n_t)], n_t, 4000, seed=3)[0]
+        res = simulate_bounds(m, p, *flat_task(m, g, n_t), n_t, 4000, seed=3)[0]
         assert res.a_plus >= res.a_minus
 
     def test_wrapper_matches_batched_run(self, bachelier5_model, bachelier5_portfolio,
@@ -119,11 +119,9 @@ class TestUpperBound:
         g = PutPayoff(500.0)
         payoffs = [g, PutPayoff(480.0)]
         sol = hjb.solve(surf, payoffs, grid)
-        task, other = solved_tasks(sol, payoffs)
         never = dataclasses.replace(sol, levels=np.full_like(sol.levels, -np.inf))
-        upper_only = BoundTask(payoff=g, source=never, index=task.index)
-        solo = simulate_bounds(m, p, [upper_only], 128, 4000, seed=55)[0]
-        combined = simulate_bounds(m, p, [task, other], 128, 4000, seed=55)[0]
+        solo = simulate_bounds(m, p, never, [0], 128, 4000, seed=55)[0]
+        combined = simulate_bounds(m, p, *solved_tasks(sol), 128, 4000, seed=55)[0]
         assert solo.a_plus == combined.a_plus
         assert solo.se_plus == combined.se_plus
 
@@ -262,7 +260,7 @@ class TestOrderingAndConsistency:
         grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
         g = PutPayoff(500.0)
         sol = hjb.solve(surf, [g], grid)
-        return simulate_bounds(m, p, solved_tasks(sol, [g]), n_t, n_paths, seed)[0], sol
+        return simulate_bounds(m, p, *solved_tasks(sol), n_t, n_paths, seed)[0], sol
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bound_ordering(self, bachelier5_model, bachelier5_portfolio, bachelier5_surface, seed):
@@ -300,16 +298,15 @@ class TestCoupledTiers:
         g = PutPayoff(500.0)
         n_t = 32
         if kind == "flat":
-            task = flat_task(g, n_t)
+            sweep, tasks = flat_task(m, g, n_t)
         else:  # a finite boundary and a real delta from a Bachelier solve
             surf, _ = bachelier5_surface
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
-            (task,) = solved_tasks(hjb.solve(surf, [g], grid), [g])
-            assert np.isfinite(task.source.levels[0]).any()
-            assert np.any(task.source.segment_delta(0) != 0.0)
-        plain = simulate_bounds(m, p, [task], n_t, 1000, seed=9)[0]
-        tiers = mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=n_t, tasks=[task])],
-                                          1000, seed=9)
+            sweep, tasks = solved_tasks(hjb.solve(surf, [g], grid))
+            assert np.isfinite(sweep.levels[0]).any()
+            assert np.any(sweep.segment_delta(0) != 0.0)
+        plain = simulate_bounds(m, p, sweep, tasks, n_t, 1000, seed=9)[0]
+        tiers = mc.simulate_tiers_coupled(m, p, [mc.TierTask(sweep, tasks)], 1000, seed=9)
         coup = tiers[0][0]
         assert coup.a_minus == plain.a_minus
         assert coup.a_plus == plain.a_plus
@@ -320,7 +317,7 @@ class TestCoupledTiers:
         g = PutPayoff(520.0)
         tier_tasks = []
         for n_t in (32, 64):
-            tier_tasks.append(mc.TierTask(n_t=n_t, tasks=[flat_task(g, n_t)]))
+            tier_tasks.append(mc.TierTask(*flat_task(m, g, n_t)))
         out = mc.simulate_tiers_coupled(m, p, tier_tasks, 4000, seed=12)
         # same Brownian path: the terminal European values agree to first order
         assert abs(out[0][0].european - out[1][0].european) < 0.2
@@ -335,7 +332,7 @@ class TestCoupledTiers:
         tiers = []
         for n_t in (256, 512, 1024, 2048):
             grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
-            tiers.append(mc.TierTask(n_t=n_t, tasks=solved_tasks(hjb.solve(surf, [g], grid), [g])))
+            tiers.append(mc.TierTask(*solved_tasks(hjb.solve(surf, [g], grid))))
         out = mc.simulate_tiers_coupled(m, p, tiers, 16_000, seed=71)
         gaps = [res[0].a_plus - res[0].a_minus for res in out]
         ses = [np.hypot(res[0].se_minus, res[0].se_plus) for res in out]
@@ -348,7 +345,7 @@ class TestCoupledTiers:
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
         n_paths, seed = 3000, 31
-        tiers = [mc.TierTask(n_t=n, tasks=[flat_task(g, n)]) for n in (16, 32, 64)]
+        tiers = [mc.TierTask(*flat_task(m, g, n)) for n in (16, 32, 64)]
         out = mc.simulate_tiers_coupled(m, p, tiers, n_paths, seed=seed)
         for tier, (res,) in zip(tiers, out):
             t_grid = np.linspace(0.0, m.T, tier.n_t + 1)
@@ -363,17 +360,18 @@ class TestCoupledTiers:
         # then equal a one-tier run at that seed, bit for bit
         m, p, surf, strikes = _case(request, kind)
         n_paths, seed = CHUNK + 1000, derive_seed(13, "bounds", 64)
-        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes)) for n in (16, 32, 64)]
-        assert np.isfinite(tiers[-1].tasks[1].source.levels[1]).any()
+        tiers = [mc.TierTask(*_tasks(m, surf, n, strikes)) for n in (16, 32, 64)]
+        top = tiers[-1]
+        assert top.n_t == 64 and np.isfinite(top.sweep.levels[1]).any()
         coupled = mc.simulate_tiers_coupled(m, p, tiers, n_paths, seed, threads=threads)
-        alone = _one_tier(m, p, tiers[-1].tasks, 64, n_paths, seed, threads=threads)
+        alone = _one_tier(m, p, top.sweep, top.tasks, n_paths, seed, threads=threads)
         assert coupled[-1] == alone  # every BoundsResult field of every strike
         assert coupled[0] != alone
 
     @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
     def test_tier_without_functionals(self, request, kind):
         m, p, surf, strikes = _case(request, kind)
-        with_them = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes)) for n in (8, 16)]
+        with_them = [mc.TierTask(*_tasks(m, surf, n, strikes)) for n in (8, 16)]
         without = [dataclasses.replace(t, functionals=False) for t in with_them]
         n_paths = 2 * mc.BLOCK_ROWS + 100
         full = mc.simulate_tiers_coupled(m, p, with_them, n_paths, seed=14)
@@ -387,10 +385,37 @@ class TestCoupledTiers:
 
     def test_tier_must_divide(self, bachelier5_model, bachelier5_portfolio):
         g = PutPayoff(500.0)
-        mk = lambda n: mc.TierTask(n_t=n, tasks=[flat_task(g, n)])
+        mk = lambda n: mc.TierTask(*flat_task(bachelier5_model, g, n))
         with pytest.raises(ValueError):
             mc.simulate_tiers_coupled(bachelier5_model, bachelier5_portfolio,
                                       [mk(48), mk(64)], 100, seed=1)
+
+
+class TestTierIsItsSweep:
+    """Strike, step count and horizon come off the sweep; an input that
+    disagrees with it is an error naming both values, not a number."""
+
+    def _sweep(self, surf, t_max):
+        grid = hjb.make_grid(surf.s_min, surf.s_max, t_max, 128, c=16)
+        return hjb.solve(surf, [PutPayoff(280.0), PutPayoff(300.0)], grid)
+
+    @pytest.mark.parametrize("n_t", [64, 256])
+    def test_step_count_other_than_the_sweeps_raises(self, bs3d_model, bs3d_portfolio,
+                                                     bs3d_surface, n_t):
+        sol = self._sweep(bs3d_surface[0], bs3d_model.T)
+        with pytest.raises(ValueError, match=rf"n_t={n_t} is not the sweep's step count 128"):
+            simulate_bounds(bs3d_model, bs3d_portfolio, sol, [1], n_t, 100, seed=7)
+
+    def test_horizon_other_than_the_models_raises(self, bs3d_model, bs3d_portfolio,
+                                                  bs3d_surface):
+        sol = self._sweep(bs3d_surface[0], 0.25)
+        assert bs3d_model.T == 0.5
+        match = r"sweep horizon 0\.25 is not the model's T=0\.5"
+        with pytest.raises(ValueError, match=match):
+            simulate_bounds(bs3d_model, bs3d_portfolio, sol, [1], 128, 100, seed=7)
+        with pytest.raises(ValueError, match=match):
+            mc.simulate_tiers_coupled(bs3d_model, bs3d_portfolio,
+                                      [mc.TierTask(*solved_tasks(sol))], 100, seed=7)
 
 
 class TestGridLookup:
@@ -438,8 +463,7 @@ def _case(request, kind):
 
 def _tasks(m, surf, n_t, strikes=(480.0, 500.0)):
     grid = hjb.make_grid(surf.s_min, surf.s_max, m.T, n_t, c=16)
-    payoffs = [PutPayoff(k) for k in strikes]
-    return solved_tasks(hjb.solve(surf, payoffs, grid), payoffs)
+    return solved_tasks(hjb.solve(surf, [PutPayoff(k) for k in strikes], grid))
 
 
 class TestChunkParallelKernel:
@@ -450,17 +474,17 @@ class TestChunkParallelKernel:
     def test_single_tier_workers_agree(self, bachelier5_model, bachelier5_portfolio,
                                        bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
-        tasks = _tasks(m, bachelier5_surface[0], 16)
-        assert np.isfinite(tasks[1].source.levels[1]).any()
-        one = _one_tier(m, p, tasks, 16, self.M, seed=21, threads=1)
-        two = _one_tier(m, p, tasks, 16, self.M, seed=21, threads=2)
+        sweep, tasks = _tasks(m, bachelier5_surface[0], 16)
+        assert np.isfinite(sweep.levels[1]).any()
+        one = _one_tier(m, p, sweep, tasks, self.M, seed=21, threads=1)
+        two = _one_tier(m, p, sweep, tasks, self.M, seed=21, threads=2)
         assert one == two  # every BoundsResult field
 
     def test_coupled_tiers_workers_agree(self, bachelier5_model, bachelier5_portfolio,
                                          bachelier5_surface):
         m, p = bachelier5_model, bachelier5_portfolio
         surf, _ = bachelier5_surface
-        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, (500.0,))) for n in (8, 16)]
+        tiers = [mc.TierTask(*_tasks(m, surf, n, (500.0,))) for n in (8, 16)]
         one = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=22, threads=1)
         two = mc.simulate_tiers_coupled(m, p, tiers, self.M, seed=22, threads=2)
         assert one == two
@@ -472,7 +496,7 @@ class TestChunkParallelKernel:
         # those of one pass of the basket recursion over all paths at once
         m, p = bachelier5_model, bachelier5_portfolio
         g = PutPayoff(500.0)
-        res = _one_tier(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
+        res = _one_tier(m, p, *flat_task(m, g, 16), self.M, seed=23, threads=2)[0]
         z = np.exp(-m.r * m.T) * g(basket_euler(m, p, 23, self.M, 16))
         assert res.european == float(z.mean())
         assert res.a_minus == res.european  # nothing stops before maturity
@@ -483,7 +507,7 @@ class TestChunkParallelKernel:
         # (T / n_t is exact here)
         m, p = bs3d_model, bs3d_portfolio
         g = PutPayoff(300.0)
-        res = _one_tier(m, p, [flat_task(g, 16)], 16, self.M, seed=23, threads=2)[0]
+        res = _one_tier(m, p, *flat_task(m, g, 16), self.M, seed=23, threads=2)[0]
         *_, x_t = euler_states(m, 23, self.M, np.linspace(0.0, m.T, 17))
         z = np.exp(-m.r * m.T) * g(x_t @ p.weights)
         assert res.european == float(z.mean())
@@ -495,7 +519,7 @@ class TestChunkParallelKernel:
         # two, and the results do not depend on which
         m, p = bachelier5_model, bachelier5_portfolio
         surf, _ = bachelier5_surface
-        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n)) for n in (48, 96)]
+        tiers = [mc.TierTask(*_tasks(m, surf, n)) for n in (48, 96)]
         calls = []
         segment_delta = hjb.Sweep.segment_delta
 
@@ -513,20 +537,6 @@ class TestChunkParallelKernel:
             assert sorted(calls) == sorted(read * 2)  # self.M is two chunks
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("nodes", ["shifted", "equal"])
-    def test_tasks_from_two_sweeps_in_a_tier_raise(self, bachelier5_model, bachelier5_portfolio,
-                                                   bachelier5_surface, nodes):
-        m, p = bachelier5_model, bachelier5_portfolio
-        surf, _ = bachelier5_surface
-        task = _tasks(m, surf, 16, (500.0,))[0]
-        sol = task.source
-        shift = 1.0 if nodes == "shifted" else 0.0
-        copy = dataclasses.replace(sol, grid=dataclasses.replace(sol.grid,
-                                                                 s_nodes=sol.grid.s_nodes + shift))
-        other = BoundTask(payoff=task.payoff, source=copy, index=task.index)
-        with pytest.raises(ValueError, match="n_t=16"):
-            simulate_bounds(m, p, [task, other], 16, 100, seed=1)
-
 
 class TestStackedStrikes:
     """A tier's strikes share every ufunc call of a step; each must still see
@@ -543,20 +553,20 @@ class TestStackedStrikes:
         # keeps the first strike's delta, and a flat stop level with zero delta
         levels = np.vstack([sol.levels, np.full(17, -np.inf), np.full(17, strikes[-1] - 20.0)])
         rows = np.concatenate([delta, delta[:1], np.zeros_like(delta[:1])]).swapaxes(0, 1)
-        sweep = ArrayRows(levels, rows, grid.s_nodes)
-        extra = [PutPayoff(strikes[0] + 5.0), PutPayoff(strikes[-1])]
-        return [BoundTask(payoff=g, source=sweep, index=k) for k, g in enumerate(payoffs + extra)]
+        sweep = ArrayRows([*strikes, strikes[0] + 5.0, strikes[-1]], levels, rows, grid.s_nodes,
+                          model.T)
+        return sweep, list(range(len(sweep.strikes)))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["bachelier", "black-scholes"])
     def test_tier_equals_one_strike_runs(self, request, kind, threads):
         m, p, surf, strikes = _case(request, kind)
-        tasks = self._tasks(m, p, surf, strikes)
-        assert np.isfinite(tasks[1].source.levels[1]).any()
-        together = _one_tier(m, p, tasks, 16, self.M, seed=41, threads=threads)
+        sweep, tasks = self._tasks(m, p, surf, strikes)
+        assert np.isfinite(sweep.levels[1]).any()
+        together = _one_tier(m, p, sweep, tasks, self.M, seed=41, threads=threads)
         assert mc.BLOCK_ROWS < CHUNK and len(together) == len(tasks)
         for task, res in zip(tasks, together):
-            alone, = _one_tier(m, p, [task], 16, self.M, seed=41, threads=threads)
+            alone, = _one_tier(m, p, sweep, [task], self.M, seed=41, threads=threads)
             assert res == alone  # every BoundsResult field
 
 
@@ -582,7 +592,7 @@ class TestRunAheadFill:
                                                   bachelier5_surface, pools):
         m, p = bachelier5_model, bachelier5_portfolio
         surf, _ = bachelier5_surface
-        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n)) for n in (8, 16, 32)]
+        tiers = [mc.TierTask(*_tasks(m, surf, n)) for n in (8, 16, 32)]
         ahead = mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=31, threads=2)
         assert pools == [1]  # one chunk on this thread, one fill thread
         inline = mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=31, threads=1)
@@ -593,10 +603,10 @@ class TestRunAheadFill:
                                                pools):
         # the step reads its scaled block to the end, while the next fill runs
         m, p = bs3d_model, bs3d_portfolio
-        tasks = _tasks(m, bs3d_surface[0], 16, (290.0, 300.0))
-        assert np.isfinite(tasks[1].source.levels[1]).any()
-        ahead = _one_tier(m, p, tasks, 16, CHUNK, seed=32, threads=2)
-        inline = _one_tier(m, p, tasks, 16, CHUNK, seed=32, threads=1)
+        sweep, tasks = _tasks(m, bs3d_surface[0], 16, (290.0, 300.0))
+        assert np.isfinite(sweep.levels[1]).any()
+        ahead = _one_tier(m, p, sweep, tasks, CHUNK, seed=32, threads=2)
+        inline = _one_tier(m, p, sweep, tasks, CHUNK, seed=32, threads=1)
         assert pools == [1]
         assert ahead == inline
 
@@ -605,10 +615,10 @@ class TestRunAheadFill:
                                     bachelier5_surface, pools, paths, made):
         # a whole chunk beside a tail, or a part chunk alone: no fill thread
         m, p = bachelier5_model, bachelier5_portfolio
-        tasks = _tasks(m, bachelier5_surface[0], 16)
-        four = _one_tier(m, p, tasks, 16, paths, seed=33, threads=4)
+        sweep, tasks = _tasks(m, bachelier5_surface[0], 16)
+        four = _one_tier(m, p, sweep, tasks, paths, seed=33, threads=4)
         assert pools == made  # the chunk workers' pool, if two chunks
-        one = _one_tier(m, p, tasks, 16, paths, seed=33, threads=1)
+        one = _one_tier(m, p, sweep, tasks, paths, seed=33, threads=1)
         assert four == one
 
     @staticmethod
@@ -631,7 +641,7 @@ class TestRunAheadFill:
     def test_kernel_thread_draws_what_the_fill_thread_has_not_started(self, request, kind,
                                                                      monkeypatch, pools):
         m, p, surf, strikes = _case(request, kind)
-        tiers = [mc.TierTask(n_t=n, tasks=_tasks(m, surf, n, strikes))
+        tiers = [mc.TierTask(*_tasks(m, surf, n, strikes))
                  for n in ((8, 16, 32) if kind == "bachelier" else (32,))]
         inline = mc.simulate_tiers_coupled(m, p, tiers, CHUNK, seed=37, threads=1)
         drawers = {}
@@ -654,9 +664,9 @@ class TestRunAheadFill:
 
         monkeypatch.setattr(mc, "normal_matrix", failing)
         before = threading.active_count()
-        tasks = [flat_task(PutPayoff(500.0), 16, 450.0)]
+        sweep, tasks = flat_task(bachelier5_model, PutPayoff(500.0), 16, 450.0)
         with pytest.raises(RuntimeError, match="fill failed at step 3"):
-            _one_tier(bachelier5_model, bachelier5_portfolio, tasks, 16, CHUNK, seed=34,
+            _one_tier(bachelier5_model, bachelier5_portfolio, sweep, tasks, CHUNK, seed=34,
                       threads=threads)
         assert threading.active_count() == before
 
@@ -689,7 +699,8 @@ class TestRunAheadFill:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{where} failed"):
             _one_tier(bachelier5_model, bachelier5_portfolio,
-                      [flat_task(PutPayoff(500.0), 16, 450.0)], 16, CHUNK, seed=34, threads=2)
+                      *flat_task(bachelier5_model, PutPayoff(500.0), 16, 450.0), CHUNK, seed=34,
+                      threads=2)
         assert threading.active_count() == before
         assert late == []  # no queued step started after the failure
 
@@ -702,8 +713,8 @@ class TestRunAheadFill:
         m, p = bachelier5_model, bachelier5_portfolio
         normal_matrix(1, 0, 2, m.k, project=np.ones(m.k))
         n_ts, k = (8, 16, 32), 1
-        tiers = [mc.TierTask(n_t=n, tasks=[flat_task(PutPayoff(500.0), n, 450.0)],
-                             functionals=False) for n in n_ts]
+        tiers = [mc.TierTask(*flat_task(m, PutPayoff(500.0), n, 450.0), functionals=False)
+                 for n in n_ts]
         per_tier = (3 * k * CHUNK * 8          # lower, upper and martingale values
                     + CHUNK * 8 + k * CHUNK    # the basket and the open flags
                     + k * mc.BLOCK_ROWS * 8)   # the payoff scratch
@@ -723,8 +734,8 @@ class TestRunAheadFill:
             raise AssertionError("threads=1 must start no thread")
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
-        tasks = [flat_task(PutPayoff(500.0), 8, 450.0)]
-        res = _one_tier(bachelier5_model, bachelier5_portfolio, tasks, 8, CHUNK + 1000,
+        sweep, tasks = flat_task(bachelier5_model, PutPayoff(500.0), 8, 450.0)
+        res = _one_tier(bachelier5_model, bachelier5_portfolio, sweep, tasks, CHUNK + 1000,
                         seed=35, threads=1)
         assert len(res) == 1 and np.isfinite(res[0].a_minus)
 
@@ -735,5 +746,5 @@ class TestRunAheadFill:
         assert mc._worker_count(None) == 1
         assert mc._worker_count(3) == 3
         res = simulate_bounds(bachelier5_model, bachelier5_portfolio,
-                              [flat_task(PutPayoff(500.0), 8)], 8, 100, seed=36)
+                              *flat_task(bachelier5_model, PutPayoff(500.0), 8), 8, 100, seed=36)
         assert len(res) == 1 and np.isfinite(res[0].a_minus)

@@ -90,12 +90,12 @@ class TestQuadrature:
         got = quadrature_projected_vol(m, Portfolio([2.0]), 0.5, np.array([150.0, 250.0]))
         assert np.allclose(got, 0.09 * np.array([150.0, 250.0]) ** 2, rtol=1e-15)
 
-    def test_bachelier_2d_exact(self):
+    def test_bachelier_rejected(self):
+        # Bachelier's exact constant is projection.projected_vol_sq's alone
         m = ModelSpec(kind=ModelKind.BACHELIER, r=0.0, sigma=np.diag([20.0, 25.0]),
                       x0=[100.0, 100.0], T=1.0)
-        p = Portfolio([1.0, 1.0])
-        got = quadrature_projected_vol(m, p, 1.0, 210.0)
-        assert got == pytest.approx(400.0 + 625.0, rel=1e-10)
+        with pytest.raises(ValueError, match="Black-Scholes"):
+            quadrature_projected_vol(m, Portfolio([1.0, 1.0]), 1.0, 210.0)
 
     def test_close_agreement_with_laplace(self, appendix_model, appendix_portfolio):
         quad = quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 200.0)

@@ -49,19 +49,18 @@ class TestNewton:
         m, p = bachelier5_model, bachelier5_portfolio
         t, s = 0.25, 460.0
         ch = density.chart(p)
-        law_mean, law_cov = density.transition_law(m, t)
-        cinv, b = np.linalg.inv(law_cov), ch.basis
+        # the law of dX = rX dt + Sigma dW: Gaussian with the integrated covariance
+        cov = m.omega * (np.expm1(2 * m.r * t) / (2 * m.r))
+        mean = m.x0 * np.exp(m.r * t)
+        cinv, b = np.linalg.inv(cov), ch.basis
 
         def point(z):
-            dev = ch.x_of(s, z) - law_mean
+            dev = ch.x_of(s, z) - mean
             return float(-0.5 * dev @ cinv @ dev), -b.T @ cinv @ dev, -b.T @ cinv @ b
 
         res = newton_maximize(_stacked(point), np.array([s]), m.x0[None, ch.free] + 30.0)
         assert not res.failures
         # closed-form Gaussian conditioning
-        scale = np.expm1(2 * m.r * t) / (2 * m.r)
-        cov = m.omega * scale
-        mean = m.x0 * np.exp(m.r * t)
         w = p.weights
         cp = cov @ w
         cond = mean + cp * (s - w @ mean) / (w @ cp)

@@ -39,14 +39,14 @@ class TestEnvelope:
 class TestFit:
     def test_constant_data(self):
         slices = [(t, np.linspace(90, 110, 12), np.full(12, 7.5)) for t in (0.1, 0.2)]
-        surf = fit_surface(slices, degree=3, floor=1e-6, rect=(80.0, 120.0), t_max=0.3, r=0.0)
+        surf = fit_surface(slices, floor=1e-6, rect=(80.0, 120.0), t_max=0.3, r=0.0)
         assert np.allclose(surf.residual_rms, 0.0, atol=1e-10)
         assert surf.eval_b2(0.15, np.array([83.0, 101.0, 119.0])) == pytest.approx(7.5)
 
     def test_exact_cubic_recovered(self):
         coef = np.array([4.0, -0.3, 0.002, 1.5e-5])
         ss = np.linspace(150.0, 450.0, 24)
-        surf = fit_surface([(0.5, ss, np.polyval(coef[::-1], ss))], degree=3, floor=1e-9,
+        surf = fit_surface([(0.5, ss, np.polyval(coef[::-1], ss))], floor=1e-9,
                            rect=(100.0, 500.0), t_max=1.0, r=0.0)
         c, h = surf.centers[0], surf.halfwidths[0]
         got = np.polynomial.Polynomial(surf.coeffs[0], domain=[c - h, c + h]).convert().coef
@@ -65,12 +65,12 @@ class TestFit:
     def test_too_few_points(self):
         slices = [(0.1, np.array([1.0, 2.0, 3.0]), np.ones(3))]
         with pytest.raises(ValueError, match="need at least 4 points, got 3"):
-            fit_surface(slices, degree=3, floor=1e-6, rect=(0.0, 4.0), t_max=1.0, r=0.0)
+            fit_surface(slices, floor=1e-6, rect=(0.0, 4.0), t_max=1.0, r=0.0)
 
     def test_collinear_abscissae(self):
         slices = [(0.1, np.full(6, 2.0), np.arange(6.0))]
         with pytest.raises(ValueError):
-            fit_surface(slices, degree=3, floor=1e-6, rect=(0.0, 4.0), t_max=1.0, r=0.0)
+            fit_surface(slices, floor=1e-6, rect=(0.0, 4.0), t_max=1.0, r=0.0)
 
 
 class TestEval:

@@ -62,9 +62,9 @@ def test_each_bound_entry_point_is_one_mc_span(bachelier5_model, bachelier5_port
     g = PutPayoff(500.0)
 
     def call():
-        mc.simulate_bounds(m, p, flat_tasks([g, g], 4), 4, 16, seed=1)
-        mc.simulate_tiers_coupled(m, p, [mc.TierTask(n_t=2, tasks=[flat_task(g, 2)]),
-                                         mc.TierTask(n_t=4, tasks=[flat_task(g, 4)])],
+        mc.simulate_bounds(m, p, *flat_tasks(m, [g, g], 4), 4, 16, seed=1)
+        mc.simulate_tiers_coupled(m, p, [mc.TierTask(*flat_task(m, g, 2)),
+                                         mc.TierTask(*flat_task(m, g, 4))],
                                   16, seed=1)
 
     tracing = _load_tracing()
