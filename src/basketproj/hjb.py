@@ -10,14 +10,15 @@ coefficients of a segment of ``BLOCK_LEVELS`` levels come from one
 ``CoefficientSurface.blend`` call.  Dirichlet rows carry the payoff at
 both ends of the rectangle.
 
-The sweep keeps what is small: the exercise boundary of every level, the
-t = 0 rows, and the row of both flavors at the top of every segment (a
+One ``Sweep`` object is one backward solve: its constructor runs the checked
+first pass, and it keeps what is small: the exercise boundary of every level,
+the t = 0 rows, and the row of both flavors at the top of every segment (a
 checkpoint, after Griewank & Walther's revolve).  The Monte Carlo pass reads
-the finite-difference delta a segment at a time, recomputed backward from
-its checkpoint by the same ``gtsv`` calls on the same inputs, so its rows are
-those of the first pass bit for bit; the delta's recompute solves only the
-American columns, whose bits do not depend on the columns beside them.  No
-``(K, n_t + 1, n_s)`` grid is ever held.
+the finite-difference delta a segment at a time, which the sweep recomputes
+backward from its checkpoint by its own steps on the same inputs, so its rows
+are those of the first pass bit for bit; the delta's recompute solves only
+the American columns, whose bits do not depend on the columns beside them.
+No ``(K, n_t + 1, n_s)`` grid is ever held.
 """
 
 from __future__ import annotations
@@ -77,30 +78,73 @@ def make_grid(s_min: float, s_max: float, t_max: float, n_t: int,
                 s_nodes=np.linspace(s_min, s_max, n_s))
 
 
-class _System:
-    """One sweep's implicit Euler steps: the surface slices cached at the
-    interior nodes, the (K, n_s) payoff rows, and the steps of one segment."""
+class Sweep:
+    """One backward sweep over K strikes, run by the constructor: what it
+    keeps, the inputs of its implicit Euler steps, and the rows it gives back.
+
+    Row k of every array is strike strikes[k].  Segment j holds time levels
+    j * span up to span of them, the last segment ending at n_t.
+    checkpoints[j] is the (2K, n_s) row of both flavors (American per
+    strike, then European) at level min((j + 1) * span, n_t), the one
+    segment j is solved backward from.  levels is the (K, n_t + 1) American
+    exercise frontier, -inf where the region is empty; american and european
+    are the (K, n_s) t = 0 rows.
+    """
+
+    span = BLOCK_LEVELS   # time levels per segment
 
     def __init__(self, surf: CoefficientSurface, payoffs: list[PutPayoff], grid: Grid):
-        interior = grid.s_nodes[1:-1]
-        self.surf, self.grid = surf, grid
-        self.g = np.array([p(grid.s_nodes) for p in payoffs])
-        self.conv = surf.r * interior / (2.0 * grid.ds)
+        s = grid.s_nodes
+        if s[0] < surf.s_min - 1e-9 * max(1.0, abs(surf.s_min)) or \
+           s[-1] > surf.s_max + 1e-9 * max(1.0, abs(surf.s_max)):
+            raise ValueError("surface rectangle does not contain the grid")
+        if grid.t_grid[-1] > surf.t_max * (1 + 1e-12):
+            raise ValueError("surface horizon shorter than the grid")
+        self.grid, self._surf = grid, surf
+        self._g = g = np.array([p(s) for p in payoffs])
+        self._conv = surf.r * s[1:-1] / (2.0 * grid.ds)
         # every slice's polynomial at the interior nodes, once per sweep
-        self.slices = surf.slice_b2(interior)
-        self.warned = False
+        self._slices = surf.slice_b2(s[1:-1])
+        self._warned = False
+        k = len(payoffs)
+        self.strikes = np.array([p.strike for p in payoffs])
+        u = np.concatenate((g, g))  # rows: American per strike, then European per strike
+        self.checkpoints = np.empty((grid.n_t // BLOCK_LEVELS + 1, *u.shape))
+        self.levels = np.empty((k, grid.n_t + 1))
+        for j in range(self.segments - 1, -1, -1):
+            self.checkpoints[j] = u
+            rows = self._segment(j, u, checked=True)
+            lo = j * BLOCK_LEVELS
+            self.levels[:, lo:lo + len(rows)] = exercise_boundary(
+                rows[:, :k].swapaxes(0, 1), g, self.strikes, s).levels
+        for out in (self.strikes, self.levels, self.checkpoints):
+            out.setflags(write=False)
+        self.american, self.european = u[:k].copy(), u[k:].copy()
 
-    def coefficients(self, lo: int, top: int):
+    @property
+    def segments(self) -> int:
+        return len(self.checkpoints)
+
+    def segment_values(self, j: int) -> np.ndarray:
+        """Both flavors' value rows of segment j, (L, 2K, n_s), recomputed from its checkpoint."""
+        return self._segment(j, self.checkpoints[j].copy(), checked=False)
+
+    def segment_delta(self, j: int) -> np.ndarray:
+        """Every strike's American delta on segment j, (L, K, n_s), off the American rows alone."""
+        u = self.checkpoints[j, :len(self.american)].copy()
+        return delta_array(self._segment(j, u, checked=False), self.grid.s_nodes)
+
+    def _coefficients(self, lo: int, top: int):
         """Sub-, main and super-diagonal of levels lo ... top - 1, (top - lo, n_s - 2) each."""
         t = self.grid.t_grid[lo:top]
         dt = (self.grid.t_grid[lo + 1:top + 1] - t)[:, None]
-        diff = self.surf.blend(t, self.slices) / (2.0 * self.grid.ds**2)
-        sub = -dt * (diff - self.conv)                  # couples to u_{m-1}
-        dia = 1.0 + dt * (self.surf.r + 2.0 * diff)
-        sup = -dt * (diff + self.conv)                  # couples to u_{m+1}
+        diff = self._surf.blend(t, self._slices) / (2.0 * self.grid.ds**2)
+        sub = -dt * (diff - self._conv)                 # couples to u_{m-1}
+        dia = 1.0 + dt * (self._surf.r + 2.0 * diff)
+        sup = -dt * (diff + self._conv)                 # couples to u_{m+1}
         return sub, dia, sup
 
-    def segment(self, j: int, u: np.ndarray, checked: bool) -> np.ndarray:
+    def _segment(self, j: int, u: np.ndarray, checked: bool) -> np.ndarray:
         """The rows of segment j, (L, R, n_s), levels lo = j * BLOCK_LEVELS up to
         L rows on, solved backward from u, the (R, n_s) row at level
         min(lo + L, n_t): both flavors (R = 2K), or the American ones (R = K).
@@ -110,7 +154,7 @@ class _System:
         non-finite level.  A recompute solves the same columns on the same
         inputs, so it skips both.
         """
-        n_t, k = self.grid.n_t, len(self.g)
+        n_t, k = self.grid.n_t, len(self._g)
         lo = j * BLOCK_LEVELS
         hi = min(lo + BLOCK_LEVELS, n_t + 1)
         top = min(hi, n_t)
@@ -119,14 +163,14 @@ class _System:
         rows = np.empty((top - lo + 1, *u.shape))
         rows[-1] = u
         rows[:-1, :, 0], rows[:-1, :, -1] = u[:, 0], u[:, -1]
-        sub, dia, sup = self.coefficients(lo, top)
-        if checked and not self.warned:
+        sub, dia, sup = self._coefficients(lo, top)
+        if checked and not self._warned:
             bad = np.flatnonzero(np.any(np.abs(sub) + np.abs(sup) > np.abs(dia), axis=1))
             if bad.size:
                 log.warning("tridiagonal system not diagonally dominant at t=%.6g "
                             "(coarse space step relative to the drift)",
                             self.grid.t_grid[lo + bad[-1]])
-                self.warned = True
+                self._warned = True
         # every level's Dirichlet terms of the right-hand side, (L, R) each
         left, right = sub[:, :1] * u[:, 0], sup[:, -1:] * u[:, -1]
         for i in range(top - lo - 1, -1, -1):
@@ -145,45 +189,9 @@ class _System:
                                    f"at t={self.grid.t_grid[lo + i]}")
             rows[i, :, 1:-1] = inner.T
             american = rows[i, :k]
-            np.maximum(american, self.g, out=american)
+            np.maximum(american, self._g, out=american)
         u[...] = rows[0]
         return rows if hi > n_t else rows[:-1]
-
-
-@dataclass(frozen=True)
-class Sweep:
-    """What one backward sweep over K strikes keeps, and the rows it gives back.
-
-    Row k of every array is strike strikes[k].  Segment j holds time levels
-    j * span up to span of them, the last segment ending at n_t.
-    checkpoints[j] is the (2K, n_s) row of both flavors (American per
-    strike, then European) at level min((j + 1) * span, n_t), the one
-    segment j is solved backward from.  american and european are the
-    (K, n_s) t = 0 rows.
-    """
-
-    span = BLOCK_LEVELS   # time levels per segment
-
-    grid: Grid
-    strikes: np.ndarray      # (K,) the strike of each row
-    levels: np.ndarray       # (K, n_t + 1) American exercise frontier, -inf where the region is empty
-    american: np.ndarray
-    european: np.ndarray
-    checkpoints: np.ndarray  # (segments, 2K, n_s)
-    system: _System
-
-    @property
-    def segments(self) -> int:
-        return len(self.checkpoints)
-
-    def segment_values(self, j: int) -> np.ndarray:
-        """Both flavors' value rows of segment j, (L, 2K, n_s), recomputed from its checkpoint."""
-        return self.system.segment(j, self.checkpoints[j].copy(), checked=False)
-
-    def segment_delta(self, j: int) -> np.ndarray:
-        """Every strike's American delta on segment j, (L, K, n_s), off the American rows alone."""
-        u = self.checkpoints[j, :len(self.american)].copy()
-        return delta_array(self.system.segment(j, u, checked=False), self.grid.s_nodes)
 
 
 @dataclass(frozen=True)
@@ -202,28 +210,7 @@ def solve(surf: CoefficientSurface, payoffs: list[PutPayoff], grid: Grid) -> Swe
     as the sweep passes them; the sweep then drops them and keeps the
     segment's checkpoint.
     """
-    s = grid.s_nodes
-    if s[0] < surf.s_min - 1e-9 * max(1.0, abs(surf.s_min)) or \
-       s[-1] > surf.s_max + 1e-9 * max(1.0, abs(surf.s_max)):
-        raise ValueError("surface rectangle does not contain the grid")
-    if grid.t_grid[-1] > surf.t_max * (1 + 1e-12):
-        raise ValueError("surface horizon shorter than the grid")
-    system = _System(surf, payoffs, grid)
-    k, g = len(payoffs), system.g
-    strikes = np.array([p.strike for p in payoffs])
-    u = np.concatenate((g, g))  # rows: American per strike, then European per strike
-    checkpoints = np.empty((grid.n_t // BLOCK_LEVELS + 1, *u.shape))
-    levels = np.empty((k, grid.n_t + 1))
-    for j in range(len(checkpoints) - 1, -1, -1):
-        checkpoints[j] = u
-        rows = system.segment(j, u, checked=True)
-        lo = j * BLOCK_LEVELS
-        levels[:, lo:lo + len(rows)] = exercise_boundary(
-            rows[:, :k].swapaxes(0, 1), g, strikes, s).levels
-    for out in (strikes, levels, checkpoints):
-        out.setflags(write=False)
-    return Sweep(grid=grid, strikes=strikes, levels=levels, american=u[:k].copy(),
-                 european=u[k:].copy(), checkpoints=checkpoints, system=system)
+    return Sweep(surf, payoffs, grid)
 
 
 def exercise_boundary(u: np.ndarray, g: np.ndarray, strikes: np.ndarray,

@@ -87,7 +87,7 @@ class BoundsResult:
 
 @dataclass
 class TierTask:
-    """One refinement level of a coupled run: the rows `tasks` of one sweep.
+    """One refinement level of a coupled run: the rows `tasks` of one sweep, in [0, K).
 
     Row k prices strike sweep.strikes[k]; its path stops below the basket
     level sweep.levels[k][n] at grid time n (-inf: an empty exercise region).
@@ -233,6 +233,9 @@ class _Tier:
         if not tier.tasks:
             raise ValueError(f"tier n_t={tier.n_t} has no strikes")
         self.sweep, self.n_t, self.index = tier.sweep, tier.n_t, list(tier.tasks)
+        rows = len(self.sweep.strikes)
+        if outside := [i for i in self.index if not 0 <= i < rows]:
+            raise ValueError(f"tier n_t={self.n_t}: rows {outside} outside its sweep's [0, {rows})")
         self.nodes = _Nodes(self.sweep.grid.s_nodes)
         self.strikes = self.sweep.strikes[self.index, None]  # (K, 1)
         self.levels = self.sweep.levels[self.index]          # (K, n_t + 1)

@@ -28,21 +28,6 @@ def _frozen_array(a, ndim: int) -> np.ndarray:
     return out
 
 
-def check_psd(mat: np.ndarray) -> None:
-    """Check symmetric positive semi-definiteness through the eigenvalue pivots.
-
-    Raises ValueError when any pivot falls below -PIVOT_TOL * scale; small negative
-    pivots beyond tolerance are a configuration error, never silently clipped.
-    """
-    sym = 0.5 * (mat + mat.T)
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("matrix has non-finite entries")
-    ev = np.linalg.eigvalsh(sym)
-    scale = max(1.0, float(ev[-1]))
-    if ev[0] < -PIVOT_TOL * scale:
-        raise ValueError(f"matrix is not positive semi-definite (min pivot {ev[0]:.3e})")
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Risk-neutral multivariate dynamics dX = r X dt + b(t, X) dW.
@@ -69,7 +54,10 @@ class ModelSpec:
             raise ValueError("maturity T must be positive")
         if self.kind is ModelKind.BLACK_SCHOLES and not np.all(self.x0 > 0):
             raise ValueError("Black-Scholes requires strictly positive x0")
-        check_psd(self.sigma @ self.sigma.T)
+        # sigma sigma^T is positive semi-definite for every real sigma; what
+        # can fail is a non-finite sigma, or a product that overflows
+        if not np.all(np.isfinite(self.omega)):
+            raise ValueError("sigma @ sigma.T has non-finite entries")
 
     @property
     def d(self) -> int:

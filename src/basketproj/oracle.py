@@ -11,7 +11,6 @@ from functools import reduce
 
 import numpy as np
 
-from .density import transition_law
 from .model import ModelKind, ModelSpec, Portfolio
 
 # the trapezoid grid of quadrature_projected_vol on every chart axis.  Within
@@ -46,7 +45,10 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s):
     u = np.linspace(-U_HALF_WIDTH, U_HALF_WIDTH, int(round(2.0 * U_HALF_WIDTH / U_SPACING)) + 1)
     z = [*np.meshgrid(*[u] * (d - 1), indexing="ij", sparse=True), 0.0]  # the logits of theta
     lse = reduce(np.logaddexp, z)
-    mean, cov = transition_law(model, t)
+    # the Gaussian law of the log-returns log(X(t) / x0), written out here so
+    # that the reference shares no code with the Laplace stage it checks
+    omega = model.omega
+    mean, cov = (model.r - 0.5 * np.diag(omega)) * t, omega * t
     a = [zi - lse - ci for zi, ci in zip(z, np.log(w * model.x0) + mean)]
     k = np.linalg.inv(cov)
     # a + log s is the log-return deviation, a = log theta - log(w x0) - mean, and
@@ -59,7 +61,7 @@ def quadrature_projected_vol(model: ModelSpec, p: Portfolio, t: float, s):
     slope = sum(kc * ai for kc, ai in zip(k.sum(axis=1), a))
     del a  # d grid-sized arrays, freed before q's
     # theta' omega theta = P b b^T P^T / s^2, with theta_i theta_j = exp(z_i + z_j - 2 lse)
-    q = sum(model.omega[i, j] * np.exp(z[i] + z[j] - 2.0 * lse) for i in range(d) for j in range(d))
+    q = sum(omega[i, j] * np.exp(z[i] + z[j] - 2.0 * lse) for i in range(d) for j in range(d))
     out = np.empty(levels.shape)
     for idx, log_s in np.ndenumerate(np.log(levels)):
         logw = base - log_s * slope

@@ -305,8 +305,7 @@ def validation_checks() -> list[CheckResult]:
     for name, check in (("appendix", lambda: appendix_checks(cfg.build_model(),
                                                              cfg.build_portfolio())),
                         ("solver-1d", check_solver_1d),
-                        ("bachelier-exact-surface", check_bachelier_surface),
-                        ("bachelier-bracket", check_bachelier_bracket),
+                        ("bachelier", bachelier_checks),
                         ("hjb-dominance", check_dominance),
                         ("exact-vs-laplace", check_exact_vs_laplace)):
         try:
@@ -338,9 +337,13 @@ def check_solver_1d() -> CheckResult:
                        f"European rel err {err_e:.2e} (gate 2e-3), American {err_a:.2e} (gate 5e-3)")
 
 
-def check_bachelier_surface() -> CheckResult:
+def bachelier_checks() -> list[CheckResult]:
+    """On the bachelier5d surface, built once: the surface is the analytic
+    constant, and, the projection being exact, the PDE value sits inside the
+    MC bracket."""
     from .presets import bachelier5d
 
+    n_t, m = 1024, 16_000
     cfg = bachelier5d()
     model = cfg.build_model()
     p = cfg.build_portfolio()
@@ -350,31 +353,21 @@ def check_bachelier_surface() -> CheckResult:
     ss = np.linspace(surf.s_min, surf.s_max, 41)
     worst = max(abs(float(surf.eval_b2(t, ss).max()) - analytic)
                 for t in np.linspace(0.0, model.T, 9)) / analytic
-    return CheckResult("bachelier-exact-surface", worst < 1e-12,
-                       f"max relative deviation from the analytic constant {worst:.2e}")
-
-
-def check_bachelier_bracket() -> CheckResult:
-    """Bachelier projection is exact, so the PDE value must sit inside the MC bracket."""
-    from .presets import bachelier5d
-
-    n_t, m = 1024, 16_000
-    cfg = bachelier5d()
-    model = cfg.build_model()
-    p = cfg.build_portfolio()
-    surf, _ = build_surface_from_config(cfg, model, p)
     grid = hjb.make_grid(surf.s_min, surf.s_max, model.T, n_t, c=cfg.c_coupling)
-    g = PutPayoff(cfg.strikes[0])
-    sol = hjb.solve(surf, [g], grid)
+    sol = hjb.solve(surf, [PutPayoff(cfg.strikes[0])], grid)
     (value,), _ = hjb.value_at(sol, float(p.weights @ model.x0))
     res = mc.simulate_bounds(model, p, sol, [0], n_t, m,
                              derive_seed(cfg.seed, "validate", n_t))[0]
     mid = 0.5 * (res.a_minus + res.a_plus)
     tol = max(3.0 * (res.se_minus + res.se_plus), 0.02 * mid)
     ok = (res.a_minus - tol) <= value <= (res.a_plus + tol)
-    return CheckResult("bachelier-bracket", ok,
-                       f"PDE value {value:.4f} vs bounds [{res.a_minus:.4f}, {res.a_plus:.4f}] "
-                       f"(slack {tol:.4f})")
+    return [
+        CheckResult("bachelier-exact-surface", worst < 1e-12,
+                    f"max relative deviation from the analytic constant {worst:.2e}"),
+        CheckResult("bachelier-bracket", ok,
+                    f"PDE value {value:.4f} vs bounds [{res.a_minus:.4f}, {res.a_plus:.4f}] "
+                    f"(slack {tol:.4f})"),
+    ]
 
 
 def check_dominance() -> CheckResult:

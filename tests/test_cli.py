@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from basketproj import hjb, pipeline, projection
+from basketproj import hjb, pipeline, presets, projection
 from basketproj.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from basketproj.config import ConfigError
-from basketproj.pipeline import (BOUND_ORDERING_Z, StageError, appendix_checks,
+from basketproj.pipeline import (BOUND_ORDERING_Z, CheckResult, StageError, appendix_checks,
                                  build_surface_from_config, check_solver_1d,
-                                 convergence_study, run_experiment)
+                                 convergence_study, run_experiment, validation_checks)
 from basketproj.presets import appendix2d, get_preset
 from basketproj.rng import CHUNK
 from support import fresh_python, load_surface, reference_sweep
@@ -454,6 +454,22 @@ class TestValidatePieces:
         dominance = next(line for line in lines if line.split()[1] == "hjb-dominance")
         assert "StageError: [surface] slice t=" in dominance
         assert lines[-1] == "4/9 checks passed"
+
+    def test_bachelier_build_failure_is_one_failed_check(self, monkeypatch):
+        # both Bachelier checks read one surface; when its build raises, the
+        # suite reports one `bachelier` failure naming the error, as for `appendix`
+        def broken():
+            raise RuntimeError("no bachelier5d")
+
+        monkeypatch.setattr(presets, "bachelier5d", broken)
+        for check, name in (("check_solver_1d", "solver-1d"), ("check_dominance", "hjb-dominance"),
+                            ("check_exact_vs_laplace", "exact-vs-laplace")):
+            monkeypatch.setattr(pipeline, check, lambda name=name: CheckResult(name, True, ""))
+        checks = validation_checks()
+        assert [(c.name, c.passed) for c in checks[4:]] == [
+            ("solver-1d", True), ("bachelier", False),
+            ("hjb-dominance", True), ("exact-vs-laplace", True)]
+        assert checks[5].detail == "RuntimeError: no bachelier5d"
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out-dir", "elsewhere"]])
     def test_takes_no_seed_or_out_dir(self, flag):

@@ -1,5 +1,6 @@
 import logging
 from math import erf, exp, log, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,12 +28,8 @@ def bs_put(spot, strike, r, vol, t):
 
 
 def t0_sweep(grid, american, european):
-    """A sweep holding only the given (K, n_s) t = 0 rows."""
-    k = american.shape[0]
-    return hjb.Sweep(grid=grid, strikes=np.full(k, 100.0),
-                     levels=np.full((k, grid.n_t + 1), -np.inf),
-                     american=american, european=european,
-                     checkpoints=np.empty((0, 2 * k, grid.n_s)), system=None)
+    """A stand-in sweep holding only the given (K, n_s) t = 0 rows: all value_at reads."""
+    return SimpleNamespace(grid=grid, american=american, european=european)
 
 
 def reference_levels(values, g, strike, s):
@@ -114,10 +111,20 @@ class TestSolve:
         assert errs[0] > errs[1] > errs[2]
 
     def test_grid_outside_rectangle_rejected(self, bs3d_surface):
+        # the constructor runs the input checks, so solve and Sweep both meet them
         surf, _ = bs3d_surface
-        grid = make_grid(surf.s_min - 50.0, surf.s_max, 0.5, 64, c=16)
-        with pytest.raises(ValueError):
-            solve(surf, [PutPayoff(300.0)], grid)
+        for lo, hi in ((surf.s_min - 50.0, surf.s_max), (surf.s_min, surf.s_max + 50.0)):
+            grid = make_grid(lo, hi, surf.t_max, 64, c=16)
+            for entry in (solve, hjb.Sweep):
+                with pytest.raises(ValueError, match="surface rectangle does not contain the grid"):
+                    entry(surf, [PutPayoff(300.0)], grid)
+
+    def test_grid_past_the_surface_horizon_rejected(self, bs3d_surface):
+        surf, _ = bs3d_surface
+        grid = make_grid(surf.s_min, surf.s_max, surf.t_max * 1.01, 64, c=16)
+        for entry in (solve, hjb.Sweep):
+            with pytest.raises(ValueError, match="surface horizon shorter than the grid"):
+                entry(surf, [PutPayoff(300.0)], grid)
 
     def test_coupling_rule(self):
         grid = make_grid(0.0, 1.0, 1.0, 4096, c=16.0)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import os
+import re
 import sys
 import threading
 import time
@@ -14,7 +16,7 @@ from basketproj.mc import BoundsResult, bias_estimate, diffusion, simulate_bound
 from basketproj.model import ModelKind, ModelSpec, Portfolio, PutPayoff
 from basketproj.rng import CHUNK, derive_seed, normal_matrix
 from support import (ArrayRows, basket_euler, confidence_interval, euler_states, flat_task,
-                     solved_tasks, streamed)
+                     flat_tasks, solved_tasks, streamed)
 
 
 def _flat_run(model, p, g, n_t, level, n_paths, seed):
@@ -119,7 +121,8 @@ class TestUpperBound:
         g = PutPayoff(500.0)
         payoffs = [g, PutPayoff(480.0)]
         sol = hjb.solve(surf, payoffs, grid)
-        never = dataclasses.replace(sol, levels=np.full_like(sol.levels, -np.inf))
+        never = copy.copy(sol)
+        never.levels = np.full_like(sol.levels, -np.inf)
         solo = simulate_bounds(m, p, never, [0], 128, 4000, seed=55)[0]
         combined = simulate_bounds(m, p, *solved_tasks(sol), 128, 4000, seed=55)[0]
         assert solo.a_plus == combined.a_plus
@@ -416,6 +419,16 @@ class TestTierIsItsSweep:
         with pytest.raises(ValueError, match=match):
             mc.simulate_tiers_coupled(bs3d_model, bs3d_portfolio,
                                       [mc.TierTask(*solved_tasks(sol))], 100, seed=7)
+
+    @pytest.mark.parametrize("tasks, outside", [([-1], "[-1]"), ([2], "[2]"), ([0, 2], "[2]")],
+                             ids=["negative", "past-the-end", "one-of-two"])
+    def test_rows_outside_the_sweep_raise(self, bachelier5_model, bachelier5_portfolio,
+                                          tasks, outside):
+        m, p = bachelier5_model, bachelier5_portfolio
+        sweep, _ = flat_tasks(m, [PutPayoff(90.0), PutPayoff(100.0)], 8)
+        match = rf"tier n_t=8: rows {re.escape(outside)} outside its sweep's \[0, 2\)"
+        with pytest.raises(ValueError, match=match):
+            simulate_bounds(m, p, sweep, tasks, 8, 100, seed=7)
 
 
 class TestGridLookup:

@@ -156,6 +156,9 @@ class TestValidation:
     def test_broken_factorization_rejected(self):
         with pytest.raises(ValueError):
             bachelier(np.array([[np.nan, 0.0], [0.0, 1.0]]), [1.0, 1.0])
+        # every entry finite, but sigma @ sigma.T overflows
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            bachelier(np.array([[1e200, 0.0], [0.0, 1.0]]), [1.0, 1.0])
 
     def test_correlation_not_pd_rejected(self):
         with pytest.raises(ValueError):

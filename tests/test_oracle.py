@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,17 @@ class TestQuadrature:
             quadrature_projected_vol(appendix_model, Portfolio([1.0, -1.0]), 1.0, 50.0)
         with pytest.raises(ValueError, match="s > 0"):
             quadrature_projected_vol(appendix_model, appendix_portfolio, 1.0, 0.0)
+
+    def test_shares_no_code_with_the_laplace_stage(self):
+        # a fault in a shared helper would move Laplace and its reference together
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((getattr(node, "module", None) or "").split("."))
+                names.update(part for alias in node.names for part in alias.name.split("."))
+        assert "model" in names
+        assert not names & {"density", "projection", "surface"}
 
 
 class TestBinomial:
